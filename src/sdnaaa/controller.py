@@ -169,6 +169,11 @@ class EstablishResult:
     error: Optional[str] = None
 
 
+def _route_change(pattern: RealmPattern, next_hop, action: Action, rule_refs=()) -> ConfigChange:
+    entry = RealmEntry(pattern, next_hop, action, tuple(rule_refs))
+    return ConfigChange(southbound.MERGE, f"routing/{pattern.text}", entry)
+
+
 class Controller:
     def __init__(
         self,
@@ -261,9 +266,9 @@ class Controller:
         static_config); applied through the ordinary session, not ledgered."""
         changes = []
         for container in ("tls", "attributes", "peers", "routing"):
-            for entity in getattr(doc, container):
-                key = model.entry_key(container, entity)
-                changes.append(ConfigChange(southbound.MERGE, f"{container}/{key}", entity))
+            entries = getattr(doc, container)
+            for key in sorted(entries):
+                changes.append(ConfigChange(southbound.MERGE, f"{container}/{key}", entries[key]))
         return self._submit(self._push_job(node_id, changes))
 
     def on_notification(self, note: Notification) -> Reply:
@@ -430,30 +435,27 @@ class Controller:
             reply_b = session_b.edit_config(changes_b)
             frame_a = yield reply_a
             frame_b = yield reply_b
-            if frame_a.type != southbound.OK and frame_b.type != southbound.OK:
-                self.adjacencies[pair] = AdjacencyRecord(pair, "NONE", security)
-                return EstablishResult("FAILED", 1, frame_a.error["code"])
-            if frame_a.type != southbound.OK:
-                yield session_b.edit_config(self._rollback_changes(changes_b))
-                self.adjacencies[pair] = AdjacencyRecord(pair, "NONE", security)
-                return EstablishResult("FAILED", 1, frame_a.error["code"])
-            if frame_b.type != southbound.OK:
-                yield session_a.edit_config(self._rollback_changes(changes_a))
-                self.adjacencies[pair] = AdjacencyRecord(pair, "NONE", security)
-                return EstablishResult("FAILED", 3, frame_b.error["code"])
         else:
             frame_a = yield session_a.edit_config(changes_a)
-            if frame_a.type != southbound.OK:
-                self.adjacencies[pair] = AdjacencyRecord(pair, "NONE", security)
-                return EstablishResult("FAILED", 1, frame_a.error["code"])
-            self.adjacencies[pair] = AdjacencyRecord(pair, "HALF", security)
-            # stamped at its own send time so ttl counts from node-side creation
-            changes_b = self._stamp(changes_b, ttl)
-            frame_b = yield session_b.edit_config(changes_b)
-            if frame_b.type != southbound.OK:
+            frame_b = None
+            if frame_a.type == southbound.OK:
+                self.adjacencies[pair] = AdjacencyRecord(pair, "HALF", security)
+                # stamped at its own send time so ttl counts from node-side creation
+                changes_b = self._stamp(changes_b, ttl)
+                frame_b = yield session_b.edit_config(changes_b)
+
+        ok_a = frame_a.type == southbound.OK
+        ok_b = frame_b is not None and frame_b.type == southbound.OK
+        if not (ok_a and ok_b):
+            # undo the side that applied; a failed frame changed nothing
+            if ok_a:
                 yield session_a.edit_config(self._rollback_changes(changes_a))
-                self.adjacencies[pair] = AdjacencyRecord(pair, "NONE", security)
+            elif ok_b:
+                yield session_b.edit_config(self._rollback_changes(changes_b))
+            self.adjacencies[pair] = AdjacencyRecord(pair, "NONE", security)
+            if ok_a:
                 return EstablishResult("FAILED", 3, frame_b.error["code"])
+            return EstablishResult("FAILED", 1, frame_a.error["code"])
 
         self.adjacencies[pair] = AdjacencyRecord(pair, "ESTABLISHED", security, fingerprint)
         self._ledger_changes(a, changes_a, security, policy_id)
@@ -474,10 +476,7 @@ class Controller:
         session = self.sessions.get(node_id)
         if session is None:
             return {"op": "route", "node": node_id, "outcome": "FAILED", "error": "NO_SESSION"}
-        entry = RealmEntry(pattern, next_hop, action, tuple(rule_refs))
-        changes = self._stamp(
-            [ConfigChange(southbound.MERGE, f"routing/{pattern.text}", entry)], ttl
-        )
+        changes = self._stamp([_route_change(pattern, next_hop, action, rule_refs)], ttl)
         frame = yield session.edit_config(changes)
         if frame.type != southbound.OK:
             return {
@@ -525,6 +524,34 @@ class Controller:
                 n = next_hops[n]
         return order, unreachable
 
+    def _ensure_hop(self, policy: Policy, n: str, next_hop: str):
+        """Give ``n`` the policy's RELAY route via ``next_hop``. A missing
+        adjacency is established with the route in n's frame and, when the
+        next hop is the home, the home's LOCAL route in the mirror frame.
+
+        Returns the adjacency's EstablishResult, the route job's outcome,
+        or None when nothing was missing."""
+        pattern = policy.realm_pattern
+        home = policy.home_node
+        ttl = policy.default_entry_ttl
+        record = self.adjacencies.get(frozenset((n, next_hop)))
+        need_route = not self._has_route(n, pattern, next_hop, Action.RELAY)
+        if record is None or record.status != "ESTABLISHED":
+            # Mirror side first: if n holds parked traffic, its lazy
+            # handshake must find the counterpart entry already in place.
+            extra_mirror = []
+            if next_hop == home and not self._has_route(home, pattern, None, Action.LOCAL):
+                extra_mirror = [_route_change(pattern, None, Action.LOCAL)]
+            extra_self = [_route_change(pattern, next_hop, Action.RELAY)] if need_route else []
+            return (yield from self._adjacency_job(
+                next_hop, n, policy.security, ttl, extra_mirror, extra_self, policy.policy_id
+            ))
+        if need_route:
+            return (yield from self._route_job(
+                n, pattern, next_hop, Action.RELAY, (), ttl, policy.policy_id
+            ))
+        return None
+
     def _provision_job(self, policy: Policy):
         """Install peers and routes along every client->home path, pairing
         each new adjacency with the new route in one edit-config frame."""
@@ -539,50 +566,19 @@ class Controller:
         for client in unreachable:
             report.append({"op": "path", "node": client, "outcome": "UNREACHABLE"})
         failed: set[str] = set()
-
-        def route_change(next_hop):
-            entry = RealmEntry(pattern, next_hop, Action.RELAY)
-            return ConfigChange(southbound.MERGE, f"routing/{pattern.text}", entry)
-
-        def local_change():
-            entry = RealmEntry(pattern, None, Action.LOCAL)
-            return ConfigChange(southbound.MERGE, f"routing/{pattern.text}", entry)
-
         for n in order:
             next_hop = next_hops[n]
             if n in failed or next_hop in failed:
                 report.append({"op": "route", "node": n, "outcome": "SKIPPED"})
                 continue
-            pair = frozenset((n, next_hop))
-            record = self.adjacencies.get(pair)
-            need_adjacency = record is None or record.status != "ESTABLISHED"
-            need_route = not self._has_route(n, pattern, next_hop, Action.RELAY)
-            if need_adjacency:
-                # Mirror side first: if n holds parked traffic, its lazy
-                # handshake must find the counterpart entry already in place.
-                extra_mirror = []
-                if next_hop == home and not self._has_route(home, pattern, None, Action.LOCAL):
-                    extra_mirror = [local_change()]
-                extra_self = [route_change(next_hop)] if need_route else []
-                result = yield from self._adjacency_job(
-                    next_hop, n, policy.security, ttl, extra_mirror, extra_self, policy.policy_id
-                )
-                report.append(
-                    {
-                        "op": "adjacency",
-                        "node": n,
-                        "next_hop": next_hop,
-                        "outcome": result.status,
-                        "error": result.error,
-                    }
-                )
+            result = yield from self._ensure_hop(policy, n, next_hop)
+            if isinstance(result, EstablishResult):
+                report.append({"op": "adjacency", "node": n, "next_hop": next_hop,
+                               "outcome": result.status, "error": result.error})
                 if result.status != "ESTABLISHED":
                     failed.add(next_hop if result.failed_step == 1 else n)
-            elif need_route:
-                outcome = yield from self._route_job(
-                    n, pattern, next_hop, Action.RELAY, (), ttl, policy.policy_id
-                )
-                report.append(outcome)
+            elif result is not None:
+                report.append(result)
         if home not in failed and not self._has_route(home, pattern, None, Action.LOCAL):
             outcome = yield from self._route_job(
                 home, pattern, None, Action.LOCAL, (), ttl, policy.policy_id
@@ -617,35 +613,7 @@ class Controller:
                 {"event": "unroutable", "node": n, "realm": realm.text, "reason": "no path"}
             )
             return None
-        pair = frozenset((n, next_hop))
-        record = self.adjacencies.get(pair)
-        need_adjacency = record is None or record.status != "ESTABLISHED"
-        need_route = not self._has_route(n, pattern, next_hop, Action.RELAY)
-        route_ch = ConfigChange(
-            southbound.MERGE, f"routing/{pattern.text}", RealmEntry(pattern, next_hop, Action.RELAY)
-        )
-        if need_adjacency:
-            # Mirror frame to the next hop first, then one combined
-            # peer+route frame to the notifying node; its queued messages
-            # flush against an already-configured counterpart.
-            extra_mirror = []
-            if next_hop == home and not self._has_route(home, pattern, None, Action.LOCAL):
-                extra_mirror = [
-                    ConfigChange(
-                        southbound.MERGE,
-                        f"routing/{pattern.text}",
-                        RealmEntry(pattern, None, Action.LOCAL),
-                    )
-                ]
-            return (yield from self._adjacency_job(
-                next_hop, n, policy.security, ttl, extra_mirror, [route_ch] if need_route else [],
-                policy.policy_id,
-            ))
-        if need_route:
-            return (yield from self._route_job(
-                n, pattern, next_hop, Action.RELAY, (), ttl, policy.policy_id
-            ))
-        return None
+        return (yield from self._ensure_hop(policy, n, next_hop))
 
     def _expired_job(self, note: Notification):
         """Re-provision an expired entry when its policy is still active."""

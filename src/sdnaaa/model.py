@@ -4,16 +4,18 @@ Value types for peer tables, realm routing tables, TLS profiles and
 attribute rules, plus the canonical JSON document encoding shared by the
 management channel, the scenario fixtures and the CLI.
 
-Everything here is an immutable value; the operations are pure functions,
-so the types are safe to share across the simulator without copying.
+Everything here is a value: entities are frozen, a document's containers
+are never changed in place, and the operations are pure functions, so the
+types are safe to share across the simulator without copying.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 from typing import Optional, Union
 
 REDACTED = "<redacted>"
@@ -78,10 +80,10 @@ class Nai:
         return self.text
 
 
-def parse_nai(text: str) -> Nai:
-    """Split ``user@realm`` at the last '@' and validate both halves.
+def split_nai(text: str) -> tuple[str, str]:
+    """Split ``user@realm`` at the last '@' into the user and the realm text.
 
-    Errors: NO_AT_SIGN, EMPTY_USER, BAD_USER (embedded '@'), BAD_REALM.
+    Errors: NO_AT_SIGN, EMPTY_USER, BAD_USER (embedded '@').
     """
     if "@" not in text:
         raise ModelError("NO_AT_SIGN", text)
@@ -90,6 +92,12 @@ def parse_nai(text: str) -> Nai:
         raise ModelError("EMPTY_USER", text)
     if "@" in user:
         raise ModelError("BAD_USER", text)
+    return user, realm_text
+
+
+def parse_nai(text: str) -> Nai:
+    """split_nai, then parse the realm. Errors: those of split_nai, BAD_REALM."""
+    user, realm_text = split_nai(text)
     return Nai(user, Realm.parse(realm_text))
 
 
@@ -349,77 +357,77 @@ def notification_from_json(obj: dict) -> Notification:
 class ConfigDocument:
     """A node's full configuration: peers, routing, tls and attributes.
 
-    Containers are keyed sets; they are normalized to key order on
-    construction so equal configurations compare equal and the canonical
-    encoding is simply the field order.
+    Each container is a YANG-style keyed list held as a dict from entity
+    key (``peer_id``, pattern text, profile name, rule id) to entity. Dict
+    order carries no meaning; the canonical encoding sorts by key. A
+    container given as a sequence is keyed on construction, and a repeated
+    key raises ModelError with the container's DUPLICATE_* code. Containers
+    are never changed in place; with_entry / without_entry copy one.
     """
 
-    peers: tuple[PeerEntry, ...] = ()
-    routing: tuple[RealmEntry, ...] = ()
-    tls: tuple[TlsProfile, ...] = ()
-    attributes: tuple[AttributeRule, ...] = ()
+    peers: dict[str, PeerEntry] = field(default_factory=dict)
+    routing: dict[str, RealmEntry] = field(default_factory=dict)
+    tls: dict[str, TlsProfile] = field(default_factory=dict)
+    attributes: dict[str, AttributeRule] = field(default_factory=dict)
 
     def __post_init__(self):
         for container in CONTAINERS:
-            entries = tuple(
-                sorted(getattr(self, container), key=lambda e: entry_key(container, e))
-            )
-            object.__setattr__(self, container, entries)
+            entries = getattr(self, container)
+            if not isinstance(entries, dict):
+                object.__setattr__(self, container, _keyed(container, entries))
 
     def peer(self, peer_id: str) -> Optional[PeerEntry]:
-        for p in self.peers:
-            if p.peer_id == peer_id:
-                return p
-        return None
+        return self.peers.get(peer_id)
 
     def route(self, pattern_text: str) -> Optional[RealmEntry]:
-        for r in self.routing:
-            if r.pattern.text == pattern_text:
-                return r
-        return None
+        return self.routing.get(pattern_text)
 
     def profile(self, name: str) -> Optional[TlsProfile]:
-        for t in self.tls:
-            if t.name == name:
-                return t
-        return None
+        return self.tls.get(name)
 
     def rule(self, rule_id: str) -> Optional[AttributeRule]:
-        for a in self.attributes:
-            if a.rule_id == rule_id:
-                return a
-        return None
+        return self.attributes.get(rule_id)
 
 
 CONTAINERS = ("peers", "routing", "tls", "attributes")
 
+#: per container: how to read an entity's key, and the code for a repeated key
+_KEYS = {
+    "peers": (attrgetter("peer_id"), "DUPLICATE_PEER_ID"),
+    "routing": (attrgetter("pattern.text"), "DUPLICATE_PATTERN"),
+    "tls": (attrgetter("name"), "DUPLICATE_TLS_PROFILE"),
+    "attributes": (attrgetter("rule_id"), "DUPLICATE_RULE_ID"),
+}
+
 
 def entry_key(container: str, entity) -> str:
-    """The unique key an entity sorts and upserts by within its container."""
-    if container == "peers":
-        return entity.peer_id
-    if container == "routing":
-        return entity.pattern.text
-    if container == "tls":
-        return entity.name
-    if container == "attributes":
-        return entity.rule_id
-    raise ModelError("BAD_CONTAINER", container)
+    """The unique key an entity is stored under within its container."""
+    if container not in _KEYS:
+        raise ModelError("BAD_CONTAINER", container)
+    return _KEYS[container][0](entity)
 
 
-def with_entry(doc: ConfigDocument, container: str, entity) -> ConfigDocument:
-    """Upsert ``entity`` into ``container`` keyed by its unique key."""
-    key = entry_key(container, entity)
-    entries = tuple(
-        e for e in getattr(doc, container) if entry_key(container, e) != key
-    ) + (entity,)
+def _keyed(container: str, entities) -> dict:
+    key_of, duplicate = _KEYS[container]
+    out = {}
+    for entity in entities:
+        key = key_of(entity)
+        if key in out:
+            raise ModelError(duplicate, f"{container}/{key}")
+        out[key] = entity
+    return out
+
+
+def with_entry(doc: ConfigDocument, container: str, key: str, entity) -> ConfigDocument:
+    """Upsert ``entity`` under ``key``, which must be its entry_key."""
+    entries = dict(getattr(doc, container))
+    entries[key] = entity
     return replace(doc, **{container: entries})
 
 
 def without_entry(doc: ConfigDocument, container: str, key: str) -> ConfigDocument:
-    entries = tuple(
-        e for e in getattr(doc, container) if entry_key(container, e) != key
-    )
+    entries = dict(getattr(doc, container))
+    entries.pop(key, None)
     return replace(doc, **{container: entries})
 
 
@@ -478,22 +486,22 @@ def _valid_realm_labels(realm: Realm) -> bool:
     )
 
 
+_VALIDATION_RANK = {"tls": 0, "attributes": 1, "peers": 2, "routing": 3}
+
+
 def validate_document(doc: ConfigDocument) -> list[Violation]:
     """Check every type invariant plus cross-reference resolution.
 
-    Returns all violations found, in document order; an empty list means
-    the document is consistent.
+    Keys are unique by construction. Returns every violation found, ordered
+    by container (tls, attributes, peers, routing), then key, then check
+    order, whatever order the document was built in; [] means consistent.
     """
     out: list[Violation] = []
 
-    seen_profiles: set[str] = set()
-    for t in doc.tls:
+    for t in doc.tls.values():
         where = f"tls/{t.name}"
         if not _valid_token(t.name):
             out.append(Violation("BAD_ID", where))
-        elif t.name in seen_profiles:
-            out.append(Violation("DUPLICATE_TLS_PROFILE", where))
-        seen_profiles.add(t.name)
         if not _valid_token(t.local_identity):
             out.append(Violation("BAD_IDENTITY", where))
         if not t.trusted_identities:
@@ -501,14 +509,10 @@ def validate_document(doc: ConfigDocument) -> list[Violation]:
         if isinstance(t.local_key, str) and t.local_key != REDACTED:
             out.append(Violation("BAD_KEY", where))
 
-    seen_rules: set[str] = set()
-    for a in doc.attributes:
+    for a in doc.attributes.values():
         where = f"attributes/{a.rule_id}"
         if not _valid_token(a.rule_id):
             out.append(Violation("BAD_ID", where))
-        elif a.rule_id in seen_rules:
-            out.append(Violation("DUPLICATE_RULE_ID", where))
-        seen_rules.add(a.rule_id)
         if not _valid_token(a.attribute):
             out.append(Violation("BAD_ATTRIBUTE", where))
         if a.op is RuleOp.REMOVE:
@@ -517,14 +521,10 @@ def validate_document(doc: ConfigDocument) -> list[Violation]:
         elif a.value is None:
             out.append(Violation("MISSING_VALUE", where))
 
-    seen_peers: set[str] = set()
-    for p in doc.peers:
+    for p in doc.peers.values():
         where = f"peers/{p.peer_id}"
         if not _valid_token(p.peer_id):
             out.append(Violation("BAD_ID", where))
-        elif p.peer_id in seen_peers:
-            out.append(Violation("DUPLICATE_PEER_ID", where))
-        seen_peers.add(p.peer_id)
         if not _valid_token(p.identity):
             out.append(Violation("BAD_IDENTITY", where))
         if not _valid_token(p.host):
@@ -557,32 +557,31 @@ def validate_document(doc: ConfigDocument) -> list[Violation]:
             elif p.identity not in prof.trusted_identities:
                 out.append(Violation("IDENTITY_NOT_TRUSTED", where))
 
-    seen_patterns: set[str] = set()
-    for r in doc.routing:
-        where = f"routing/{r.pattern.text}"
+    for key, r in doc.routing.items():
+        where = f"routing/{key}"
         if r.pattern.kind is not PatternKind.DEFAULT and not _valid_realm_labels(
             r.pattern.suffix
         ):
             out.append(Violation("BAD_REALM", where))
-        if r.pattern.text in seen_patterns:
-            out.append(Violation("DUPLICATE_PATTERN", where))
-        seen_patterns.add(r.pattern.text)
         if r.action is Action.LOCAL:
             if r.next_hop is not None:
                 out.append(Violation("UNEXPECTED_NEXT_HOP", where))
         else:
             if r.next_hop is None:
                 out.append(Violation("MISSING_NEXT_HOP", where))
-            elif r.next_hop not in seen_peers:
+            elif r.next_hop not in doc.peers:
                 out.append(Violation("DANGLING_NEXT_HOP", where))
         if r.rule_refs and r.action is not Action.PROXY:
             out.append(Violation("RULE_REFS_NOT_ALLOWED", where))
         for ref in r.rule_refs:
-            if ref not in seen_rules:
+            if ref not in doc.attributes:
                 out.append(Violation("DANGLING_RULE_REF", where))
         if not _valid_expiration(r.expiration):
             out.append(Violation("BAD_EXPIRATION", where))
 
+    if out:
+        # within one container the subjects share a prefix, so they sort by key
+        out.sort(key=lambda v: (_VALIDATION_RANK[v.subject.partition("/")[0]], v.subject))
     return out
 
 
@@ -654,15 +653,12 @@ def entity_to_json(container: str, entity) -> dict:
 
 
 def document_to_json(doc: ConfigDocument) -> dict:
-    return {
-        container: [
-            _TO_JSON[container](e)
-            for e in sorted(
-                getattr(doc, container), key=lambda e: entry_key(container, e)
-            )
-        ]
-        for container in CONTAINERS
-    }
+    """The canonical form: fixed container order, each a list sorted by key."""
+    out = {}
+    for container in CONTAINERS:
+        entries = getattr(doc, container)
+        out[container] = [_TO_JSON[container](entries[key]) for key in sorted(entries)]
+    return out
 
 
 def encode_document(doc: ConfigDocument) -> str:
@@ -811,6 +807,7 @@ def entity_from_json(container: str, obj) -> object:
 
 
 def document_from_json(obj) -> ConfigDocument:
+    """Errors: SCHEMA_ERROR, or a DUPLICATE_* code for a repeated key."""
     if not isinstance(obj, dict):
         raise ModelError("SCHEMA_ERROR", "top level must be an object")
     if set(obj) != set(CONTAINERS):
@@ -826,7 +823,8 @@ def document_from_json(obj) -> ConfigDocument:
 
 
 def decode_document(text: str) -> ConfigDocument:
-    """Inverse of encode_document. Errors: PARSE_ERROR, SCHEMA_ERROR."""
+    """Inverse of encode_document. Errors: PARSE_ERROR, SCHEMA_ERROR,
+    DUPLICATE_* (a key repeated within a container)."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
@@ -843,11 +841,11 @@ def redact(doc: ConfigDocument) -> ConfigDocument:
 
     Idempotent; every other field is preserved byte for byte.
     """
-    peers = tuple(
-        replace(p, credential=SharedSecret(REDACTED))
+    peers = {
+        key: replace(p, credential=SharedSecret(REDACTED))
         if isinstance(p.credential, SharedSecret)
         else p
-        for p in doc.peers
-    )
-    tls = tuple(replace(t, local_key=REDACTED) for t in doc.tls)
+        for key, p in doc.peers.items()
+    }
+    tls = {key: replace(t, local_key=REDACTED) for key, t in doc.tls.items()}
     return replace(doc, peers=peers, tls=tls)

@@ -203,17 +203,14 @@ class Node:
                 raise southbound.SouthboundError("BAD_PATH", f"{change.path}: merge without value")
             if model.entry_key(container, change.value) != key:
                 raise southbound.SouthboundError("BAD_PATH", f"{change.path}: key mismatch")
-            return model.with_entry(doc, container, change.value)
+            return model.with_entry(doc, container, key, change.value)
         if change.op == southbound.DELETE:
-            if not any(
-                model.entry_key(container, e) == key for e in getattr(doc, container)
-            ):
+            if key not in getattr(doc, container):
                 raise southbound.SouthboundError("BAD_PATH", f"{change.path}: no such entry")
             return model.without_entry(doc, container, key)
         raise southbound.SouthboundError("BAD_PATH", f"{change.path}: bad op {change.op!r}")
 
     def _after_apply(self, old: model.ConfigDocument, changes) -> None:
-        now = self.loop.now
         routing_touched = False
         for change in changes:
             container, key = change.container_key()
@@ -229,7 +226,7 @@ class Node:
                 before = old.route(key)
                 after = self.running.route(key)
                 if before is not None and after is not None and before.next_hop != after.next_hop:
-                    self.network.note_reroute(self.node_id, key)
+                    self.network.note_reroute()
                 if after is not None and after.expiration is not None:
                     self.loop.call_at(after.expiration, self._timer_tick)
         if routing_touched:
@@ -245,10 +242,10 @@ class Node:
             peer_node.channels.pop(mirror.peer_id, None)
 
     def peer_for_host(self, host: str) -> Optional[model.PeerEntry]:
-        for p in self.running.peers:
-            if p.host == host:
-                return p
-        return None
+        """The peer entry behind ``host``; the smallest peer_id when
+        several entries share it."""
+        matches = (p for p in self.running.peers.values() if p.host == host)
+        return min(matches, key=lambda p: p.peer_id, default=None)
 
     # ------------------------------------------------------------------
     # security channels
@@ -343,16 +340,14 @@ class Node:
     def _select(self, realm: Realm, now: int) -> Optional[RealmEntry]:
         # live cache entries shadow running entries with the same pattern,
         # so a cached redirect hint overrides the REDIRECT entry it refined
-        cache = {}
+        table = dict(self.running.routing)
         for key in list(self.route_cache):
             cached = self.route_cache[key]
             if cached.expiration is not None and now >= cached.expiration:
                 del self.route_cache[key]
             else:
-                cache[key] = cached
-        table = [r for r in self.running.routing if r.pattern.text not in cache]
-        table.extend(cache.values())
-        return model.select_route(table, realm, now)
+                table[key] = cached
+        return model.select_route(table.values(), realm, now)
 
     def _route(self, msg: AaaMessage, now: int) -> None:
         entry = self._select(msg.dest_realm, now)
@@ -552,7 +547,7 @@ class Node:
 
     def _handle_redirect_query(self, query: RedirectQuery) -> None:
         now = self.loop.now
-        entry = model.select_route(self.running.routing, query.realm, now)
+        entry = model.select_route(self.running.routing.values(), query.realm, now)
         requester = self.network.node_by_id(query.requester)
         if entry is None:
             reply: object = RedirectMiss(query.realm)
@@ -619,24 +614,25 @@ class Node:
         next hop vanished, and time out stale pending messages. Emits one
         notification per removed entry; idempotent across repeated calls."""
         notes: list[Notification] = []
-        expired_peers = [
-            p for p in self.running.peers
+        # notifications go out in key order, peers before routes
+        expired_peers = sorted(
+            (key, p) for key, p in self.running.peers.items()
             if p.expiration is not None and p.expiration <= now
-        ]
-        gone = {p.peer_id for p in expired_peers}
-        expired_routes = [
-            r for r in self.running.routing
+        )
+        gone = {key for key, _p in expired_peers}
+        expired_routes = sorted(
+            (key, r) for key, r in self.running.routing.items()
             if (r.expiration is not None and r.expiration <= now)
             or (r.next_hop is not None and r.next_hop in gone)
-        ]
+        )
         if expired_peers or expired_routes:
             doc = self.running
-            for p in expired_peers:
-                doc = model.without_entry(doc, "peers", p.peer_id)
+            for key, p in expired_peers:
+                doc = model.without_entry(doc, "peers", key)
                 self._drop_channel_pair(p)
-                notes.append(Notification.peer_expired(self.node_id, p.peer_id))
-            for r in expired_routes:
-                doc = model.without_entry(doc, "routing", r.pattern.text)
+                notes.append(Notification.peer_expired(self.node_id, key))
+            for key, r in expired_routes:
+                doc = model.without_entry(doc, "routing", key)
                 notes.append(Notification.route_expired(self.node_id, r.pattern))
             self.running = doc
 

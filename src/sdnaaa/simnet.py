@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import logging
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -30,8 +29,6 @@ from .controller import (
     load_policy,
 )
 from .model import AaaMessage, MsgKind, Realm
-
-log = logging.getLogger("sdnaaa.simnet")
 
 PROACTIVE = "PROACTIVE"
 REACTIVE = "REACTIVE"
@@ -186,7 +183,7 @@ class Network:
     def record_event(self, actor: str, direction: str, **payload) -> None:
         self.transcript.add(self.loop.now, actor, direction, **payload)
 
-    def note_reroute(self, node_id: str, pattern: str) -> None:
+    def note_reroute(self) -> None:
         self.metrics.reroutes += 1
 
     def note_channel(self, a: str, b: str) -> None:
@@ -220,7 +217,7 @@ class Network:
             other = self.nodes[nid]
             if other is downed:
                 continue
-            for p in other.running.peers:
+            for p in other.running.peers.values():
                 if p.host == address:
                     other.channels.pop(p.peer_id, None)
 
@@ -256,6 +253,18 @@ def _require(cond: bool, code: str, detail: str = "") -> None:
         raise ScenarioError(code, detail)
 
 
+def _is_str_map(obj) -> bool:
+    return isinstance(obj, dict) and all(isinstance(x, str) for kv in obj.items() for x in kv)
+
+
+def _decode(parse, value):
+    """``parse(value)`` with a model error turned into a ScenarioError."""
+    try:
+        return parse(value)
+    except model.ModelError as err:
+        raise ScenarioError(err.code, str(err)) from None
+
+
 def scenario_from_dict(obj: dict) -> Scenario:
     _require(isinstance(obj, dict), "PARSE_ERROR", "top level must be an object")
     required = {"seed", "topology", "policies", "mode", "events", "stop_time"}
@@ -281,6 +290,13 @@ def scenario_from_dict(obj: dict) -> Scenario:
     )
     specs = topo_obj["nodes"]
     _require(isinstance(specs, dict) and specs, "PARSE_ERROR", "topology.nodes")
+    realms_by_text: dict[str, Realm] = {}
+
+    def realm_of(text: str) -> Realm:
+        if text not in realms_by_text:
+            realms_by_text[text] = _decode(Realm.parse, text)
+        return realms_by_text[text]
+
     node_specs: dict[str, dict] = {}
     infos: dict[str, NodeInfo] = {}
     for nid, raw in specs.items():
@@ -293,34 +309,47 @@ def scenario_from_dict(obj: dict) -> Scenario:
         _require(role in ROLES, "PARSE_ERROR", f"node {nid} role {role!r}")
         state = raw.get("state", "UP")
         _require(state in ("UP", "DOWN"), "PARSE_ERROR", f"node {nid} state")
-        realms = tuple(Realm.parse(r) for r in raw.get("realms", []))
+        realm_texts = raw.get("realms", [])
+        _require(
+            isinstance(realm_texts, list) and all(isinstance(r, str) for r in realm_texts),
+            "PARSE_ERROR", f"node {nid} realms",
+        )
+        realms = tuple(realm_of(r) for r in realm_texts)
+        users = raw.get("users", {})
+        _require(_is_str_map(users), "PARSE_ERROR", f"node {nid} users")
+        address = raw.get("address", f"{nid}.sim")
+        _require(isinstance(address, str), "PARSE_ERROR", f"node {nid} address")
         spec = {
-            "address": raw.get("address", f"{nid}.sim"),
+            "address": address,
             "role": role,
             "realms": realms,
-            "users": dict(raw.get("users", {})),
+            "users": dict(users),
             "state": state,
         }
         node_specs[nid] = spec
         infos[nid] = NodeInfo(spec["address"], role, realms, state)
 
     links: set[frozenset] = set()
-    for pair in topo_obj.get("links", []):
+    links_obj = topo_obj.get("links", [])
+    _require(isinstance(links_obj, list), "PARSE_ERROR", "topology.links")
+    for pair in links_obj:
         _require(
             isinstance(pair, list) and len(pair) == 2 and pair[0] != pair[1],
             "PARSE_ERROR", f"link {pair}",
         )
         for end in pair:
-            _require(end in infos, "UNKNOWN_NODE", str(end))
+            _require(isinstance(end, str) and end in infos, "UNKNOWN_NODE", str(end))
         links.add(frozenset(pair))
 
     home_of: dict[str, str] = {}
-    for realm_text, home in topo_obj.get("homes", {}).items():
-        realm = Realm.parse(realm_text)
+    homes = topo_obj.get("homes", {})
+    _require(_is_str_map(homes), "PARSE_ERROR", "topology.homes")
+    served = {(nid, realm) for nid, info in infos.items() for realm in info.served_realms}
+    for realm_text, home in homes.items():
+        realm = realm_of(realm_text)
         _require(home in infos, "UNKNOWN_NODE", home)
-        info = infos[home]
         _require(
-            info.role == SERVER and realm in info.served_realms,
+            infos[home].role == SERVER and (home, realm) in served,
             "PARSE_ERROR", f"home {home} does not serve {realm_text}",
         )
         home_of[realm.text] = home
@@ -338,6 +367,8 @@ def scenario_from_dict(obj: dict) -> Scenario:
     except PolicyError as err:
         raise ScenarioError(err.code, str(err)) from None
 
+    _require(isinstance(obj["events"], list), "PARSE_ERROR", "events")
+    valid_nais: set[str] = set()
     events: list[Event] = []
     last_time = None
     for raw in obj["events"]:
@@ -355,12 +386,21 @@ def scenario_from_dict(obj: dict) -> Scenario:
                 set(raw) == {"time", "kind", "at", "nai", "password"},
                 "PARSE_ERROR", "inject event fields",
             )
-            _require(raw["at"] in infos, "UNKNOWN_NODE", str(raw["at"]))
+            _require(isinstance(raw["at"], str) and raw["at"] in infos,
+                     "UNKNOWN_NODE", str(raw["at"]))
+            _require(
+                isinstance(raw["nai"], str) and isinstance(raw["password"], str),
+                "PARSE_ERROR", "inject nai and password must be strings",
+            )
+            if raw["nai"] not in valid_nais:
+                realm_of(_decode(model.split_nai, raw["nai"])[1])
+                valid_nais.add(raw["nai"])
             events.append(Event(time, kind, node=raw["at"], nai=raw["nai"],
                                 password=raw["password"]))
         elif kind in ("node-down", "node-up"):
             _require(set(raw) == {"time", "kind", "node"}, "PARSE_ERROR", "event fields")
-            _require(raw["node"] in infos, "UNKNOWN_NODE", str(raw["node"]))
+            _require(isinstance(raw["node"], str) and raw["node"] in infos,
+                     "UNKNOWN_NODE", str(raw["node"]))
             events.append(Event(time, kind, node=raw["node"]))
         else:  # snapshot
             _require(set(raw) == {"time", "kind"}, "PARSE_ERROR", "event fields")
@@ -369,14 +409,15 @@ def scenario_from_dict(obj: dict) -> Scenario:
     options = obj.get("options", {})
     _require(isinstance(options, dict) and set(options) <= {"parallel_adjacency"},
              "PARSE_ERROR", "options")
+    _require(isinstance(options.get("parallel_adjacency", False), bool),
+             "PARSE_ERROR", "options.parallel_adjacency")
 
+    static_obj = obj.get("static_config", {})
+    _require(isinstance(static_obj, dict), "PARSE_ERROR", "static_config")
     static_config: dict[str, model.ConfigDocument] = {}
-    for nid, doc_obj in obj.get("static_config", {}).items():
+    for nid, doc_obj in static_obj.items():
         _require(nid in infos, "UNKNOWN_NODE", nid)
-        try:
-            static_config[nid] = model.document_from_json(doc_obj)
-        except model.ModelError as err:
-            raise ScenarioError(err.code, str(err)) from None
+        static_config[nid] = _decode(model.document_from_json, doc_obj)
 
     return Scenario(
         seed=seed,
@@ -394,8 +435,9 @@ def scenario_from_dict(obj: dict) -> Scenario:
 def load_scenario(text: str) -> Scenario:
     """Parse and validate a scenario file.
 
-    Errors: PARSE_ERROR, UNKNOWN_NODE, UNSORTED_EVENTS (plus policy and
-    document codes from the embedded formats).
+    Errors: PARSE_ERROR, UNKNOWN_NODE, UNSORTED_EVENTS, plus the policy,
+    realm, NAI and document codes of the embedded formats (a static_config
+    that repeats a key gives its DUPLICATE_* code); always a ScenarioError.
     """
     try:
         obj = json.loads(text)

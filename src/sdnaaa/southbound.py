@@ -9,6 +9,7 @@ unit of latency per direction.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -157,14 +158,10 @@ def frame_from_json(obj: dict) -> Frame:
 
 def frame_to_line(frame: Frame) -> str:
     """Wire codec for byte-stream transports: one JSON frame per line."""
-    import json
-
     return json.dumps(frame.to_json(), separators=(",", ":")) + "\n"
 
 
 def frame_from_line(line: str) -> Frame:
-    import json
-
     return frame_from_json(json.loads(line))
 
 
@@ -190,7 +187,6 @@ class Session:
         self.on_notification = on_notification
         self.txn = 0
         self.closed = False
-        self.transcript: list[tuple[int, str, Frame]] = []
 
     # -- controller side
 
@@ -244,7 +240,6 @@ class Session:
             self.on_notification(frame.note)
 
     def _record(self, direction: str, frame: Frame) -> None:
-        self.transcript.append((self.loop.now, direction, frame))
         if self.recorder is not None:
             self.recorder(self.loop.now, self.node.node_id, direction, frame)
 

@@ -188,10 +188,10 @@ def make_random_valid_doc(rng: random.Random, max_entities: int = 4) -> ConfigDo
 def secret_hexes(doc: ConfigDocument) -> set[str]:
     """Hex encodings of every private byte string in the document."""
     out = set()
-    for p in doc.peers:
+    for p in doc.peers.values():
         if isinstance(p.credential, SharedSecret) and isinstance(p.credential.secret, bytes):
             out.add(p.credential.secret.hex())
-    for t in doc.tls:
+    for t in doc.tls.values():
         if isinstance(t.local_key, bytes):
             out.add(t.local_key.hex())
     return out

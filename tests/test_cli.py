@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import FIXTURES
-from sdnaaa import model
+from sdnaaa import model, simnet
 from sdnaaa.cli import main
 
 
@@ -100,6 +100,53 @@ def test_run_missing_file_exits_two(runner):
     assert result.exit_code == 2
 
 
+_PEER = {
+    "peer_id": "ai", "identity": "ai", "host": "ai.sim", "port": 1812,
+    "transport": "radius-udp", "expiration": None,
+    "credential": {"kind": "shared-secret", "secret": "ab" * 16},
+}
+_EMPTY_DOC = {"peers": [], "routing": [], "tls": [], "attributes": []}
+
+MALFORMED_SCENARIOS = {
+    "static_config-list": (lambda o: o.update(static_config=[]), "PARSE_ERROR"),
+    "homes-list": (lambda o: o["topology"].update(homes=[["realm.org", "ah"]]), "PARSE_ERROR"),
+    "users-list": (lambda o: o["topology"]["nodes"]["ah"].update(users=["alice"]), "PARSE_ERROR"),
+    "realms-string": (lambda o: o["topology"]["nodes"]["ai"].update(realms="abc"), "PARSE_ERROR"),
+    "events-object": (lambda o: o.update(events={}), "PARSE_ERROR"),
+    "password-number": (lambda o: o["events"][0].update(password=123), "PARSE_ERROR"),
+    "parallel-not-bool": (lambda o: o.update(options={"parallel_adjacency": "yes"}), "PARSE_ERROR"),
+    "nai-without-at": (lambda o: o["events"][0].update(nai="alice.realm.org"), "NO_AT_SIGN"),
+    "duplicate-static-peer": (
+        lambda o: o.update(static_config={"ac": dict(_EMPTY_DOC, peers=[_PEER, _PEER])}),
+        "DUPLICATE_PEER_ID",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
+def test_malformed_scenario_is_a_coded_load_error(runner, tmp_path, case):
+    mutate, code = MALFORMED_SCENARIOS[case]
+    obj = json.loads((FIXTURES / "chain.json").read_text())
+    mutate(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(simnet.ScenarioError) as err:
+        simnet.load_scenario(path.read_text())
+    assert err.value.code == code
+    validated = invoke(runner, "validate", str(path))
+    assert validated.exit_code == 1 and code in validated.stderr
+    ran = invoke(runner, "run", str(path))
+    assert ran.exit_code == 2 and code in ran.stderr
+
+
+def test_validate_document_with_duplicate_key_names_it(runner, tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(dict(_EMPTY_DOC, peers=[_PEER, _PEER])))
+    result = invoke(runner, "validate", str(path))
+    assert result.exit_code == 1
+    assert "DUPLICATE_PEER_ID: peers/ai" in result.stderr
+
+
 def test_run_seed_override_changes_credentials_not_outcome(runner, tmp_path):
     out = []
     for seed in ("1", "2"):
@@ -123,7 +170,7 @@ def test_inspect_after_provisioning_shows_redacted_peer(runner):
     assert result.exit_code == 0
     doc = model.decode_document(result.stdout.strip())
     assert doc.peer("aj") is not None
-    assert all(t.local_key == model.REDACTED for t in doc.tls)
+    assert all(t.local_key == model.REDACTED for t in doc.tls.values())
     assert model.REDACTED in result.stdout
 
 

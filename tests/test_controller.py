@@ -215,7 +215,7 @@ def test_rollback_after_step_three_failure():
     ]
     assert {c["path"] for c in deletes} == {"peers/aj", "tls/tls-ai-aj"}
     doc = wait(sim, sim.controller.get_node_config("ai"))
-    assert doc.peer("aj") is None and doc.tls == ()
+    assert doc.peer("aj") is None and doc.tls == {}
 
 
 def test_psk_secret_not_retained_after_establishment():
@@ -317,8 +317,8 @@ def test_desired_state_matches_node_configs_after_provision():
     run_all(sim)
     for node_id, entry in sim.controller.ledger.items():
         doc = wait(sim, sim.controller.get_node_config(node_id))
-        assert {p.peer_id for p in doc.peers} == set(entry["peers"])
-        assert {r.pattern.text for r in doc.routing} == set(entry["routes"])
+        assert {p.peer_id for p in doc.peers.values()} == set(entry["peers"])
+        assert {r.pattern.text for r in doc.routing.values()} == set(entry["routes"])
 
 
 # ---------------------------------------------------------------------------

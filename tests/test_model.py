@@ -223,9 +223,9 @@ def test_validate_dangling_next_hop():
 
 def test_validate_duplicate_peer_id():
     peer = PeerEntry("aj", "aj", "aj.sim", 1812, Transport.RADIUS_UDP, SharedSecret(b"s" * 16))
-    doc = ConfigDocument(peers=(peer, peer))
-    codes = [v.code for v in model.validate_document(doc)]
-    assert "DUPLICATE_PEER_ID" in codes
+    with pytest.raises(ModelError) as err:
+        ConfigDocument(peers=(peer, peer))
+    assert err.value.code == "DUPLICATE_PEER_ID"
 
 
 @pytest.mark.parametrize(
@@ -399,7 +399,7 @@ def test_round_trip_on_1000_random_documents():
 def test_redact_replaces_psk_and_keys():
     doc = mid_path_agent_doc()
     red = model.redact(doc)
-    for t in red.tls:
+    for t in red.tls.values():
         assert t.local_key == model.REDACTED
     assert model.validate_document(red) == []
 
@@ -410,7 +410,7 @@ def test_redact_keeps_other_fields_and_is_idempotent():
     red = model.redact(doc)
     assert red.routing == doc.routing
     assert red.attributes == doc.attributes
-    assert [p.peer_id for p in red.peers] == [p.peer_id for p in doc.peers]
+    assert [p.peer_id for p in red.peers.values()] == [p.peer_id for p in doc.peers.values()]
     assert model.redact(red) == red
 
 

@@ -83,7 +83,8 @@ def test_delete_referenced_peer_is_rejected_atomically():
 
 def test_merge_route_with_ttl_arms_timer_for_exact_expiry():
     loop, _network, a = rig("a")
-    session = open_session("controller", a, loop)
+    frames = []
+    open_session("controller", a, loop, recorder=lambda t, _n, d, f: frames.append((t, d, f)))
     loop.run_until(100)
     entry, _ = psk_pair("a", "b", b"s" * 16)
     apply_ok(
@@ -97,7 +98,7 @@ def test_merge_route_with_ttl_arms_timer_for_exact_expiry():
     loop.run_until(600)
     assert a.running.route("realm.org") is None
     loop.run_until(601)
-    notes = [f.note for (_t, d, f) in session.transcript if f.type == southbound.NOTIFICATION]
+    notes = [f.note for (_t, d, f) in frames if f.type == southbound.NOTIFICATION]
     expired = [n for n in notes if n.kind == Notification.ROUTE_EXPIRED]
     assert len(expired) == 1 and expired[0].pattern.text == "realm.org"
 
@@ -126,7 +127,7 @@ def test_expired_peer_cascades_dependent_routes():
     notes = a.tick(500)
     kinds = sorted(n.kind for n in notes)
     assert kinds == [Notification.PEER_EXPIRED, Notification.ROUTE_EXPIRED]
-    assert a.running.peers == () and a.running.routing == ()
+    assert a.running.peers == {} and a.running.routing == {}
     assert model.validate_document(a.running) == []
     assert a.tick(501) == []
 

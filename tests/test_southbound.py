@@ -118,7 +118,7 @@ def test_invalid_change_applies_nothing(rig):
     drain(loop)
     assert reply.value.type == southbound.ERROR
     assert reply.value.error["code"] == "VALIDATION_FAILED"
-    assert node.running.routing == ()
+    assert node.running.routing == {}
 
 
 def test_delete_missing_path_is_bad_path(rig):
@@ -179,12 +179,14 @@ def test_requests_to_down_node_fail_with_node_down(rig):
 def test_notification_uses_txn_zero_and_reaches_handler(rig):
     loop, _network, node = rig
     seen = []
-    session = open_session("controller", node, loop, on_notification=seen.append)
+    frames = []
+    open_session("controller", node, loop, on_notification=seen.append,
+                 recorder=lambda t, _n, d, f: frames.append((t, d, f)))
     node.emit_notification(Notification.acquire_route("ai", Realm.parse("realm.org")))
     drain(loop)
     assert len(seen) == 1
     assert seen[0].realm.text == "realm.org"
-    times = [f for (_t, d, f) in session.transcript if f.type == southbound.NOTIFICATION]
+    times = [f for (_t, d, f) in frames if f.type == southbound.NOTIFICATION]
     assert times and all(f.txn == 0 for f in times)
 
 
@@ -224,13 +226,15 @@ def test_atomicity_with_random_invalid_positions(rig):
 
 def test_txn_strictly_increases_and_replies_echo(rig):
     loop, _network, node = rig
-    session = open_session("controller", node, loop)
+    frames = []
+    session = open_session("controller", node, loop,
+                           recorder=lambda t, _n, d, f: frames.append((t, d, f)))
     replies = [session.edit_config([merge_peer(peer(f"p{i}"))]) for i in range(5)]
     replies.append(session.get_config())
     drain(loop)
-    requests = [f.txn for (_t, d, f) in session.transcript if d == "c2n"]
+    requests = [f.txn for (_t, d, f) in frames if d == "c2n"]
     assert requests == sorted(requests) and len(set(requests)) == len(requests)
-    reply_txns = {f.txn for (_t, d, f) in session.transcript if d == "n2c" and f.txn != 0}
+    reply_txns = {f.txn for (_t, d, f) in frames if d == "n2c" and f.txn != 0}
     assert reply_txns <= set(requests)
     for i, reply in enumerate(replies[:-1]):
         assert reply.value.txn == i + 1
