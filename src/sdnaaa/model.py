@@ -435,24 +435,35 @@ def without_entry(doc: ConfigDocument, container: str, key: str) -> ConfigDocume
 # route selection
 
 
-def select_route(
-    table, realm: Realm, now: int
-) -> Optional[RealmEntry]:
+def select_route(tables, realm: Realm, now: int) -> Optional[RealmEntry]:
     """Most-specific non-expired entry matching ``realm``, or None.
 
-    An entry is selectable strictly before its expiration time. Distinct
-    matching patterns never share a specificity, so the result is
-    deterministic without a tie-break.
+    ``tables`` is a sequence of maps from pattern text to entry; a key
+    found in an earlier map shadows the same key in later ones. The
+    candidate keys are looked up from most to least specific: the realm
+    itself, then ``*.<suffix>`` for ever shorter suffixes, then ``*``, so
+    a lookup costs at most ``len(realm.labels) + 1`` probes per table
+    whatever the table size. The first entry found that has not expired
+    wins; an entry is selectable strictly before its expiration time.
+    Distinct matching patterns never share a specificity, so this is the
+    live match of highest specificity.
     """
-    best = None
-    best_spec = -1
-    for entry in table:
-        if entry.expiration is not None and now >= entry.expiration:
-            continue
-        spec = match_realm(entry.pattern, realm)
-        if spec is not None and spec > best_spec:
-            best, best_spec = entry, spec
-    return best
+    text = realm.text
+    # ``dot`` starts the suffix of the next wildcard key, -1 after the last
+    key, dot = text, text.find(".")
+    while True:
+        for table in tables:
+            entry = table.get(key)
+            if entry is not None:
+                if entry.expiration is None or now < entry.expiration:
+                    return entry
+                break
+        if key == "*":
+            return None
+        if dot < 0:
+            key = "*"
+        else:
+            key, dot = "*" + text[dot:], text.find(".", dot + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -486,103 +497,165 @@ def _valid_realm_labels(realm: Realm) -> bool:
     )
 
 
-_VALIDATION_RANK = {"tls": 0, "attributes": 1, "peers": 2, "routing": 3}
+# Each checker appends the violations of the entity stored under ``key`` to
+# ``out``; the cross-reference checks read the referenced container of
+# ``doc``.
+
+
+def _check_tls(doc: ConfigDocument, key: str, t: TlsProfile, out: list) -> None:
+    where = f"tls/{key}"
+    if not _valid_token(t.name):
+        out.append(Violation("BAD_ID", where))
+    if not _valid_token(t.local_identity):
+        out.append(Violation("BAD_IDENTITY", where))
+    if not t.trusted_identities:
+        out.append(Violation("EMPTY_TRUST", where))
+    if isinstance(t.local_key, str) and t.local_key != REDACTED:
+        out.append(Violation("BAD_KEY", where))
+
+
+def _check_rule(doc: ConfigDocument, key: str, a: AttributeRule, out: list) -> None:
+    where = f"attributes/{key}"
+    if not _valid_token(a.rule_id):
+        out.append(Violation("BAD_ID", where))
+    if not _valid_token(a.attribute):
+        out.append(Violation("BAD_ATTRIBUTE", where))
+    if a.op is RuleOp.REMOVE:
+        if a.value is not None:
+            out.append(Violation("UNEXPECTED_VALUE", where))
+    elif a.value is None:
+        out.append(Violation("MISSING_VALUE", where))
+
+
+def _check_peer(doc: ConfigDocument, key: str, p: PeerEntry, out: list) -> None:
+    where = f"peers/{key}"
+    if not _valid_token(p.peer_id):
+        out.append(Violation("BAD_ID", where))
+    if not _valid_token(p.identity):
+        out.append(Violation("BAD_IDENTITY", where))
+    if not _valid_token(p.host):
+        out.append(Violation("BAD_HOST", where))
+    if not (
+        isinstance(p.port, int)
+        and not isinstance(p.port, bool)
+        and 1 <= p.port <= 65535
+    ):
+        out.append(Violation("BAD_PORT", where))
+    if not _valid_expiration(p.expiration):
+        out.append(Violation("BAD_EXPIRATION", where))
+    if p.transport in TLS_TRANSPORTS:
+        if not isinstance(p.credential, TlsRef):
+            out.append(Violation("TRANSPORT_CREDENTIAL_MISMATCH", where))
+    elif p.transport is Transport.RADIUS_UDP:
+        if not isinstance(p.credential, SharedSecret):
+            out.append(Violation("TRANSPORT_CREDENTIAL_MISMATCH", where))
+    if isinstance(p.credential, SharedSecret):
+        secret = p.credential.secret
+        if isinstance(secret, str):
+            if secret != REDACTED:
+                out.append(Violation("BAD_SECRET", where))
+        elif not (MIN_SECRET_LEN <= len(secret) <= MAX_SECRET_LEN):
+            out.append(Violation("BAD_SECRET_LENGTH", where))
+    if isinstance(p.credential, TlsRef):
+        prof = doc.profile(p.credential.profile)
+        if prof is None:
+            out.append(Violation("DANGLING_TLS_REF", where))
+        elif p.identity not in prof.trusted_identities:
+            out.append(Violation("IDENTITY_NOT_TRUSTED", where))
+
+
+def _check_route(doc: ConfigDocument, key: str, r: RealmEntry, out: list) -> None:
+    where = f"routing/{key}"
+    if r.pattern.kind is not PatternKind.DEFAULT and not _valid_realm_labels(
+        r.pattern.suffix
+    ):
+        out.append(Violation("BAD_REALM", where))
+    if r.action is Action.LOCAL:
+        if r.next_hop is not None:
+            out.append(Violation("UNEXPECTED_NEXT_HOP", where))
+    else:
+        if r.next_hop is None:
+            out.append(Violation("MISSING_NEXT_HOP", where))
+        elif r.next_hop not in doc.peers:
+            out.append(Violation("DANGLING_NEXT_HOP", where))
+    if r.rule_refs and r.action is not Action.PROXY:
+        out.append(Violation("RULE_REFS_NOT_ALLOWED", where))
+    for ref in r.rule_refs:
+        if ref not in doc.attributes:
+            out.append(Violation("DANGLING_RULE_REF", where))
+    if not _valid_expiration(r.expiration):
+        out.append(Violation("BAD_EXPIRATION", where))
+
+
+#: the checker of each container, in the order violations are reported
+_CHECKERS = {
+    "tls": _check_tls,
+    "attributes": _check_rule,
+    "peers": _check_peer,
+    "routing": _check_route,
+}
+_VALIDATION_RANK = {container: rank for rank, container in enumerate(_CHECKERS)}
+
+
+def _ordered(out: list[Violation]) -> list[Violation]:
+    # within one container the subjects share a prefix, so they sort by key;
+    # the sort is stable, so one subject keeps its check order
+    if out:
+        out.sort(key=lambda v: (_VALIDATION_RANK[v.subject.partition("/")[0]], v.subject))
+    return out
 
 
 def validate_document(doc: ConfigDocument) -> list[Violation]:
-    """Check every type invariant plus cross-reference resolution.
+    """Check every type invariant plus cross-reference resolution of every
+    entity: the full check behind ``sdn-aaa validate`` and the oracle for
+    validate_changes.
 
     Keys are unique by construction. Returns every violation found, ordered
     by container (tls, attributes, peers, routing), then key, then check
     order, whatever order the document was built in; [] means consistent.
     """
     out: list[Violation] = []
+    for container, check in _CHECKERS.items():
+        for key, entity in getattr(doc, container).items():
+            check(doc, key, entity, out)
+    return _ordered(out)
 
-    for t in doc.tls.values():
-        where = f"tls/{t.name}"
-        if not _valid_token(t.name):
-            out.append(Violation("BAD_ID", where))
-        if not _valid_token(t.local_identity):
-            out.append(Violation("BAD_IDENTITY", where))
-        if not t.trusted_identities:
-            out.append(Violation("EMPTY_TRUST", where))
-        if isinstance(t.local_key, str) and t.local_key != REDACTED:
-            out.append(Violation("BAD_KEY", where))
 
-    for a in doc.attributes.values():
-        where = f"attributes/{a.rule_id}"
-        if not _valid_token(a.rule_id):
-            out.append(Violation("BAD_ID", where))
-        if not _valid_token(a.attribute):
-            out.append(Violation("BAD_ATTRIBUTE", where))
-        if a.op is RuleOp.REMOVE:
-            if a.value is not None:
-                out.append(Violation("UNEXPECTED_VALUE", where))
-        elif a.value is None:
-            out.append(Violation("MISSING_VALUE", where))
+def validate_changes(doc: ConfigDocument, touched) -> list[Violation]:
+    """validate_document(doc), computed from what a batch changed.
 
-    for p in doc.peers.values():
-        where = f"peers/{p.peer_id}"
-        if not _valid_token(p.peer_id):
-            out.append(Violation("BAD_ID", where))
-        if not _valid_token(p.identity):
-            out.append(Violation("BAD_IDENTITY", where))
-        if not _valid_token(p.host):
-            out.append(Violation("BAD_HOST", where))
-        if not (
-            isinstance(p.port, int)
-            and not isinstance(p.port, bool)
-            and 1 <= p.port <= 65535
-        ):
-            out.append(Violation("BAD_PORT", where))
-        if not _valid_expiration(p.expiration):
-            out.append(Violation("BAD_EXPIRATION", where))
-        if p.transport in TLS_TRANSPORTS:
-            if not isinstance(p.credential, TlsRef):
-                out.append(Violation("TRANSPORT_CREDENTIAL_MISMATCH", where))
-        elif p.transport is Transport.RADIUS_UDP:
-            if not isinstance(p.credential, SharedSecret):
-                out.append(Violation("TRANSPORT_CREDENTIAL_MISMATCH", where))
-        if isinstance(p.credential, SharedSecret):
-            secret = p.credential.secret
-            if isinstance(secret, str):
-                if secret != REDACTED:
-                    out.append(Violation("BAD_SECRET", where))
-            elif not (MIN_SECRET_LEN <= len(secret) <= MAX_SECRET_LEN):
-                out.append(Violation("BAD_SECRET_LENGTH", where))
-        if isinstance(p.credential, TlsRef):
-            prof = doc.profile(p.credential.profile)
-            if prof is None:
-                out.append(Violation("DANGLING_TLS_REF", where))
-            elif p.identity not in prof.trusted_identities:
-                out.append(Violation("IDENTITY_NOT_TRUSTED", where))
-
-    for key, r in doc.routing.items():
-        where = f"routing/{key}"
-        if r.pattern.kind is not PatternKind.DEFAULT and not _valid_realm_labels(
-            r.pattern.suffix
-        ):
-            out.append(Violation("BAD_REALM", where))
-        if r.action is Action.LOCAL:
-            if r.next_hop is not None:
-                out.append(Violation("UNEXPECTED_NEXT_HOP", where))
-        else:
-            if r.next_hop is None:
-                out.append(Violation("MISSING_NEXT_HOP", where))
-            elif r.next_hop not in doc.peers:
-                out.append(Violation("DANGLING_NEXT_HOP", where))
-        if r.rule_refs and r.action is not Action.PROXY:
-            out.append(Violation("RULE_REFS_NOT_ALLOWED", where))
-        for ref in r.rule_refs:
-            if ref not in doc.attributes:
-                out.append(Violation("DANGLING_RULE_REF", where))
-        if not _valid_expiration(r.expiration):
-            out.append(Violation("BAD_EXPIRATION", where))
-
-    if out:
-        # within one container the subjects share a prefix, so they sort by key
-        out.sort(key=lambda v: (_VALIDATION_RANK[v.subject.partition("/")[0]], v.subject))
-    return out
+    ``touched`` holds the ``(container, key)`` pairs the batch merged or
+    deleted, and the document before the batch must have been valid. Only
+    these entities can hold a new violation: the touched entities that
+    still exist, the peers that name a touched TLS profile, and the routes
+    whose next hop or rule refs name a deleted peer or rule. Referrers are
+    found by a scan, run only when a referent is in the batch.
+    """
+    subjects: set[tuple[str, str]] = set()
+    profiles: set[str] = set()
+    gone_peers: set[str] = set()
+    gone_rules: set[str] = set()
+    for container, key in touched:
+        if key in getattr(doc, container):
+            subjects.add((container, key))
+        elif container == "peers":
+            gone_peers.add(key)
+        elif container == "attributes":
+            gone_rules.add(key)
+        if container == "tls":
+            profiles.add(key)
+    if profiles:
+        for key, p in doc.peers.items():
+            if isinstance(p.credential, TlsRef) and p.credential.profile in profiles:
+                subjects.add(("peers", key))
+    if gone_peers or gone_rules:
+        for key, r in doc.routing.items():
+            if r.next_hop in gone_peers or not gone_rules.isdisjoint(r.rule_refs):
+                subjects.add(("routing", key))
+    out: list[Violation] = []
+    for container, key in subjects:
+        _CHECKERS[container](doc, key, getattr(doc, container)[key], out)
+    return _ordered(out)
 
 
 # ---------------------------------------------------------------------------

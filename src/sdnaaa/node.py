@@ -176,7 +176,10 @@ class Node:
     def apply_changes(self, changes) -> tuple[bool, Optional[dict]]:
         """Atomic validate-then-swap: either every change lands or none.
 
-        Returns (True, None) or (False, {"code", "detail"}).
+        Only the touched entities and their referrers are validated, which
+        relies on the running document being valid: every swap here is
+        validated, and tick removes expired peers together with the routes
+        that use them. Returns (True, None) or (False, {"code", "detail"}).
         """
         doc = self.running
         try:
@@ -184,7 +187,7 @@ class Node:
                 doc = self._apply_one(doc, change)
         except southbound.SouthboundError as err:
             return False, {"code": err.code, "detail": [str(err)]}
-        violations = model.validate_document(doc)
+        violations = model.validate_changes(doc, [c.container_key() for c in changes])
         if violations:
             return False, {
                 "code": "VALIDATION_FAILED",
@@ -340,14 +343,12 @@ class Node:
     def _select(self, realm: Realm, now: int) -> Optional[RealmEntry]:
         # live cache entries shadow running entries with the same pattern,
         # so a cached redirect hint overrides the REDIRECT entry it refined
-        table = dict(self.running.routing)
-        for key in list(self.route_cache):
-            cached = self.route_cache[key]
-            if cached.expiration is not None and now >= cached.expiration:
-                del self.route_cache[key]
-            else:
-                table[key] = cached
-        return model.select_route(table.values(), realm, now)
+        if self.route_cache:
+            for key in list(self.route_cache):
+                cached = self.route_cache[key]
+                if cached.expiration is not None and now >= cached.expiration:
+                    del self.route_cache[key]
+        return model.select_route((self.route_cache, self.running.routing), realm, now)
 
     def _route(self, msg: AaaMessage, now: int) -> None:
         entry = self._select(msg.dest_realm, now)
@@ -547,7 +548,7 @@ class Node:
 
     def _handle_redirect_query(self, query: RedirectQuery) -> None:
         now = self.loop.now
-        entry = model.select_route(self.running.routing.values(), query.realm, now)
+        entry = model.select_route((self.running.routing,), query.realm, now)
         requester = self.network.node_by_id(query.requester)
         if entry is None:
             reply: object = RedirectMiss(query.realm)

@@ -120,9 +120,9 @@ def test_exact_beats_wildcard_and_default(realm):
     others = [RealmPattern(PatternKind.DEFAULT)]
     for cut in range(1, len(realm.labels)):
         others.append(RealmPattern(PatternKind.WILDCARD, Realm(realm.labels[cut:])))
-    table = [RealmEntry(p, None, Action.LOCAL) for p in others]
-    table.insert(len(table) // 2, RealmEntry(exact, None, Action.LOCAL))
-    chosen = select_route(table, realm, now=0)
+    table = {p.text: RealmEntry(p, None, Action.LOCAL) for p in others}
+    table[exact.text] = RealmEntry(exact, None, Action.LOCAL)
+    chosen = select_route((table,), realm, now=0)
     assert chosen is not None and chosen.pattern == exact
 
 
@@ -134,15 +134,19 @@ def _relay(pattern: str, peer: str, expiration=None) -> RealmEntry:
     return RealmEntry(RealmPattern.parse(pattern), peer, Action.RELAY, (), expiration)
 
 
+def _table(*entries: RealmEntry) -> dict[str, RealmEntry]:
+    return {e.pattern.text: e for e in entries}
+
+
 def test_select_route_prefers_exact_over_default():
-    table = [_relay("realm.org", "aj"), _relay("*", "up")]
-    chosen = select_route(table, Realm.parse("realm.org"), now=0)
+    table = _table(_relay("realm.org", "aj"), _relay("*", "up"))
+    chosen = select_route((table,), Realm.parse("realm.org"), now=0)
     assert chosen.next_hop == "aj"
 
 
 def test_select_route_falls_back_to_default():
-    table = [_relay("*", "up")]
-    chosen = select_route(table, Realm.parse("any.where"), now=0)
+    table = _table(_relay("*", "up"))
+    chosen = select_route((table,), Realm.parse("any.where"), now=0)
     assert chosen.next_hop == "up"
 
 
@@ -155,25 +159,37 @@ def oracle_select(table, realm, now):
 
 
 def test_select_route_skips_expired_entries():
-    table = [_relay("*.org", "aj", expiration=100)]
+    table = _table(_relay("*.org", "aj", expiration=100))
     realm = Realm.parse("realm.org")
-    assert oracle_select(table, realm, 150) is None
-    assert select_route(table, realm, 150) is None
+    assert oracle_select(table.values(), realm, 150) is None
+    assert select_route((table,), realm, 150) is None
 
 
 def test_select_route_expiry_boundary_is_exclusive():
-    table = [_relay("*.org", "aj", expiration=100)]
+    table = _table(_relay("*.org", "aj", expiration=100))
     realm = Realm.parse("realm.org")
     for now in (0, 50, 99):
-        assert select_route(table, realm, now) is not None
+        assert select_route((table,), realm, now) is not None
     for now in (100, 101, 10_000):
-        assert select_route(table, realm, now) is None
+        assert select_route((table,), realm, now) is None
 
 
-@given(REALMS, st.integers(0, 200))
-def test_select_route_agrees_with_linear_scan_oracle(realm, now):
-    rng = random.Random(now * 7919 + len(realm.labels))
-    table = []
+def test_select_route_expired_entries_fall_back_to_less_specific():
+    table = _table(
+        _relay("a.realm.org", "exact", expiration=100),
+        _relay("*.realm.org", "wild", expiration=200),
+        _relay("*", "default"),
+    )
+    realm = Realm.parse("a.realm.org")
+    assert select_route((table,), realm, 99).next_hop == "exact"
+    # the exact entry expired: the live wildcard answers
+    assert select_route((table,), realm, 100).next_hop == "wild"
+    # the wildcard expired too: the default answers
+    assert select_route((table,), realm, 200).next_hop == "default"
+
+
+def _random_table(rng: random.Random, realm: Realm, tag: str) -> dict[str, RealmEntry]:
+    table = {}
     for i in range(rng.randint(0, 6)):
         kind = rng.choice(("exact", "wild", "default"))
         if kind == "exact":
@@ -183,10 +199,24 @@ def test_select_route_agrees_with_linear_scan_oracle(realm, now):
             pattern = RealmPattern(PatternKind.WILDCARD, Realm(realm.labels[cut:]))
         else:
             pattern = RealmPattern(PatternKind.DEFAULT)
-        if any(e.pattern.text == pattern.text for e in table):
+        if pattern.text in table:
             continue
-        table.append(_relay(pattern.text, f"p{i}", rng.choice((None, rng.randint(1, 200)))))
-    assert select_route(table, realm, now) is oracle_select(table, realm, now)
+        expiration = rng.choice((None, rng.randint(1, 200)))
+        table[pattern.text] = _relay(pattern.text, f"{tag}{i}", expiration)
+    # entries for other realms, which must never be chosen
+    for i in range(rng.randint(0, 3)):
+        other = f"x{i}.{realm.text}" if rng.random() < 0.5 else f"*.y{i}.{realm.text}"
+        table[other] = _relay(other, f"{tag}-other{i}")
+    return table
+
+
+@given(REALMS, st.integers(0, 200))
+def test_select_route_agrees_with_linear_scan_oracle(realm, now):
+    rng = random.Random(now * 7919 + len(realm.labels))
+    cache = _random_table(rng, realm, "c")
+    running = _random_table(rng, realm, "r")
+    expected = oracle_select({**running, **cache}.values(), realm, now)
+    assert select_route((cache, running), realm, now) is expected
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +351,74 @@ def test_validate_returns_all_violations_not_just_first():
     )
     codes = [v.code for v in model.validate_document(doc)]
     assert {"BAD_PORT", "BAD_SECRET_LENGTH", "DANGLING_NEXT_HOP"} <= set(codes)
+
+
+def _random_batch(rng: random.Random, doc: ConfigDocument) -> list[tuple]:
+    """A mixed edit batch as (container, key, entity or None for delete)."""
+    donor = make_random_valid_doc(rng, max_entities=6)
+    referenced = {
+        "peers": sorted({r.next_hop for r in doc.routing.values() if r.next_hop}),
+        "attributes": sorted({ref for r in doc.routing.values() for ref in r.rule_refs}),
+        "tls": sorted({
+            p.credential.profile for p in doc.peers.values() if isinstance(p.credential, TlsRef)
+        }),
+    }
+    batch = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            # merge an entity of a second valid document over the same key space
+            container = rng.choice(model.CONTAINERS)
+            entries = getattr(donor, container)
+            if entries:
+                key = rng.choice(sorted(entries))
+                batch.append((container, key, entries[key]))
+        elif kind == 1:
+            # delete an entity that others refer to
+            container = rng.choice(sorted(referenced))
+            if referenced[container]:
+                batch.append((container, rng.choice(referenced[container]), None))
+        elif kind == 2:
+            # delete any entity
+            container = rng.choice(model.CONTAINERS)
+            entries = getattr(doc, container)
+            if entries:
+                batch.append((container, rng.choice(sorted(entries)), None))
+        elif kind == 3:
+            # replace a profile so that a peer using it is no longer trusted
+            if referenced["tls"]:
+                name = rng.choice(referenced["tls"])
+                prof = doc.profile(name)
+                batch.append(("tls", name, TlsProfile(
+                    name, prof.local_identity, prof.local_key, frozenset({"stranger-cert"}))))
+        else:
+            # the poisoned changes of the atomicity fuzz (acceptance C9)
+            tag = rng.randrange(1000)
+            poison = rng.randrange(3)
+            if poison == 0:
+                entry = _relay(f"x{tag}.org", "ghost")
+                batch.append(("routing", entry.pattern.text, entry))
+            else:
+                secret = rng.randbytes(32) if poison == 1 else b"short"
+                port = 0 if poison == 1 else 1812
+                bad = PeerEntry(f"b{tag}", f"b{tag}", f"b{tag}.sim", port,
+                                Transport.RADIUS_UDP, SharedSecret(secret))
+                batch.append(("peers", bad.peer_id, bad))
+    return batch
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_validate_changes_agrees_with_validate_document(seed):
+    rng = random.Random(seed)
+    doc = make_random_valid_doc(rng, max_entities=6)
+    batch = _random_batch(rng, doc)
+    for container, key, entity in batch:
+        if entity is None:
+            doc = model.without_entry(doc, container, key)
+        else:
+            doc = model.with_entry(doc, container, key, entity)
+    touched = [(container, key) for container, key, _entity in batch]
+    assert model.validate_changes(doc, touched) == model.validate_document(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,57 @@ def test_expired_peer_cascades_dependent_routes():
     assert a.tick(501) == []
 
 
+class _CountingTable(dict):
+    """A route table that counts its reads: one per get, and one per entry
+    when a caller scans it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def values(self):
+        self.reads += len(self)
+        return super().values()
+
+    def items(self):
+        self.reads += len(self)
+        return super().items()
+
+
+def test_edit_and_lookup_work_does_not_grow_with_table_size(monkeypatch):
+    _loop, _network, a = rig("a")
+    entry, _ = psk_pair("a", "b", b"s" * 16)
+    routes = [
+        RealmEntry(RealmPattern.parse(f"r{i}.example.org"), "b", Action.RELAY)
+        for i in range(1000)
+    ]
+    apply_ok(a, merge("peers", entry), *(merge("routing", r) for r in routes))
+
+    # one-route edit against 1000 routes: the per-entity checkers run once
+    checked = []
+    for container, check in list(model._CHECKERS.items()):
+        def counted(*args, _container=container, _check=check):
+            checked.append(_container)
+            return _check(*args)
+        monkeypatch.setitem(model._CHECKERS, container, counted)
+    apply_ok(a, merge("routing", RealmEntry(RealmPattern.parse("new.org"), "b", Action.RELAY)))
+    assert checked == ["routing"]
+
+    # a lookup probes each table at most once per realm label plus once
+    cache = _CountingTable()
+    running = _CountingTable(a.running.routing)
+    for text in ("r7.example.org", "x.y.example.org"):
+        cache.reads = running.reads = 0
+        realm = Realm.parse(text)
+        assert model.select_route((cache, running), realm, now=0) is a.running.route(text)
+        assert cache.reads <= len(realm.labels) + 1
+        assert running.reads <= len(realm.labels) + 1
+
+
 # ---------------------------------------------------------------------------
 # security channels
 
