@@ -15,6 +15,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from operator import attrgetter
 from typing import Optional, Union
 
@@ -57,7 +58,7 @@ class Realm:
             raise ModelError("BAD_REALM", text)
         return cls(labels)
 
-    @property
+    @cached_property  # stored in the instance dict; eq and hash use the fields
     def text(self) -> str:
         return ".".join(self.labels)
 
@@ -72,7 +73,7 @@ class Nai:
     user: str
     realm: Realm
 
-    @property
+    @cached_property
     def text(self) -> str:
         return f"{self.user}@{self.realm.text}"
 

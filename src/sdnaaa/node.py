@@ -103,12 +103,6 @@ class RedirectMiss:
         return {"kind": "redirect-miss", "realm": self.realm.text}
 
 
-@dataclass
-class Channel:
-    status: str = IDLE
-    established_at: Optional[int] = None
-
-
 class _PendingQueue:
     """FIFO of messages waiting for a usable route to one realm.
 
@@ -151,7 +145,7 @@ class Node:
         self.session = None
 
         self.running = model.ConfigDocument()
-        self.channels: dict[str, Channel] = {}
+        self.channels: dict[str, str] = {}  # peer_id -> ESTABLISHED or FAILED
         self.pending: dict[str, _PendingQueue] = {}
         self.route_cache: dict[str, RealmEntry] = {}
 
@@ -167,8 +161,7 @@ class Node:
         return self.state == UP
 
     def channel_status(self, peer_id: str) -> str:
-        channel = self.channels.get(peer_id)
-        return channel.status if channel is not None else IDLE
+        return self.channels.get(peer_id, IDLE)
 
     # ------------------------------------------------------------------
     # southbound configuration
@@ -270,18 +263,14 @@ class Node:
         waiters = self._handshakes.pop(peer_id, [])
         if not self.is_up():
             return
-        ok, reason = self._handshake_verdict(peer_id)
-        peer_node = None
+        reason, peer_node, mirror = self._handshake_verdict(peer_id)
+        ok = reason is None
         if ok:
-            entry = self.running.peer(peer_id)
-            peer_node = self.network.node_by_address(entry.host)
-            mirror = peer_node.peer_for_host(self.address)
-            now = self.loop.now
-            self.channels[peer_id] = Channel(ESTABLISHED, now)
-            peer_node.channels[mirror.peer_id] = Channel(ESTABLISHED, now)
+            self.channels[peer_id] = ESTABLISHED
+            peer_node.channels[mirror.peer_id] = ESTABLISHED
             self.network.note_channel(self.node_id, peer_node.node_id)
         else:
-            self.channels[peer_id] = Channel(FAILED)
+            self.channels[peer_id] = FAILED
         for cb in waiters:
             cb(ok, reason)
         if ok:
@@ -290,18 +279,20 @@ class Node:
             self._flush_pending()
             peer_node._flush_pending()
 
-    def _handshake_verdict(self, peer_id: str) -> tuple[bool, Optional[str]]:
+    def _handshake_verdict(self, peer_id: str) -> tuple:
+        """(None, peer node, its mirror entry) when the channel can come up,
+        else (reason, None, None)."""
         entry = self.running.peer(peer_id)
         if entry is None:
-            return False, "NO_MIRROR_ENTRY"
+            return "NO_MIRROR_ENTRY", None, None
         peer_node = self.network.node_by_address(entry.host)
         if peer_node is None or not peer_node.is_up():
-            return False, "PEER_DOWN"
+            return "PEER_DOWN", None, None
         mirror = peer_node.peer_for_host(self.address)
         if mirror is None:
-            return False, "NO_MIRROR_ENTRY"
+            return "NO_MIRROR_ENTRY", None, None
         if mirror.transport is not entry.transport:
-            return False, "TRANSPORT_MISMATCH"
+            return "TRANSPORT_MISMATCH", None, None
         mine, theirs = entry.credential, mirror.credential
         if isinstance(mine, SharedSecret) and isinstance(theirs, SharedSecret):
             if (
@@ -309,8 +300,8 @@ class Node:
                 and isinstance(theirs.secret, bytes)
                 and mine.secret == theirs.secret
             ):
-                return True, None
-            return False, "CREDENTIAL_MISMATCH"
+                return None, peer_node, mirror
+            return "CREDENTIAL_MISMATCH", None, None
         if isinstance(mine, TlsRef) and isinstance(theirs, TlsRef):
             my_prof = self.running.profile(mine.profile)
             their_prof = peer_node.running.profile(theirs.profile)
@@ -320,9 +311,8 @@ class Node:
                 and their_prof.local_identity in my_prof.trusted_identities
                 and my_prof.local_identity in their_prof.trusted_identities
             ):
-                return True, None
-            return False, "CREDENTIAL_MISMATCH"
-        return False, "CREDENTIAL_MISMATCH"
+                return None, peer_node, mirror
+        return "CREDENTIAL_MISMATCH", None, None
 
     # ------------------------------------------------------------------
     # message routing
@@ -342,7 +332,8 @@ class Node:
 
     def _select(self, realm: Realm, now: int) -> Optional[RealmEntry]:
         # live cache entries shadow running entries with the same pattern,
-        # so a cached redirect hint overrides the REDIRECT entry it refined
+        # so a cached redirect hint overrides the REDIRECT entry it refined;
+        # expired ones are dropped here, before they could shadow anything
         if self.route_cache:
             for key in list(self.route_cache):
                 cached = self.route_cache[key]
@@ -374,55 +365,73 @@ class Node:
             self.query_redirect(msg, entry.next_hop, now)
 
     def _forward(self, msg: AaaMessage, peer_id: str) -> None:
-        queue = self.pending.get(msg.dest_realm.text)
-        if queue is not None and queue.items:
+        if msg.dest_realm.text in self.pending:
             # a backlog means the last dispatch round could not get through;
             # join it to keep per-realm FIFO, and keep probing the channel so
             # a recovery flushes the whole queue
             self._park(msg, self.loop.now, acquire=False)
-            channel = self.channels.get(peer_id)
-            if channel is None or channel.status != ESTABLISHED:
+            if self.channels.get(peer_id) != ESTABLISHED:
                 self.establish_channel(peer_id, lambda ok, reason: None)
             return
-        channel = self.channels.get(peer_id)
-        if channel is not None and channel.status == ESTABLISHED:
-            self._transmit(msg, peer_id)
+        self._send(peer_id, msg)
+
+    def _send(self, peer_id: str, record) -> None:
+        """Transmit ``record`` to ``peer_id`` over an ESTABLISHED channel,
+        else after a handshake; a record that cannot go out goes to _unsent."""
+        if self.channels.get(peer_id) == ESTABLISHED:
+            self._transmit(peer_id, record)
             return
 
         def done(ok: bool, reason: Optional[str]) -> None:
             if ok:
-                self._transmit(msg, peer_id)
+                self._transmit(peer_id, record)
             else:
-                self._channel_failed(msg, peer_id, reason)
+                self._unsent(record, peer_id, reason)
 
         self.establish_channel(peer_id, done)
 
-    def _transmit(self, msg: AaaMessage, peer_id: str) -> None:
+    def _transmit(self, peer_id: str, record) -> None:
         entry = self.running.peer(peer_id)
         if entry is None:
-            self._channel_failed(msg, peer_id, "NO_MIRROR_ENTRY")
+            self._unsent(record, peer_id, "NO_MIRROR_ENTRY")
             return
-        target = self.network.node_by_address(entry.host)
-        self.forwards += 1
-        self.network.send_record(self, target, msg)
+        if isinstance(record, RedirectQuery):
+            self.redirect_queries_sent += 1
+        else:
+            self.forwards += 1
+        self.network.send_record(self, self.network.node_by_address(entry.host), record)
 
-    def _channel_failed(self, msg: AaaMessage, peer_id: str, reason: Optional[str]) -> None:
-        # Keep the message pending for retry after the controller reroutes.
-        self.network.record_event(
-            self.node_id,
-            "channel-failed",
-            peer=peer_id,
-            reason=reason,
-            message=msg.to_json(),
-        )
-        queue = self._park(msg, self.loop.now, acquire=False)
-        if queue is not None and peer_id not in queue.failures_reported:
-            queue.failures_reported.add(peer_id)
+    def _unsent(self, record, peer_id: str, reason: Optional[str]) -> None:
+        """A request is recorded and parked for a retry after a reroute, a
+        response ends CHANNEL_FAILED, a redirect query frees its realm for a
+        new query. Parked traffic reports a peer once per pending queue."""
+        if isinstance(record, RedirectQuery):
+            realm = record.realm
+            self._redirect_inflight.discard(realm.text)
+            queue = self.pending.get(realm.text)
+            if queue is None:
+                return
+        elif record.kind is MsgKind.RESPONSE:
             self.emit_notification(
-                Notification.forward_failure(self.node_id, peer_id, msg.dest_realm)
+                Notification.forward_failure(self.node_id, peer_id, record.dest_realm)
             )
+            self._fail(record, "CHANNEL_FAILED")
+            return
+        else:
+            realm = record.dest_realm
+            self.network.record_event(
+                self.node_id,
+                "channel-failed",
+                peer=peer_id,
+                reason=reason,
+                message=record.to_json(),
+            )
+            queue = self._park(record, self.loop.now, acquire=False)
+        if peer_id not in queue.failures_reported:
+            queue.failures_reported.add(peer_id)
+            self.emit_notification(Notification.forward_failure(self.node_id, peer_id, realm))
 
-    def _park(self, msg: AaaMessage, now: int, acquire: bool) -> Optional[_PendingQueue]:
+    def _park(self, msg: AaaMessage, now: int, acquire: bool) -> _PendingQueue:
         realm_text = msg.dest_realm.text
         queue = self.pending.get(realm_text)
         if queue is None:
@@ -441,20 +450,14 @@ class Node:
 
     def _flush_pending(self) -> None:
         now = self.loop.now
-        for realm_text in list(self.pending):
-            queue = self.pending.get(realm_text)
-            if queue is None:
-                continue
-            realm = Realm.parse(realm_text)
-            if self._select(realm, now) is None:
+        for realm_text, queue in list(self.pending.items()):
+            # dispatching changes no route, so one lookup serves the queue
+            entry = self._select(Realm.parse(realm_text), now)
+            if entry is None:
                 continue
             del self.pending[realm_text]
-            for msg, _enqueued in list(queue.items):
-                entry = self._select(realm, now)
-                if entry is None:
-                    self._park(msg, now, acquire=False)
-                else:
-                    self._dispatch(msg, entry, now)
+            for msg, _enqueued in queue.items:
+                self._dispatch(msg, entry, now)
 
     def authenticate_local(self, msg: AaaMessage) -> None:
         """Terminal LOCAL action on the home server: check the stub user
@@ -464,7 +467,7 @@ class Node:
             return
         expected = self.users.get(msg.nai.user)
         accepted = expected is not None and expected == msg.attributes.get("password")
-        self.network.note_authenticated(msg, accepted)
+        self.network.note_authenticated(msg)
         response = AaaMessage(
             msg_id=msg.msg_id,
             kind=MsgKind.RESPONSE,
@@ -481,28 +484,11 @@ class Node:
         if idx == 0:
             self.network.finalize_message(self.node_id, resp)
             return
-        prev = resp.hop_trace[idx - 1]
-        entry = self._peer_for_node(prev)
+        entry = self._peer_for_node(resp.hop_trace[idx - 1])
         if entry is None:
             self._fail(resp, "CHANNEL_FAILED")
             return
-
-        def done(ok: bool, reason: Optional[str]) -> None:
-            if ok:
-                self.forwards += 1
-                target = self.network.node_by_address(entry.host)
-                self.network.send_record(self, target, resp)
-            else:
-                self.emit_notification(
-                    Notification.forward_failure(self.node_id, entry.peer_id, resp.dest_realm)
-                )
-                self._fail(resp, "CHANNEL_FAILED")
-
-        channel = self.channels.get(entry.peer_id)
-        if channel is not None and channel.status == ESTABLISHED:
-            done(True, None)
-        else:
-            self.establish_channel(entry.peer_id, done)
+        self._send(entry.peer_id, resp)
 
     def _peer_for_node(self, node_id: str) -> Optional[model.PeerEntry]:
         entry = self.running.peer(node_id)
@@ -521,30 +507,11 @@ class Node:
         Only one query per realm is in flight; later messages share it.
         """
         realm_text = msg.dest_realm.text
-        queue = self._park(msg, now, acquire=False)
+        self._park(msg, now, acquire=False)
         if realm_text in self._redirect_inflight:
             return
         self._redirect_inflight.add(realm_text)
-
-        def done(ok: bool, reason: Optional[str]) -> None:
-            if not ok:
-                self._redirect_inflight.discard(realm_text)
-                if queue is not None and agent_peer_id not in queue.failures_reported:
-                    queue.failures_reported.add(agent_peer_id)
-                    self.emit_notification(
-                        Notification.forward_failure(self.node_id, agent_peer_id, msg.dest_realm)
-                    )
-                return
-            entry = self.running.peer(agent_peer_id)
-            target = self.network.node_by_address(entry.host)
-            self.redirect_queries_sent += 1
-            self.network.send_record(self, target, RedirectQuery(msg.dest_realm, self.node_id))
-
-        channel = self.channels.get(agent_peer_id)
-        if channel is not None and channel.status == ESTABLISHED:
-            done(True, None)
-        else:
-            self.establish_channel(agent_peer_id, done)
+        self._send(agent_peer_id, RedirectQuery(msg.dest_realm, self.node_id))
 
     def _handle_redirect_query(self, query: RedirectQuery) -> None:
         now = self.loop.now
@@ -636,11 +603,6 @@ class Node:
                 doc = model.without_entry(doc, "routing", key)
                 notes.append(Notification.route_expired(self.node_id, r.pattern))
             self.running = doc
-
-        for key in list(self.route_cache):
-            cached = self.route_cache[key]
-            if cached.expiration is not None and cached.expiration <= now:
-                del self.route_cache[key]
 
         for realm_text in list(self.pending):
             queue = self.pending[realm_text]

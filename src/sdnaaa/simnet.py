@@ -189,7 +189,7 @@ class Network:
     def note_channel(self, a: str, b: str) -> None:
         self.transcript.add(self.loop.now, a, "channel-up", peer=b)
 
-    def note_authenticated(self, msg: AaaMessage, accepted: bool) -> None:
+    def note_authenticated(self, msg: AaaMessage) -> None:
         self.metrics.hops[msg.msg_id] = len(msg.hop_trace)
 
     def finalize_message(self, node_id: str, msg: AaaMessage) -> None:
@@ -604,8 +604,8 @@ class Simulation:
         pairs = set()
         for nid in sorted(self.nodes):
             n = self.nodes[nid]
-            for peer_id, channel in n.channels.items():
-                if channel.status != node_mod.ESTABLISHED:
+            for peer_id, status in n.channels.items():
+                if status != node_mod.ESTABLISHED:
                     continue
                 entry = n.running.peer(peer_id)
                 other = self.network.node_by_address(entry.host) if entry else None

@@ -621,3 +621,97 @@ def test_response_travels_reversed_request_path():
     assert responses == [("z", "y"), ("y", "x")]
     done = [r for r in transcript.records if r["direction"] == "done"]
     assert done[0]["actor"] == "x"
+
+
+# ---------------------------------------------------------------------------
+# records that cannot go out
+
+
+def one_way_pair(action=Action.RELAY):
+    """a routes realm.org to b, but b has no entry for a, so every handshake
+    from a fails with NO_MIRROR_ENTRY; notifications from a are collected."""
+    loop, network, a, b = rig("a", "b")
+    ea, _eb = psk_pair("a", "b", b"s" * 16)
+    apply_ok(a, merge("peers", ea),
+             merge("routing", RealmEntry(RealmPattern.parse("realm.org"), "b", action)))
+    notes = []
+    open_session("controller", a, loop, on_notification=notes.append)
+    return loop, network, a, b, notes
+
+
+def forward_failures(notes):
+    return [(n.peer_id, n.realm.text) for n in notes if n.kind == Notification.FORWARD_FAILURE]
+
+
+def test_unsent_request_is_recorded_once_parked_and_reported_once_per_peer():
+    loop, network, a, _b, notes = one_way_pair()
+    a.handle_message(request("m1", "bob@realm.org"), loop.now)
+    a.handle_message(request("m2", "bob@realm.org"), loop.now)
+    loop.run_until(loop.now + 10)
+    failed = [r for r in network.transcript.records if r["direction"] == "channel-failed"]
+    assert [(r["message"]["msg_id"], r["peer"], r["reason"]) for r in failed] == [
+        ("m1", "b", "NO_MIRROR_ENTRY"), ("m2", "b", "NO_MIRROR_ENTRY"),
+    ]
+    assert [m.msg_id for m, _t in a.pending["realm.org"].items] == ["m1", "m2"]
+    assert forward_failures(notes) == [("b", "realm.org")]
+    # a later message joins the backlog: no new record, no new report
+    a.handle_message(request("m3", "bob@realm.org"), loop.now)
+    loop.run_until(loop.now + 10)
+    assert len([r for r in network.transcript.records if r["direction"] == "channel-failed"]) == 2
+    assert [m.msg_id for m, _t in a.pending["realm.org"].items] == ["m1", "m2", "m3"]
+    assert forward_failures(notes) == [("b", "realm.org")]
+
+
+def test_unsent_response_reports_forward_failure_then_fails_channel_failed():
+    loop, network, x, _y = rig("x", "y")
+    ex, _ey = psk_pair("x", "y", b"s" * 16)
+    apply_ok(x, merge("peers", ex))
+    seen = []
+    x.emit_notification = lambda note: seen.append((note.kind, note.peer_id))
+    finalize = network.finalize_message
+    network.finalize_message = lambda nid, msg: (seen.append(("done", msg.error)), finalize(nid, msg))
+    nai = parse_nai("bob@realm.org")
+    resp = AaaMessage("r1", MsgKind.RESPONSE, nai, nai.realm, {}, ("y", "x"), status="accept")
+    x.handle_message(resp, loop.now)
+    loop.run_until(loop.now + 10)
+    assert seen == [(Notification.FORWARD_FAILURE, "y"), ("done", "CHANNEL_FAILED")]
+    assert network.registry["r1"]["error"] == "CHANNEL_FAILED"
+
+
+def test_unsent_redirect_query_reports_once_and_clears_in_flight_mark():
+    loop, network, a, b, notes = one_way_pair(Action.REDIRECT)
+    a.handle_message(request("m1", "bob@realm.org"), loop.now)
+    a.handle_message(request("m2", "bob@realm.org"), loop.now)
+    loop.run_until(loop.now + 10)
+    assert forward_failures(notes) == [("b", "realm.org")]
+    assert a.redirect_queries_sent == 0
+    assert redirect_queries(network.transcript) == []
+    assert [m.msg_id for m, _t in a.pending["realm.org"].items] == ["m1", "m2"]
+    # once b mirrors a, the next message sends a fresh query
+    _ea, eb = psk_pair("a", "b", b"s" * 16)
+    apply_ok(b, merge("peers", eb))
+    a.handle_message(request("m3", "bob@realm.org"), loop.now)
+    loop.run_until(loop.now + 10)
+    assert a.redirect_queries_sent == 1
+    queries = redirect_queries(network.transcript)
+    assert [(r["actor"], r["to"]) for r in queries] == [("a", "b")]
+    assert forward_failures(notes) == [("b", "realm.org")]
+
+
+def test_established_channel_sends_without_a_handshake(monkeypatch):
+    loop, network, a, b = provisioned_pair()
+    apply_ok(a, merge("routing", RealmEntry(RealmPattern.parse("realm.org"), "b", Action.RELAY)))
+    assert verdict(loop, a, "b") == (True, None)
+    calls = []
+    for node in (a, b):
+        monkeypatch.setattr(node, "establish_channel", lambda *args: calls.append(args))
+    a.handle_message(request("m1", "bob@realm.org"), loop.now)
+    nai = parse_nai("bob@realm.org")
+    b.handle_message(
+        AaaMessage("r1", MsgKind.RESPONSE, nai, nai.realm, {}, ("a", "b"), status="accept"),
+        loop.now,
+    )
+    assert calls == []
+    sent = [(r["actor"], r["to"], r["message"]["msg_id"])
+            for r in network.transcript.records if r["direction"] == "fwd"]
+    assert sent == [("a", "b", "m1"), ("b", "a", "r1")]
