@@ -268,7 +268,8 @@ class Node:
         if ok:
             self.channels[peer_id] = ESTABLISHED
             peer_node.channels[mirror.peer_id] = ESTABLISHED
-            self.network.note_channel(self.node_id, peer_node.node_id)
+            self.network.transcript.add(self.loop.now, self.node_id, "channel-up",
+                                        peer=peer_node.node_id)
         else:
             self.channels[peer_id] = FAILED
         for cb in waiters:
@@ -419,13 +420,8 @@ class Node:
             return
         else:
             realm = record.dest_realm
-            self.network.record_event(
-                self.node_id,
-                "channel-failed",
-                peer=peer_id,
-                reason=reason,
-                message=record.to_json(),
-            )
+            self.network.transcript.add(self.loop.now, self.node_id, "channel-failed",
+                                        peer=peer_id, reason=reason, message=record)
             queue = self._park(record, self.loop.now, acquire=False)
         if peer_id not in queue.failures_reported:
             queue.failures_reported.add(peer_id)

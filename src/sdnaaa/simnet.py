@@ -14,6 +14,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from operator import methodcaller
 from typing import Optional
 
 from . import model, node as node_mod, southbound
@@ -67,22 +68,37 @@ class EventLoop:
         self.now = max(self.now, stop_time)
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=methodcaller("to_json"))
+
+
 class Transcript:
     """Ordered record of everything observable: southbound frames, AAA
-    transfers, terminal outcomes, liveness events, snapshots."""
+    transfers, terminal outcomes, liveness events, snapshots.
+
+    A payload is kept as the value observed (a message, a frame, a redirect
+    record or plain JSON) and encoded once, by ``to_ndjson``, so a recorded
+    value must never change: messages, frames, config changes, entities,
+    notifications and redirect records are frozen, ``apply_attribute_rules``
+    copies ``attributes`` first, ``Frame.error`` is built fresh for each
+    reply and document containers are never changed in place."""
 
     def __init__(self):
-        self.records: list[dict] = []
+        self._entries: list[dict] = []
 
     def add(self, time: int, actor: str, direction: str, **payload) -> None:
         record = {"time": time, "actor": actor, "direction": direction}
         record.update(payload)
-        self.records.append(record)
+        self._entries.append(record)
 
     def to_ndjson(self) -> str:
-        if not self.records:
+        if not self._entries:
             return ""
-        return "\n".join(json.dumps(r, separators=(",", ":")) for r in self.records) + "\n"
+        return "\n".join(map(_ENCODER.encode, self._entries)) + "\n"
+
+    @property
+    def records(self) -> list[dict]:
+        """The records as written by ``to_ndjson``, decoded."""
+        return [json.loads(line) for line in self.to_ndjson().splitlines()]
 
     def frames(self, ftype: Optional[str] = None, actor: Optional[str] = None,
                direction: Optional[str] = None) -> list[dict]:
@@ -167,7 +183,7 @@ class Network:
             src.node_id,
             "fwd",
             to=dst.node_id if dst is not None else None,
-            message=record.to_json(),
+            message=record,
         )
         if dst is None:
             self.metrics.lost_in_flight += 1
@@ -180,14 +196,8 @@ class Network:
             return
         dst.receive(record, src_id)
 
-    def record_event(self, actor: str, direction: str, **payload) -> None:
-        self.transcript.add(self.loop.now, actor, direction, **payload)
-
     def note_reroute(self) -> None:
         self.metrics.reroutes += 1
-
-    def note_channel(self, a: str, b: str) -> None:
-        self.transcript.add(self.loop.now, a, "channel-up", peer=b)
 
     def note_authenticated(self, msg: AaaMessage) -> None:
         self.metrics.hops[msg.msg_id] = len(msg.hop_trace)
@@ -196,12 +206,8 @@ class Network:
         entry = self.registry.get(msg.msg_id)
         if entry is not None and entry["status"] != "pending":
             return
-        self.registry[msg.msg_id] = {
-            "status": msg.status,
-            "error": msg.error,
-            "trace": list(msg.hop_trace),
-        }
-        self.transcript.add(self.loop.now, node_id, "done", message=msg.to_json())
+        self.registry[msg.msg_id] = {"status": msg.status, "error": msg.error}
+        self.transcript.add(self.loop.now, node_id, "done", message=msg)
         if msg.status == "accept":
             self.metrics.delivered += 1
         elif msg.status == "reject":
@@ -545,7 +551,7 @@ class Simulation:
         self.controller.attach_session(nid, session)
 
     def _record_frame(self, time: int, node_id: str, direction: str, frame) -> None:
-        self.transcript.add(time, node_id, direction, frame=frame.to_json())
+        self.transcript.add(time, node_id, direction, frame=frame)
         if direction == "c2n":
             self.metrics.controller_frames += 1
 
@@ -584,8 +590,8 @@ class Simulation:
             attributes={"password": ev.password},
         )
         self.metrics.injected += 1
-        self.network.registry[msg.msg_id] = {"status": "pending", "error": None, "trace": []}
-        self.transcript.add(self.loop.now, ev.node, "inject", message=msg.to_json())
+        self.network.registry[msg.msg_id] = {"status": "pending", "error": None}
+        self.transcript.add(self.loop.now, ev.node, "inject", message=msg)
         target = self.nodes[ev.node]
         if target.is_up():
             target.handle_message(msg, self.loop.now)

@@ -4,6 +4,8 @@ import pytest
 
 from conftest import chain_nodes, inject, make_scenario
 from sdnaaa import simnet
+from sdnaaa.model import AaaMessage
+from sdnaaa.southbound import Frame
 from sdnaaa.simnet import EventLoop, ScenarioError, Simulation, gen_random_topology, load_scenario
 
 
@@ -97,6 +99,29 @@ def test_same_scenario_runs_identically(chain_text):
         metrics, transcript = simnet.run(load_scenario(chain_text))
         runs.append((metrics.to_text(), transcript.to_ndjson()))
     assert runs[0] == runs[1]
+
+
+def test_run_encodes_nothing_until_the_transcript_is_written(chain_text, monkeypatch):
+    calls = {"message": 0, "frame": 0}
+
+    def counted(key, to_json):
+        def wrapper(self):
+            calls[key] += 1
+            return to_json(self)
+        return wrapper
+
+    monkeypatch.setattr(AaaMessage, "to_json", counted("message", AaaMessage.to_json))
+    monkeypatch.setattr(Frame, "to_json", counted("frame", Frame.to_json))
+    sim = Simulation(load_scenario(chain_text))
+    sim.run()
+    assert calls == {"message": 0, "frame": 0}
+
+    lines = [json.loads(line) for line in sim.transcript.to_ndjson().splitlines()]
+    assert calls == {
+        "message": sum("message" in r for r in lines),
+        "frame": sum("frame" in r for r in lines),
+    }
+    assert calls["message"] > 0 and calls["frame"] > 0
 
 
 def test_proactive_provisions_before_injection(chain_text):
