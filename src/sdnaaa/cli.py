@@ -124,7 +124,7 @@ def inspect(scenario_path: str, node_id: str, at_time: int) -> None:
     except (simnet.ScenarioError, model.ModelError) as err:
         click.echo(str(err), err=True)
         sys.exit(2)
-    if node_id not in scenario.node_specs:
+    if node_id not in scenario.topology.nodes:
         click.echo(f"unknown node {node_id!r}", err=True)
         sys.exit(1)
     sim = simnet.Simulation(scenario)

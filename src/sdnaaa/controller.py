@@ -60,18 +60,28 @@ class NodeInfo:
 
 @dataclass
 class Topology:
-    """Controller-side view: nodes, allowed adjacencies, realm homes."""
+    """Controller-side view: nodes, allowed adjacencies, realm homes.
+
+    Links and roles are fixed for a run, so the sorted neighbour lists and
+    the sorted client list are built once, here. A node's ``state`` may
+    change and is read afresh by every computation."""
 
     nodes: dict[str, NodeInfo]
     allowed_links: set[frozenset]
     home_of: dict[str, str] = field(default_factory=dict)
+    adjacent: dict[str, tuple[str, ...]] = field(init=False, repr=False)
+    clients: tuple[str, ...] = field(init=False, repr=False)
 
-    def neighbors(self, node_id: str) -> list[str]:
-        out = []
-        for pair in self.allowed_links:
-            if node_id in pair:
-                out.extend(m for m in pair if m != node_id)
-        return sorted(out)
+    def __post_init__(self) -> None:
+        adjacent: dict[str, list[str]] = {n: [] for n in self.nodes}
+        for a, b in self.allowed_links:
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+        self.adjacent = {n: tuple(sorted(ms)) for n, ms in adjacent.items()}
+        self.clients = tuple(sorted(n for n, info in self.nodes.items() if info.role == CLIENT))
+
+    def neighbors(self, node_id: str) -> tuple[str, ...]:
+        return self.adjacent.get(node_id, ())
 
 
 @dataclass(frozen=True)
@@ -137,21 +147,21 @@ def compute_next_hops(
     }
     if target not in up:
         return {}
-    adjacency = {n: [m for m in topology.neighbors(n) if m in up] for n in up}
+    adjacent = topology.adjacent
     dist = {target: 0}
     frontier = deque([target])
     while frontier:
         n = frontier.popleft()
-        for m in adjacency[n]:
-            if m not in dist:
+        for m in adjacent[n]:
+            if m in up and m not in dist:
                 dist[m] = dist[n] + 1
                 frontier.append(m)
-    hops: dict[str, str] = {}
-    for n in sorted(up):
-        if n == target or n not in dist:
-            continue
-        hops[n] = min(m for m in adjacency[n] if m in dist and dist[m] == dist[n] - 1)
-    return hops
+    # neighbour tuples are sorted: the first one a step closer is the smallest
+    return {
+        n: next(m for m in adjacent[n] if dist.get(m) == d - 1)
+        for n, d in dist.items()
+        if d
+    }
 
 
 @dataclass
@@ -177,13 +187,11 @@ def _route_change(pattern: RealmPattern, next_hop, action: Action, rule_refs=())
 class Controller:
     def __init__(
         self,
-        controller_id: str,
         topology: Topology,
         loop,
         seed: int = 0,
         parallel_adjacency: bool = False,
     ):
-        self.controller_id = controller_id
         self.topology = topology
         self.loop = loop
         self.rng = random.Random(seed)
@@ -360,15 +368,10 @@ class Controller:
         return self.ledger.setdefault(node_id, {"peers": {}, "routes": {}})
 
     def _ledger_changes(self, node_id: str, changes, security: str, policy_id) -> None:
+        """Record confirmed changes; the controller only ever ledgers merges."""
         entry = self._node_ledger(node_id)
         for ch in changes:
             container, key = ch.container_key()
-            if ch.op != southbound.MERGE:
-                if container == "peers":
-                    entry["peers"].pop(key, None)
-                elif container == "routing":
-                    entry["routes"].pop(key, None)
-                continue
             if container == "peers":
                 entry["peers"][key] = {
                     "peer_id": key,
@@ -509,10 +512,7 @@ class Controller:
         order: list[str] = []
         seen: set[str] = set()
         unreachable: list[str] = []
-        clients = sorted(
-            n for n, info in self.topology.nodes.items() if info.role == CLIENT
-        )
-        for client in clients:
+        for client in self.topology.clients:
             if client != home and client not in next_hops:
                 unreachable.append(client)
                 continue

@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 import json
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from operator import methodcaller
 from typing import Optional
@@ -27,6 +26,7 @@ from .controller import (
     Policy,
     PolicyError,
     Topology,
+    compute_next_hops,
     load_policy,
 )
 from .model import AaaMessage, MsgKind, Realm
@@ -245,7 +245,7 @@ class Event:
 class Scenario:
     seed: int
     topology: Topology
-    node_specs: dict[str, dict]
+    users: dict[str, dict[str, str]]
     policies: list[Policy]
     mode: str
     events: list[Event]
@@ -303,7 +303,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
             realms_by_text[text] = _decode(Realm.parse, text)
         return realms_by_text[text]
 
-    node_specs: dict[str, dict] = {}
+    users_of: dict[str, dict[str, str]] = {}
     infos: dict[str, NodeInfo] = {}
     for nid, raw in specs.items():
         _require(isinstance(raw, dict), "PARSE_ERROR", f"node {nid}")
@@ -325,15 +325,8 @@ def scenario_from_dict(obj: dict) -> Scenario:
         _require(_is_str_map(users), "PARSE_ERROR", f"node {nid} users")
         address = raw.get("address", f"{nid}.sim")
         _require(isinstance(address, str), "PARSE_ERROR", f"node {nid} address")
-        spec = {
-            "address": address,
-            "role": role,
-            "realms": realms,
-            "users": dict(users),
-            "state": state,
-        }
-        node_specs[nid] = spec
-        infos[nid] = NodeInfo(spec["address"], role, realms, state)
+        users_of[nid] = dict(users)
+        infos[nid] = NodeInfo(address, role, realms, state)
 
     links: set[frozenset] = set()
     links_obj = topo_obj.get("links", [])
@@ -428,7 +421,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
     return Scenario(
         seed=seed,
         topology=topology,
-        node_specs=node_specs,
+        users=users_of,
         policies=policies,
         mode=mode,
         events=events,
@@ -464,21 +457,10 @@ def scenario_for_topology(
     options: Optional[dict] = None,
 ) -> Scenario:
     """Build a Scenario directly from a Topology (for generated graphs)."""
-    users = users or {}
-    node_specs = {
-        nid: {
-            "address": info.address,
-            "role": info.role,
-            "realms": info.served_realms,
-            "users": dict(users.get(nid, {})),
-            "state": info.state,
-        }
-        for nid, info in topology.nodes.items()
-    }
     return Scenario(
         seed=seed,
         topology=topology,
-        node_specs=node_specs,
+        users=dict(users or {}),
         policies=load_policy(policy_lines, topology),
         mode=mode,
         events=list(events),
@@ -500,26 +482,23 @@ class Simulation:
         self.metrics = Metrics()
         self.transcript = Transcript()
         self.network = Network(self.loop, self.metrics, self.transcript)
+        self.nodes = self.network.nodes
         self.snapshots: list[str] = []
         self._msg_seq = 0
 
-        self.nodes: dict[str, node_mod.Node] = {}
-        for nid, spec in scenario.node_specs.items():
-            n = node_mod.Node(
+        for nid, info in scenario.topology.nodes.items():
+            self.network.register(node_mod.Node(
                 nid,
-                spec["address"],
+                info.address,
                 self.loop,
                 self.network,
-                role=spec["role"],
-                served_realms=spec["realms"],
-                users=spec["users"],
-                state=spec["state"],
-            )
-            self.nodes[nid] = n
-            self.network.register(n)
+                role=info.role,
+                served_realms=info.served_realms,
+                users=scenario.users.get(nid),
+                state=info.state,
+            ))
 
         self.controller = Controller(
-            "controller",
             scenario.topology,
             self.loop,
             seed=scenario.seed,
@@ -648,6 +627,17 @@ def gen_random_topology(
         raise ScenarioError("BAD_ARGS", "not enough nodes for realms plus a client")
     rng = random.Random(seed)
     names = [f"n{i:02d}" for i in range(n_nodes)]
+    infos: dict[str, NodeInfo] = {}
+    home_of: dict[str, str] = {}
+    for idx, name in enumerate(names):
+        if idx < len(realm_objs):
+            realm = realm_objs[idx]
+            infos[name] = NodeInfo(f"{name}.sim", SERVER, (realm,))
+            home_of[realm.text] = name
+        elif idx == len(realm_objs):
+            infos[name] = NodeInfo(f"{name}.sim", CLIENT)
+        else:
+            infos[name] = NodeInfo(f"{name}.sim", AGENT)
 
     for _attempt in range(1000):
         links = set()
@@ -655,36 +645,9 @@ def gen_random_topology(
             for j in range(i + 1, n_nodes):
                 if rng.random() < edge_prob:
                     links.add(frozenset((names[i], names[j])))
-        if _connected(names, links):
-            infos: dict[str, NodeInfo] = {}
-            home_of: dict[str, str] = {}
-            for idx, name in enumerate(names):
-                if idx < len(realm_objs):
-                    realm = realm_objs[idx]
-                    infos[name] = NodeInfo(f"{name}.sim", SERVER, (realm,))
-                    home_of[realm.text] = name
-                elif idx == len(realm_objs):
-                    infos[name] = NodeInfo(f"{name}.sim", CLIENT)
-                else:
-                    infos[name] = NodeInfo(f"{name}.sim", AGENT)
-            return Topology(infos, links, home_of)
+        topology = Topology(infos, links, home_of)
+        # connected: every other node has a next hop toward the first
+        if len(compute_next_hops(topology, names[0])) == n_nodes - 1:
+            return topology
     raise ScenarioError("GIVE_UP", f"no connected graph after 1000 attempts (p={edge_prob})")
 
-
-def _connected(names, links) -> bool:
-    if not names:
-        return False
-    adjacency = {n: [] for n in names}
-    for pair in links:
-        a, b = sorted(pair)
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    seen = {names[0]}
-    frontier = deque([names[0]])
-    while frontier:
-        n = frontier.popleft()
-        for m in adjacency[n]:
-            if m not in seen:
-                seen.add(m)
-                frontier.append(m)
-    return len(seen) == len(names)

@@ -178,10 +178,8 @@ class Session:
     through :meth:`notify`.
     """
 
-    def __init__(self, controller_id: str, node, loop, recorder=None, on_notification=None):
-        self.controller_id = controller_id
+    def __init__(self, node, loop, recorder=None, on_notification=None):
         self.node = node
-        self.session_id = f"{controller_id}/{node.node_id}"
         self.loop = loop
         self.recorder = recorder
         self.on_notification = on_notification
@@ -256,6 +254,6 @@ def open_session(controller_id: str, node, loop, recorder=None, on_notification=
         raise SouthboundError("NODE_DOWN", node.node_id)
     if node.session is not None:
         raise SouthboundError("SESSION_EXISTS", node.node_id)
-    session = Session(controller_id, node, loop, recorder, on_notification)
+    session = Session(node, loop, recorder, on_notification)
     node.session = session
     return session

@@ -11,7 +11,7 @@ from sdnaaa.controller import (
     compute_next_hops,
     load_policy,
 )
-from sdnaaa.model import Action, RealmPattern
+from sdnaaa.model import Action, ConfigDocument, Realm, RealmEntry, RealmPattern
 
 
 def topo(names_roles: dict[str, str], links) -> Topology:
@@ -34,6 +34,13 @@ def edit_frames(transcript, actor=None):
 
 def frame_paths(record) -> list[str]:
     return [c["path"] for c in record["frame"]["changes"]]
+
+
+def notes_of(transcript, kind):
+    return [
+        r for r in transcript.frames("notification")
+        if r["frame"]["note"]["kind"] == kind
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +158,12 @@ def test_next_hop_distances_match_brute_force_on_random_graphs():
         for node in topology.nodes:
             if node == target:
                 continue
+            # the chosen hop is the smallest neighbour one step closer
+            closer = [
+                m for m in topology.nodes
+                if oracle[node][m] == 1 and oracle[m][target] == oracle[node][target] - 1
+            ]
+            assert hops[node] == min(closer), f"seed {seed} node {node}"
             # walk the next-hop chain and compare its length to the oracle
             steps, cur = 0, node
             while cur != target:
@@ -158,6 +171,42 @@ def test_next_hop_distances_match_brute_force_on_random_graphs():
                 steps += 1
                 assert steps <= len(topology.nodes)
             assert steps == oracle[node][target]
+
+
+class CountingLinks(set):
+    """A link set that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_links_are_read_only_when_the_topology_is_built():
+    nodes, links, homes = chain_nodes()
+    infos = {
+        n: NodeInfo(spec["address"], spec["role"], tuple(map(Realm.parse, spec.get("realms", ()))))
+        for n, spec in nodes.items()
+    }
+    allowed = CountingLinks(frozenset(pair) for pair in links)
+    topology = Topology(infos, allowed, homes)
+    assert allowed.iterations == 1
+    assert topology.neighbors("ai") == ("ac", "aj", "at")
+    assert topology.clients == ("ac",)
+    allowed.iterations = 0
+
+    assert compute_next_hops(topology, "ah") == {"ac": "ai", "ai": "aj", "aj": "ah", "at": "ai"}
+    scenario = simnet.scenario_for_topology(
+        topology, seed=1, mode="PROACTIVE",
+        policy_lines="route realm.org via ah security tls",
+        users={"ah": nodes["ah"]["users"]},
+        events=[simnet.Event(10, "inject", node="ac", nai="alice@realm.org", password="alice-pw")],
+        stop_time=500,
+    )
+    metrics, _ = simnet.Simulation(scenario).run()
+    assert metrics.delivered == 1
+    assert allowed.iterations == 0
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +452,89 @@ def test_parallel_rollback_after_one_side_fails():
     for node, other in (("ai", "aj"), ("aj", "ai")):
         doc = wait(sim, sim.controller.get_node_config(node))
         assert doc.peer(other) is None
+
+
+def test_parallel_rollback_after_first_side_fails():
+    # ai is down when its frame lands, aj applies its side: aj is rolled back
+    sim = chain_sim(
+        options={"parallel_adjacency": True},
+        events=[
+            {"time": 1, "kind": "node-down", "node": "ai"},
+            {"time": 50, "kind": "node-up", "node": "ai"},
+        ],
+    )
+    result = wait(sim, sim.controller.establish_adjacency("ai", "aj", "tls"))
+    assert (result.status, result.failed_step, result.error) == ("FAILED", 1, "NODE_DOWN")
+    deletes = [
+        c["path"] for r in edit_frames(sim.transcript, actor="aj")
+        for c in r["frame"]["changes"]
+        if c["op"] == "delete"
+    ]
+    assert deletes == ["peers/ai", "tls/tls-aj-ai"]
+    run_all(sim)
+    for node, other in (("ai", "aj"), ("aj", "ai")):
+        doc = wait(sim, sim.controller.get_node_config(node))
+        assert doc.peer(other) is None
+
+
+def test_acquire_at_the_home_installs_only_its_local_route():
+    sim = chain_sim(
+        mode="REACTIVE",
+        policies=["route realm.org via ah security tls"],
+        events=[inject(10, "ah", "alice@realm.org", "alice-pw")],
+    )
+    metrics, transcript = sim.run()
+    frames = edit_frames(transcript)
+    assert [(r["actor"], frame_paths(r)) for r in frames] == [("ah", ["routing/realm.org"])]
+    assert frames[0]["frame"]["changes"][0]["value"]["action"] == "local"
+    assert metrics.delivered == 1
+    done = [r for r in transcript.records if r["direction"] == "done"]
+    assert done[0]["message"]["trace"] == ["ah"]
+
+
+def test_acquire_without_a_path_sends_nothing_and_the_request_times_out():
+    nodes, links, homes = chain_nodes()
+    nodes["ah"] = dict(nodes["ah"], state="DOWN")
+    scenario = make_scenario(
+        nodes, links, homes, policies=["route realm.org via ah security tls"],
+        mode="REACTIVE", events=[inject(10, "ac", "alice@realm.org", "alice-pw")],
+        stop_time=6000,
+    )
+    metrics, transcript = simnet.Simulation(scenario).run()
+    assert [r["actor"] for r in notes_of(transcript, "acquire-route")] == ["ac"]
+    assert edit_frames(transcript) == []
+    assert metrics.controller_frames == 0
+    assert metrics.error_codes == {"NO_ROUTE_TIMEOUT": 1}
+
+
+def test_expiry_of_an_unowned_static_entry_sends_no_frame():
+    nodes, links, homes = chain_nodes()
+    static = ConfigDocument(
+        routing=(RealmEntry(RealmPattern.parse("realm.org"), None, Action.LOCAL, (), 100),)
+    )
+    scenario = make_scenario(nodes, links, homes, static_config={"ah": static}, stop_time=500)
+    metrics, transcript = simnet.Simulation(scenario).run()
+    expired = notes_of(transcript, "route-expired")
+    assert [(r["actor"], r["frame"]["note"]["pattern"]) for r in expired] == [("ah", "realm.org")]
+    assert metrics.notifications == {"route-expired": 1}
+    # the static push is the only controller frame; the expiry adds none
+    assert [r["time"] for r in transcript.frames(direction="c2n")] == [0]
+
+
+def test_node_that_starts_down_gets_a_session_on_node_up():
+    nodes, links, homes = chain_nodes()
+    nodes["aj"] = dict(nodes["aj"], state="DOWN")
+    scenario = make_scenario(
+        nodes, links, homes, events=[{"time": 10, "kind": "node-up", "node": "aj"}],
+        stop_time=100,
+    )
+    sim = simnet.Simulation(scenario)
+    sim.run_until(20)
+    doc = wait(sim, sim.controller.get_node_config("aj"))
+    assert doc is not None and doc.peers == {} and doc.routing == {}
+    assert [r["frame"]["type"] for r in sim.transcript.frames(actor="aj")] == [
+        "get-config", "config",
+    ]
 
 
 def test_provision_reports_unreachable_clients_when_node_down_at_start():

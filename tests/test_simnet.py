@@ -38,7 +38,7 @@ def test_event_loop_never_schedules_into_the_past():
 
 def test_load_chain_fixture(chain_text):
     scenario = load_scenario(chain_text)
-    assert sorted(scenario.node_specs) == ["ac", "ah", "ai", "aj", "at"]
+    assert sorted(scenario.topology.nodes) == ["ac", "ah", "ai", "aj", "at"]
     assert len(scenario.policies) == 1
     assert scenario.policies[0].home_node == "ah"
     assert scenario.mode == "PROACTIVE"
