@@ -63,8 +63,9 @@ class Topology:
     """Controller-side view: nodes, allowed adjacencies, realm homes.
 
     Links and roles are fixed for a run, so the sorted neighbour lists and
-    the sorted client list are built once, here. A node's ``state`` may
-    change and is read afresh by every computation."""
+    the sorted client list are built once, here. A node's ``state`` is the
+    loaded one and stays fixed too; the controller caches each home's
+    next-hop tree until its liveness view (``suspected``) changes."""
 
     nodes: dict[str, NodeInfo]
     allowed_links: set[frozenset]
@@ -202,6 +203,8 @@ class Controller:
         # desired state confirmed by OK replies; holds no credential bytes
         self.ledger: dict[str, dict] = {}
         self.suspected: set[str] = set()
+        # next-hop tree per home; dropped whenever ``suspected`` changes
+        self._next_hops: dict[str, dict[str, str]] = {}
         self.reports: list[dict] = []
         self._jobs: deque = deque()
         self._active = False
@@ -215,7 +218,9 @@ class Controller:
 
     def node_registered(self, node_id: str) -> None:
         """Re-registration of a node clears any failure suspicion."""
-        self.suspected.discard(node_id)
+        if node_id in self.suspected:
+            self.suspected.remove(node_id)
+            self._next_hops.clear()
 
     def load_policies(self, text: str) -> list[Policy]:
         policies = load_policy(text, self.topology)
@@ -403,6 +408,15 @@ class Controller:
                 return p
         return None
 
+    def _next_hops_to(self, home: str) -> dict[str, str]:
+        """The shared, read-only next-hop tree toward ``home`` for the
+        current liveness view."""
+        hops = self._next_hops.get(home)
+        if hops is None:
+            hops = compute_next_hops(self.topology, home, frozenset(self.suspected))
+            self._next_hops[home] = hops
+        return hops
+
     def _match_policy(self, realm: Realm) -> Optional[Policy]:
         best = None
         best_spec = -1
@@ -559,9 +573,7 @@ class Controller:
         home = policy.home_node
         pattern = policy.realm_pattern
         ttl = policy.default_entry_ttl
-        next_hops = compute_next_hops(
-            self.topology, home, frozenset(self.suspected)
-        )
+        next_hops = self._next_hops_to(home)
         order, unreachable = self._client_paths(policy, next_hops)
         for client in unreachable:
             report.append({"op": "path", "node": client, "outcome": "UNREACHABLE"})
@@ -606,8 +618,7 @@ class Controller:
                     home, pattern, None, Action.LOCAL, (), ttl, policy.policy_id
                 ))
             return None
-        next_hops = compute_next_hops(self.topology, home, frozenset(self.suspected))
-        next_hop = next_hops.get(n)
+        next_hop = self._next_hops_to(home).get(n)
         if next_hop is None:
             self.reports.append(
                 {"event": "unroutable", "node": n, "realm": realm.text, "reason": "no path"}
@@ -640,7 +651,9 @@ class Controller:
     def _forward_failure_job(self, note: Notification):
         """Suspect the failed peer's node, recompute next hops without it,
         and re-provision the affected policy."""
-        self.suspected.add(note.peer_id)
+        if note.peer_id not in self.suspected:
+            self.suspected.add(note.peer_id)
+            self._next_hops.clear()
         log.info("forward failure at %s via %s; suspecting %s", note.node_id, note.peer_id, note.peer_id)
         policy = self._match_policy(note.realm)
         if policy is None:

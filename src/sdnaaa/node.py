@@ -110,9 +110,10 @@ class _PendingQueue:
     acquire-route notification and forward-failure notifications.
     """
 
-    __slots__ = ("items", "acquire_sent", "failures_reported")
+    __slots__ = ("realm", "items", "acquire_sent", "failures_reported")
 
-    def __init__(self):
+    def __init__(self, realm: Realm):
+        self.realm = realm
         self.items: deque = deque()
         self.acquire_sent = False
         self.failures_reported: set[str] = set()
@@ -431,7 +432,7 @@ class Node:
         realm_text = msg.dest_realm.text
         queue = self.pending.get(realm_text)
         if queue is None:
-            queue = _PendingQueue()
+            queue = _PendingQueue(msg.dest_realm)
             self.pending[realm_text] = queue
         if len(queue.items) >= PENDING_LIMIT:
             self.queue_drops += 1
@@ -448,7 +449,7 @@ class Node:
         now = self.loop.now
         for realm_text, queue in list(self.pending.items()):
             # dispatching changes no route, so one lookup serves the queue
-            entry = self._select(Realm.parse(realm_text), now)
+            entry = self._select(queue.realm, now)
             if entry is None:
                 continue
             del self.pending[realm_text]

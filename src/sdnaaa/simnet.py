@@ -485,6 +485,8 @@ class Simulation:
         self.nodes = self.network.nodes
         self.snapshots: list[str] = []
         self._msg_seq = 0
+        # one Nai per distinct NAI text: same-NAI requests share it and its realm
+        self._nais: dict[str, model.Nai] = {}
 
         for nid, info in scenario.topology.nodes.items():
             self.network.register(node_mod.Node(
@@ -560,7 +562,9 @@ class Simulation:
 
     def _inject(self, ev: Event) -> None:
         self._msg_seq += 1
-        nai = model.parse_nai(ev.nai)
+        nai = self._nais.get(ev.nai)
+        if nai is None:
+            nai = self._nais[ev.nai] = model.parse_nai(ev.nai)
         msg = AaaMessage(
             msg_id=f"m{self._msg_seq:06d}",
             kind=MsgKind.REQUEST,

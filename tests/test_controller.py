@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import chain_nodes, fw_distances, inject, make_scenario, run_all, wait
-from sdnaaa import simnet
+from sdnaaa import controller as controller_mod, simnet
 from sdnaaa.controller import (
     NodeInfo,
     PolicyError,
@@ -566,6 +566,62 @@ def test_provision_skips_nodes_behind_a_mid_run_failure():
     # the reachable prefix was still provisioned
     assert sim.nodes["ac"].running.peer("ai") is not None
     assert sim.nodes["ah"].running.route("realm.org") is not None
+
+
+def test_next_hops_are_computed_once_per_home_while_liveness_is_unchanged(monkeypatch):
+    calls = []
+    compute = controller_mod.compute_next_hops
+
+    def counted(topology, target, exclude=frozenset()):
+        calls.append(target)
+        return compute(topology, target, exclude)
+
+    monkeypatch.setattr(controller_mod, "compute_next_hops", counted)
+    policies = [
+        "route realm.org via ah security tls",
+        "route *.realm.org via ah security psk",
+        "route other.org via at security tls",
+    ]
+    events = [inject(50 + i, "ac", "alice@realm.org", "alice-pw") for i in range(3)]
+    for mode, homes_asked in (("PROACTIVE", ["ah", "at"]), ("REACTIVE", ["ah"])):
+        calls.clear()
+        metrics, _ = chain_sim(policies=policies, mode=mode, events=events).run()
+        assert metrics.delivered == 3
+        assert calls == homes_asked, mode
+
+
+def test_next_hops_follow_suspicion_and_reregistration(diamond_text):
+    # aa (the tie-break winner) fails; the forward failure at t=150 makes it
+    # suspect, its node-up at t=300 clears that, so a provisioning after
+    # t=300 routes through it again
+    obj = json.loads(diamond_text)
+    obj["topology"]["nodes"]["ha"]["realms"].append("other.org")
+    obj["topology"]["homes"]["other.org"] = "ha"
+    obj["events"] = [
+        {"time": 100, "kind": "node-down", "node": "aa"},
+        inject(150, "cl", "dave@realm.org", "dave-pw"),
+        {"time": 300, "kind": "node-up", "node": "aa"},
+        inject(500, "cl", "dave@other.org", "dave-pw"),
+    ]
+    sim = simnet.Simulation(simnet.scenario_from_dict(obj))
+    sim.run_until(90)
+    assert sim.nodes["cl"].running.route("realm.org").next_hop == "aa"
+
+    sim.run_until(290)
+    assert sim.controller.suspected == {"aa"}
+    assert sim.nodes["cl"].running.route("realm.org").next_hop == "ab"
+
+    sim.run_until(400)
+    assert sim.controller.suspected == set()
+    sim.controller.load_policies("route other.org via ha security psk")
+    wait(sim, sim.controller.provision_realm(sim.controller.policies[-1]), horizon=50)
+    assert sim.nodes["cl"].running.route("other.org").next_hop == "aa"
+    assert sim.nodes["aa"].running.route("other.org").next_hop == "ha"
+
+    sim.run()
+    assert sim.metrics.delivered == 2
+    done = [r for r in sim.transcript.records if r["direction"] == "done"]
+    assert [r["message"]["trace"] for r in done] == [["cl", "ab", "ha"], ["cl", "aa", "ha"]]
 
 
 def test_snapshot_file_round_trips(tmp_path):

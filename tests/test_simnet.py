@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import chain_nodes, inject, make_scenario
-from sdnaaa import simnet
+from sdnaaa import model, node as node_mod, simnet
 from sdnaaa.model import AaaMessage
 from sdnaaa.southbound import Frame
 from sdnaaa.simnet import EventLoop, ScenarioError, Simulation, gen_random_topology, load_scenario
@@ -122,6 +122,47 @@ def test_run_encodes_nothing_until_the_transcript_is_written(chain_text, monkeyp
         "frame": sum("frame" in r for r in lines),
     }
     assert calls["message"] > 0 and calls["frame"] > 0
+
+
+def test_each_nai_is_parsed_once_per_run_and_shared(monkeypatch):
+    parsed = []
+    seen = []
+    parse_nai = model.parse_nai
+    handle_message = node_mod.Node.handle_message
+
+    def counted(text):
+        parsed.append(text)
+        return parse_nai(text)
+
+    def recorded(self, msg, now):
+        seen.append(msg)
+        return handle_message(self, msg, now)
+
+    monkeypatch.setattr(model, "parse_nai", counted)
+    monkeypatch.setattr(node_mod.Node, "handle_message", recorded)
+    nodes, links, homes = chain_nodes()
+    nodes["ah"]["users"]["bob"] = "bob-pw"
+    users = [("alice@realm.org", "alice-pw"), ("bob@realm.org", "bob-pw")] * 3
+    scenario = make_scenario(
+        nodes, links, homes, policies=["route realm.org via ah security tls"],
+        events=[inject(50 + i, "ac", nai, pw) for i, (nai, pw) in enumerate(users)],
+    )
+
+    metrics, _ = Simulation(scenario).run()
+    assert metrics.delivered == 6
+    assert sorted(parsed) == ["alice@realm.org", "bob@realm.org"]
+    # every request, forwarded copy and response of one NAI holds one Nai
+    first = {}
+    for msg in seen:
+        nai = first.setdefault(msg.nai.text, msg.nai)
+        assert msg.nai is nai and msg.dest_realm is nai.realm
+    assert sorted(first) == ["alice@realm.org", "bob@realm.org"]
+
+    # a second run of the same scenario starts from nothing
+    seen.clear()
+    Simulation(scenario).run()
+    assert len(parsed) == 4
+    assert all(msg.nai is not first[msg.nai.text] for msg in seen)
 
 
 def test_proactive_provisions_before_injection(chain_text):
