@@ -39,6 +39,15 @@ def _read(path: str) -> str:
         sys.exit(2)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as err:
+        click.echo(f"cannot write {path}: {err}", err=True)
+        sys.exit(2)
+
+
 @click.group()
 def main() -> None:
     """Manage and simulate realm-routed AAA infrastructures."""
@@ -102,11 +111,9 @@ def run(path, mode, seed_override, transcript_path, metrics_path) -> None:
         scenario.seed = seed_override
     metrics, transcript = simnet.run(scenario)
     if transcript_path:
-        with open(transcript_path, "w", encoding="utf-8") as handle:
-            handle.write(transcript.to_ndjson())
+        _write(transcript_path, transcript.to_ndjson())
     if metrics_path:
-        with open(metrics_path, "w", encoding="utf-8") as handle:
-            handle.write(metrics.to_text() + "\n")
+        _write(metrics_path, metrics.to_text() + "\n")
     click.echo(metrics.to_text())
     sys.exit(0 if metrics.errored == 0 else 1)
 

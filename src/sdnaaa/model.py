@@ -266,7 +266,10 @@ class MsgKind(Enum):
     RESPONSE = "response"
 
 
-@dataclass(frozen=True)
+_SAME = object()  # AaaMessage.copy: keep this field
+
+
+@dataclass(frozen=True, slots=True)
 class AaaMessage:
     """Protocol-independent AAA message with its accumulated hop trace.
 
@@ -283,14 +286,34 @@ class AaaMessage:
     status: str = "pending"  # pending | accept | reject | error
     error: Optional[str] = None
 
+    def copy(self, *, msg_id=_SAME, kind=_SAME, nai=_SAME, dest_realm=_SAME,
+             attributes=_SAME, hop_trace=_SAME, status=_SAME, error=_SAME) -> "AaaMessage":
+        """This message with the named fields replaced: what
+        ``dataclasses.replace`` returns, by one constructor call (it runs
+        on every hop)."""
+        return AaaMessage(
+            self.msg_id if msg_id is _SAME else msg_id,
+            self.kind if kind is _SAME else kind,
+            self.nai if nai is _SAME else nai,
+            self.dest_realm if dest_realm is _SAME else dest_realm,
+            self.attributes if attributes is _SAME else attributes,
+            self.hop_trace if hop_trace is _SAME else hop_trace,
+            self.status if status is _SAME else status,
+            self.error if error is _SAME else error,
+        )
+
     def to_json(self) -> dict:
+        """The transcript form. It shares ``attributes`` and ``hop_trace``
+        (a tuple, written as a JSON list) with the message, so it must not be
+        changed; the transcript encoder does not check for cycles, so a
+        cyclic attribute value raises ``RecursionError``."""
         out = {
             "kind": self.kind.value,
             "msg_id": self.msg_id,
             "nai": self.nai.text,
             "dest_realm": self.dest_realm.text,
-            "attributes": dict(self.attributes),
-            "trace": list(self.hop_trace),
+            "attributes": self.attributes,
+            "trace": self.hop_trace,
             "status": self.status,
         }
         if self.error is not None:

@@ -12,7 +12,7 @@ latency supplied by the surrounding harness.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import model, southbound
@@ -70,7 +70,7 @@ def apply_attribute_rules(msg: AaaMessage, rules, direction: Direction) -> AaaMe
             if rule.attribute not in attrs:
                 raise RuleError("REPLACE_MISSING", rule.attribute)
             attrs[rule.attribute] = rule.value
-    return replace(msg, attributes=attrs)
+    return msg.copy(attributes=attrs)
 
 
 # records exchanged between nodes besides AAA messages
@@ -329,7 +329,7 @@ class Node:
         if len(msg.hop_trace) >= HOP_LIMIT:
             self._fail(msg, "HOP_LIMIT")
             return
-        msg = replace(msg, hop_trace=msg.hop_trace + (self.node_id,))
+        msg = msg.copy(hop_trace=msg.hop_trace + (self.node_id,))
         self._route(msg, now)
 
     def _select(self, realm: Realm, now: int) -> Optional[RealmEntry]:
@@ -623,7 +623,7 @@ class Node:
         self.session.notify(note)
 
     def _fail(self, msg: AaaMessage, code: str) -> None:
-        failed = replace(msg, status="error", error=code)
+        failed = msg.copy(status="error", error=code)
         self.network.finalize_message(self.node_id, failed)
 
     def set_down(self) -> None:

@@ -68,7 +68,9 @@ class EventLoop:
         self.now = max(self.now, stop_time)
 
 
-_ENCODER = json.JSONEncoder(separators=(",", ":"), default=methodcaller("to_json"))
+_ENCODER = json.JSONEncoder(
+    separators=(",", ":"), check_circular=False, default=methodcaller("to_json")
+)
 
 
 class Transcript:
@@ -80,7 +82,8 @@ class Transcript:
     value must never change: messages, frames, config changes, entities,
     notifications and redirect records are frozen, ``apply_attribute_rules``
     copies ``attributes`` first, ``Frame.error`` is built fresh for each
-    reply and document containers are never changed in place."""
+    reply and document containers are never changed in place. The encoder
+    skips the circular-reference check: a cycle raises ``RecursionError``."""
 
     def __init__(self):
         self._entries: list[dict] = []

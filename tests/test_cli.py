@@ -100,6 +100,15 @@ def test_run_missing_file_exits_two(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("option", ["--transcript", "--metrics"])
+def test_run_unwritable_output_exits_two_with_one_line(runner, tmp_path, option):
+    target = tmp_path / "no-such-dir" / "out"
+    result = invoke(runner, "run", str(FIXTURES / "chain.json"), option, str(target))
+    assert result.exit_code == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"cannot write {target}: ")
+
+
 _PEER = {
     "peer_id": "ai", "identity": "ai", "host": "ai.sim", "port": 1812,
     "transport": "radius-udp", "expiration": None,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from conftest import inject, make_scenario, psk_pair
@@ -438,6 +440,35 @@ def test_replace_missing_attribute_errors():
     with pytest.raises(RuleError) as err:
         apply_attribute_rules(msg, [rule("r1", RuleOp.REPLACE, "A", "2")], Direction.OUTGOING)
     assert err.value.code == "REPLACE_MISSING"
+
+
+def test_message_copy_equals_dataclasses_replace_for_every_field():
+    nai, other = parse_nai("alice@realm.org"), parse_nai("bob@other.org")
+    names = [f.name for f in dataclasses.fields(AaaMessage)]
+    # every field away from its default, so a field the copy drops shows
+    error = AaaMessage("m1", MsgKind.REQUEST, nai, nai.realm, {"password": "pw", "A": "1"},
+                       ("a", "b"), status="error", error="ROUTE_LOOP")
+    assert all(getattr(error, f.name) != f.default for f in dataclasses.fields(AaaMessage))
+    overrides = {
+        "msg_id": "m2", "kind": MsgKind.RESPONSE, "nai": other, "dest_realm": other.realm,
+        "attributes": {"B": "2"}, "hop_trace": ("c",), "status": "reject", "error": "HOP_LIMIT",
+    }
+    assert sorted(overrides) == sorted(names)
+    req = request("m1", "alice@realm.org", trace=["a"], attrs={"password": "pw", "A": "1"})
+    proxied = apply_attribute_rules(
+        req, [rule("r1", RuleOp.ADD, "C", "3"), rule("r2", RuleOp.REPLACE, "A", "9")],
+        Direction.OUTGOING,
+    )
+    assert proxied.attributes == {"password": "pw", "A": "9", "C": "3"}
+    response = AaaMessage("m1", MsgKind.RESPONSE, nai, nai.realm, {}, ("a", "b"), status="accept")
+    for msg in (req, proxied, response, error):
+        same = msg.copy()
+        assert same == msg and all(getattr(same, n) is getattr(msg, n) for n in names)
+        for name, value in overrides.items():
+            assert msg.copy(**{name: value}) == dataclasses.replace(msg, **{name: value})
+        assert msg.copy(**overrides) == dataclasses.replace(msg, **overrides)
+        assert msg.copy(status="pending", error=None) == dataclasses.replace(
+            msg, status="pending", error=None)
 
 
 def proxy_scenario(rules, refs):

@@ -124,6 +124,19 @@ def test_run_encodes_nothing_until_the_transcript_is_written(chain_text, monkeyp
     assert calls["message"] > 0 and calls["frame"] > 0
 
 
+def test_transcript_refuses_a_self_referencing_payload():
+    # the encoder skips json's circular-reference check; a cycle must still fail
+    cycle: dict = {}
+    cycle["self"] = cycle
+    nai = model.parse_nai("alice@realm.org")
+    message = AaaMessage("m1", model.MsgKind.REQUEST, nai, nai.realm, cycle)
+    for payload in ({"detail": cycle}, {"message": message}):
+        transcript = simnet.Transcript()
+        transcript.add(0, "x", "in", **payload)
+        with pytest.raises((ValueError, RecursionError)):
+            transcript.to_ndjson()
+
+
 def test_each_nai_is_parsed_once_per_run_and_shared(monkeypatch):
     parsed = []
     seen = []
