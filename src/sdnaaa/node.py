@@ -139,7 +139,7 @@ class Node:
         self.loop = loop
         self.network = network
         self.role = role
-        self.served_realms: tuple[Realm, ...] = tuple(served_realms)
+        self.served_realms: frozenset[Realm] = frozenset(served_realms)  # hashed lookup per request
         self.users = dict(users or {})
         self.authorized_controller = authorized_controller
         self.state = state

@@ -13,6 +13,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from operator import methodcaller
 from typing import Optional
 
@@ -72,18 +73,92 @@ _ENCODER = json.JSONEncoder(
     separators=(",", ":"), check_circular=False, default=methodcaller("to_json")
 )
 
+_BATCH = 2000  # records written per memo; the memo is dropped after each batch
+
+
+class _Texts(dict):
+    """JSON text of each string and each hop trace (a tuple of strings),
+    encoded once and then found by value."""
+
+    def __missing__(self, value):
+        text = self[value] = (
+            encode_basestring_ascii(value) if type(value) is str else _ENCODER.encode(value)
+        )
+        return text
+
+
+def _message_text(msg: AaaMessage, texts: _Texts, memo: dict) -> str:
+    """The JSON text of ``msg.to_json()``, built from cached parts: the
+    attribute map is encoded once per map object (``copy`` shares it). A
+    field added to ``to_json`` must be written here too."""
+    fields = msg.to_json()
+    attributes = fields["attributes"]
+    attributes_text = memo.get(id(attributes))
+    if attributes_text is None:
+        attributes_text = memo[id(attributes)] = _ENCODER.encode(attributes)
+    error = f',"error":{texts[fields["error"]]}' if "error" in fields else ""
+    return (
+        f'{{"kind":{texts[fields["kind"]]},"msg_id":{texts[fields["msg_id"]]},'
+        f'"nai":{texts[fields["nai"]]},"dest_realm":{texts[fields["dest_realm"]]},'
+        f'"attributes":{attributes_text},"trace":{texts[fields["trace"]]},'
+        f'"status":{texts[fields["status"]]}{error}}}'
+    )
+
+
+def _write_batch(records: list[dict]) -> str:
+    """NDJSON lines of ``records``, byte for byte what ``_ENCODER`` writes
+    for each record dict. A message's text is built once per object and
+    placed in the output by reference, not copied into its line."""
+    texts = _Texts()
+    memo: dict[int, str] = {}  # id of a message, attribute map or payload -> text
+    pieces: list[str] = []
+    append = pieces.append
+    for record in records:
+        line = "{"
+        for key, value in record.items():
+            cls = type(value)
+            if cls is str:
+                text = texts[value]
+            elif cls is int:
+                text = str(value)
+            elif value is None:
+                text = "null"
+            else:
+                text = memo.get(id(value))
+                if text is None:
+                    text = memo[id(value)] = (
+                        _message_text(value, texts, memo) if cls is AaaMessage
+                        else _ENCODER.encode(value)
+                    )
+                if cls is AaaMessage:
+                    append(f"{line}{texts[key]}:")
+                    append(text)
+                    line = ","
+                    continue
+            line = f"{line}{texts[key]}:{text},"
+        append(line[:-1] + "}\n")
+    return "".join(pieces)
+
 
 class Transcript:
     """Ordered record of everything observable: southbound frames, AAA
     transfers, terminal outcomes, liveness events, snapshots.
 
     A payload is kept as the value observed (a message, a frame, a redirect
-    record or plain JSON) and encoded once, by ``to_ndjson``, so a recorded
-    value must never change: messages, frames, config changes, entities,
-    notifications and redirect records are frozen, ``apply_attribute_rules``
-    copies ``attributes`` first, ``Frame.error`` is built fresh for each
-    reply and document containers are never changed in place. The encoder
-    skips the circular-reference check: a cycle raises ``RecursionError``."""
+    record or plain JSON) and encoded only by ``to_ndjson``. The writer
+    frames each line itself: it formats a message's ``to_json`` fields
+    (``_message_text``) and encodes every other payload with one ``json``
+    encoder, which calls the payload's ``to_json``. Within a batch of
+    records each distinct string and hop trace is encoded once and found
+    again by value, and each message, attribute map and other payload
+    object once and found again by identity. The identity memo is sound
+    only because a recorded value never changes: messages, frames, config
+    changes, entities, notifications and redirect records are frozen,
+    ``apply_attribute_rules`` copies ``attributes`` first, ``Frame.error``
+    is built fresh for each reply and document containers are never changed
+    in place. A new payload type must be immutable too and have a
+    ``to_json`` method. The encoder skips the circular-reference check: a
+    cycle raises ``RecursionError``."""
 
     def __init__(self):
         self._entries: list[dict] = []
@@ -94,9 +169,11 @@ class Transcript:
         self._entries.append(record)
 
     def to_ndjson(self) -> str:
-        if not self._entries:
-            return ""
-        return "\n".join(map(_ENCODER.encode, self._entries)) + "\n"
+        entries = self._entries
+        return "".join([
+            _write_batch(entries[start:start + _BATCH])
+            for start in range(0, len(entries), _BATCH)
+        ])
 
     @property
     def records(self) -> list[dict]:

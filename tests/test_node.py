@@ -368,6 +368,28 @@ def test_local_on_non_serving_node_is_realm_not_served():
     assert metrics.error_codes == {"REALM_NOT_SERVED": 1}
 
 
+def test_home_finds_its_realm_with_constant_comparisons(monkeypatch):
+    loop = simnet.EventLoop()
+    network = simnet.Network(loop, simnet.Metrics(), simnet.Transcript())
+    realms = [Realm.parse(f"r{i}.org") for i in range(1000)]
+    home = Node("h", "h.sim", loop, network, role="SERVER", served_realms=realms,
+                users={"alice": "pw"})
+    network.register(home)
+    nai = model.Nai("alice", Realm.parse("r999.org"))  # equal to, not the same as, a served realm
+    msg = AaaMessage("m1", MsgKind.REQUEST, nai, nai.realm, {"password": "pw"}, hop_trace=("h",))
+    compared = []
+    realm_eq = Realm.__eq__
+
+    def counted(self, other):
+        compared.append(other)
+        return realm_eq(self, other)
+
+    monkeypatch.setattr(Realm, "__eq__", counted)
+    home.authenticate_local(msg)
+    assert network.metrics.delivered == 1
+    assert len(compared) <= 2
+
+
 def test_route_loop_detected_on_revisit():
     secret = b"q" * 16
     ex, ey = psk_pair("x", "y", secret)

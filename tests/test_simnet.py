@@ -1,11 +1,14 @@
 import json
+from operator import methodcaller
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import chain_nodes, inject, make_scenario
 from sdnaaa import model, node as node_mod, simnet
 from sdnaaa.model import AaaMessage
-from sdnaaa.southbound import Frame
+from sdnaaa.southbound import ERROR, NOTIFICATION, OK, Frame
 from sdnaaa.simnet import EventLoop, ScenarioError, Simulation, gen_random_topology, load_scenario
 
 
@@ -104,24 +107,24 @@ def test_same_scenario_runs_identically(chain_text):
 def test_run_encodes_nothing_until_the_transcript_is_written(chain_text, monkeypatch):
     calls = {"message": 0, "frame": 0}
 
-    def counted(key, to_json):
-        def wrapper(self):
+    def counted(key, encode):
+        def wrapper(*args):
             calls[key] += 1
-            return to_json(self)
+            return encode(*args)
         return wrapper
 
-    monkeypatch.setattr(AaaMessage, "to_json", counted("message", AaaMessage.to_json))
+    monkeypatch.setattr(simnet, "_message_text", counted("message", simnet._message_text))
     monkeypatch.setattr(Frame, "to_json", counted("frame", Frame.to_json))
     sim = Simulation(load_scenario(chain_text))
     sim.run()
     assert calls == {"message": 0, "frame": 0}
 
     lines = [json.loads(line) for line in sim.transcript.to_ndjson().splitlines()]
-    assert calls == {
-        "message": sum("message" in r for r in lines),
-        "frame": sum("frame" in r for r in lines),
-    }
-    assert calls["message"] > 0 and calls["frame"] > 0
+    assert sum("frame" in r for r in lines) == calls["frame"] == 12
+    # one text per distinct message object: a response is the same object on
+    # its return hop and in its done record, so 8 message lines share 5 texts
+    assert sum("message" in r for r in lines) == 8
+    assert calls["message"] == 5
 
 
 def test_transcript_refuses_a_self_referencing_payload():
@@ -135,6 +138,106 @@ def test_transcript_refuses_a_self_referencing_payload():
         transcript.add(0, "x", "in", **payload)
         with pytest.raises((ValueError, RecursionError)):
             transcript.to_ndjson()
+
+
+# The transcript's bytes are json's: the oracle is the per-record encoder
+# the writer replaced, json.dumps of each record dict with each payload's
+# to_json as the default.
+
+
+def _oracle_ndjson(records) -> str:
+    return "".join(
+        json.dumps(record, separators=(",", ":"), default=methodcaller("to_json")) + "\n"
+        for record in records
+    )
+
+
+def _written(records) -> str:
+    transcript = simnet.Transcript()
+    for record in records:
+        payload = dict(record)
+        transcript.add(payload.pop("time"), payload.pop("actor"), payload.pop("direction"),
+                       **payload)
+    return transcript.to_ndjson()
+
+
+TEXT = st.text()  # non-ASCII, astral, control characters, quotes, backslashes
+BIG_INTS = st.integers(-(2**70), 2**70)
+PLAIN = st.recursive(
+    st.none() | st.booleans() | BIG_INTS | st.floats() | TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+REALMS = st.lists(TEXT, min_size=1, max_size=3).map(lambda labels: model.Realm(tuple(labels)))
+FRAMES = st.one_of(
+    st.builds(Frame, BIG_INTS, st.just(OK)),
+    st.builds(lambda txn, code, detail: Frame(txn, ERROR, error={"code": code, "detail": detail}),
+              BIG_INTS, TEXT, st.lists(TEXT, max_size=2)),
+    st.builds(lambda txn, node, peer, realm: Frame(
+        txn, NOTIFICATION, note=model.Notification.forward_failure(node, peer, realm)),
+        BIG_INTS, TEXT, TEXT, REALMS),
+)
+
+
+@st.composite
+def messages(draw):
+    """A request and its forward copies, which share its attribute map,
+    and a response built from the last copy."""
+    nai = model.Nai(draw(TEXT), draw(REALMS))
+    request = AaaMessage(draw(TEXT), model.MsgKind.REQUEST, nai, nai.realm,
+                         draw(st.dictionaries(TEXT, TEXT, max_size=3)))
+    family = [request]
+    for hop in draw(st.lists(TEXT, max_size=3)):
+        family.append(family[-1].copy(hop_trace=family[-1].hop_trace + (hop,)))
+    family.append(family[-1].copy(
+        kind=model.MsgKind.RESPONSE, attributes={},
+        status=draw(st.sampled_from(["accept", "reject", "error"]) | TEXT),
+        error=draw(st.none() | TEXT),
+    ))
+    return family
+
+
+@st.composite
+def transcripts(draw):
+    pool = draw(st.lists(messages(), min_size=1, max_size=2).map(lambda fs: sum(fs, [])))
+    message = st.sampled_from(pool)
+    payloads = st.one_of(
+        st.fixed_dictionaries({"to": st.none() | TEXT, "message": message}),
+        st.fixed_dictionaries({"message": message}),
+        st.fixed_dictionaries({"peer": TEXT, "reason": TEXT, "message": message}),
+        st.fixed_dictionaries({"frame": FRAMES}),
+        st.fixed_dictionaries({"error": st.none() | TEXT, "detail": PLAIN}),
+        st.dictionaries(TEXT.filter(lambda k: k not in ("time", "actor", "direction")),
+                        PLAIN, max_size=3),
+    )
+    records = []
+    for payload in draw(st.lists(payloads, min_size=1, max_size=12)):
+        head = {"time": draw(BIG_INTS), "actor": draw(TEXT), "direction": draw(TEXT)}
+        records.append({**head, **payload})
+    return records
+
+
+@given(transcripts())
+def test_transcript_bytes_equal_json_of_each_record(records):
+    assert _written(records) == _oracle_ndjson(records)
+
+
+def test_transcript_bytes_equal_json_when_a_message_recurs_batches_later():
+    # 4500 records span three of the writer's 2000-record batches, so each
+    # message recurs after the memo that held its text was dropped
+    nai = model.parse_nai("\u00e9l\U0001f600se@realm.org")
+    request = AaaMessage("m1", model.MsgKind.REQUEST, nai, nai.realm, {"pass\"word": "p\\w"})
+    forwarded = request.copy(hop_trace=("a", "b"))
+    answer = forwarded.copy(kind=model.MsgKind.RESPONSE, attributes={}, status="error",
+                            error="CHANNEL_FAILED")
+    records = []
+    for i in range(1500):
+        records.append({"time": i, "actor": "a", "direction": "fwd", "to": "b",
+                        "message": (request, forwarded, answer)[i % 3]})
+        records.append({"time": i, "actor": "b", "direction": "n2c", "frame": Frame(i, OK)})
+        records.append({"time": 2**64 + i, "actor": "\n", "direction": "done", "message": answer,
+                        "ok": i % 2 == 0, "ratio": i / 7, "peer": None})
+    assert _written(records) == _oracle_ndjson(records)
 
 
 def test_each_nai_is_parsed_once_per_run_and_shared(monkeypatch):
