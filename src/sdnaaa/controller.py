@@ -278,7 +278,7 @@ class Controller:
         """Administrator-style seeding of a full document (scenario
         static_config); applied through the ordinary session, not ledgered."""
         changes = []
-        for container in ("tls", "attributes", "peers", "routing"):
+        for container in model.REFERENTS_FIRST:
             entries = getattr(doc, container)
             for key in sorted(entries):
                 changes.append(ConfigChange(southbound.MERGE, f"{container}/{key}", entries[key]))

@@ -1,8 +1,8 @@
 """Domain model for SDN-managed AAA routing.
 
 Value types for peer tables, realm routing tables, TLS profiles and
-attribute rules, plus the canonical JSON document encoding shared by the
-management channel, the scenario fixtures and the CLI.
+attribute rules; ``SCHEMAS`` declares each keyed list once and drives its
+keying, validation and canonical JSON encoding (frames, fixtures, CLI).
 
 Everything here is a value: entities are frozen, a document's containers
 are never changed in place, and the operations are pure functions, so the
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 REDACTED = "<redacted>"
 
@@ -381,8 +381,8 @@ def notification_from_json(obj: dict) -> Notification:
 class ConfigDocument:
     """A node's full configuration: peers, routing, tls and attributes.
 
-    Each container is a YANG-style keyed list held as a dict from entity
-    key (``peer_id``, pattern text, profile name, rule id) to entity. Dict
+    Each container is a YANG-style keyed list (its schema is in ``SCHEMAS``)
+    held as a dict from entity key (the schema's first leaf) to entity. Dict
     order carries no meaning; the canonical encoding sorts by key. A
     container given as a sequence is keyed on construction, and a repeated
     key raises ModelError with the container's DUPLICATE_* code. Containers
@@ -413,31 +413,20 @@ class ConfigDocument:
         return self.attributes.get(rule_id)
 
 
-CONTAINERS = ("peers", "routing", "tls", "attributes")
-
-#: per container: how to read an entity's key, and the code for a repeated key
-_KEYS = {
-    "peers": (attrgetter("peer_id"), "DUPLICATE_PEER_ID"),
-    "routing": (attrgetter("pattern.text"), "DUPLICATE_PATTERN"),
-    "tls": (attrgetter("name"), "DUPLICATE_TLS_PROFILE"),
-    "attributes": (attrgetter("rule_id"), "DUPLICATE_RULE_ID"),
-}
-
-
 def entry_key(container: str, entity) -> str:
     """The unique key an entity is stored under within its container."""
-    if container not in _KEYS:
+    if container not in SCHEMAS:
         raise ModelError("BAD_CONTAINER", container)
-    return _KEYS[container][0](entity)
+    return SCHEMAS[container].key_of(entity)
 
 
 def _keyed(container: str, entities) -> dict:
-    key_of, duplicate = _KEYS[container]
+    schema = SCHEMAS[container]
     out = {}
     for entity in entities:
-        key = key_of(entity)
+        key = schema.key_of(entity)
         if key in out:
-            raise ModelError(duplicate, f"{container}/{key}")
+            raise ModelError(schema.duplicate, f"{container}/{key}")
         out[key] = entity
     return out
 
@@ -611,16 +600,6 @@ def _check_route(doc: ConfigDocument, key: str, r: RealmEntry, out: list) -> Non
         out.append(Violation("BAD_EXPIRATION", where))
 
 
-#: the checker of each container, in the order violations are reported
-_CHECKERS = {
-    "tls": _check_tls,
-    "attributes": _check_rule,
-    "peers": _check_peer,
-    "routing": _check_route,
-}
-_VALIDATION_RANK = {container: rank for rank, container in enumerate(_CHECKERS)}
-
-
 def _ordered(out: list[Violation]) -> list[Violation]:
     # within one container the subjects share a prefix, so they sort by key;
     # the sort is stable, so one subject keeps its check order
@@ -635,11 +614,12 @@ def validate_document(doc: ConfigDocument) -> list[Violation]:
     validate_changes.
 
     Keys are unique by construction. Returns every violation found, ordered
-    by container (tls, attributes, peers, routing), then key, then check
+    by container (in REFERENTS_FIRST order), then key, then check
     order, whatever order the document was built in; [] means consistent.
     """
     out: list[Violation] = []
-    for container, check in _CHECKERS.items():
+    for container in REFERENTS_FIRST:
+        check = SCHEMAS[container].check
         for key, entity in getattr(doc, container).items():
             check(doc, key, entity, out)
     return _ordered(out)
@@ -678,229 +658,214 @@ def validate_changes(doc: ConfigDocument, touched) -> list[Violation]:
                 subjects.add(("routing", key))
     out: list[Violation] = []
     for container, key in subjects:
-        _CHECKERS[container](doc, key, getattr(doc, container)[key], out)
+        SCHEMAS[container].check(doc, key, getattr(doc, container)[key], out)
     return _ordered(out)
 
 
 # ---------------------------------------------------------------------------
-# canonical encoding
+# the data model: one schema per YANG list, and the canonical encoding
+
+
+REQUIRED = object()  # Leaf.default of a leaf that must be present
+_VALUE = attrgetter("value")  # Leaf.encode of an enum leaf
+_HEX_RE = re.compile(r"(?:[0-9a-fA-F]{2})*")  # bytes.fromhex alone also skips whitespace
+
+
+@dataclass(frozen=True)
+class Leaf:
+    """One YANG leaf: ``name`` is the entity field and the JSON member,
+    ``encode`` maps the field to JSON and ``decode(value, where)`` maps it
+    back or raises SCHEMA_ERROR. An absent member decodes to ``default``
+    (REQUIRED: a schema error); a leaf whose default is None takes null."""
+
+    name: str
+    encode: Callable
+    decode: Callable
+    default: object = REQUIRED
+
+
+@dataclass(frozen=True)
+class Schema:
+    """One YANG list, or one case of a choice: the entity class and its
+    leaves in field order. A keyed list's first leaf is its key; it names
+    the code for a repeated key and the checker validation runs on each
+    entry. A choice case names the ``kind`` that selects it."""
+
+    cls: type
+    leaves: tuple[Leaf, ...]
+    duplicate: str = ""
+    check: Optional[Callable] = None
+    kind: str = ""
+
+    @cached_property
+    def _members(self) -> frozenset[str]:
+        return frozenset(leaf.name for leaf in self.leaves) | ({"kind"} if self.kind else set())
+
+    def key_of(self, entity) -> str:
+        leaf = self.leaves[0]
+        return leaf.encode(getattr(entity, leaf.name))
+
+    def to_json(self, entity) -> dict:
+        return {leaf.name: leaf.encode(getattr(entity, leaf.name)) for leaf in self.leaves}
+
+    def from_json(self, obj, where: str):
+        """Strict decode: no member but the leaves (and a case's ``kind``)."""
+        if not isinstance(obj, dict):
+            raise ModelError("SCHEMA_ERROR", f"{where}: expected object")
+        for name in obj:
+            if name not in self._members:
+                raise ModelError("SCHEMA_ERROR", f"{where}: unknown key {name!r}")
+        values = []
+        for leaf in self.leaves:
+            value = obj.get(leaf.name, leaf.default)
+            if value is REQUIRED:
+                raise ModelError("SCHEMA_ERROR", f"{where}: missing key {leaf.name!r}")
+            values.append(value if value is leaf.default else leaf.decode(value, f"{where}.{leaf.name}"))
+        return self.cls(*values)
+
+
+@dataclass(frozen=True)
+class Choice:
+    """A YANG choice held in one leaf: the ``kind`` member selects the case,
+    and only that case's leaves may appear beside it."""
+
+    cases: tuple[Schema, ...]
+
+    def encode(self, value) -> dict:
+        for case in self.cases:
+            if type(value) is case.cls:
+                return {"kind": case.kind, **case.to_json(value)}
+        raise TypeError(f"no case of this choice holds {value!r}")
+
+    def decode(self, obj, where: str):
+        kind = obj.get("kind") if isinstance(obj, dict) else None
+        for case in self.cases:
+            if kind == case.kind:
+                return case.from_json(obj, where)
+        raise ModelError("SCHEMA_ERROR", f"{where}: bad kind {kind!r}")
+
+
+def _same(value):
+    return value
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ModelError("SCHEMA_ERROR", f"{where}: expected string")
+    return value
+
+
+def _integer(value, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ModelError("SCHEMA_ERROR", f"{where}: expected integer")
+    return value
+
+
+def _strings(collect: Callable) -> Callable:
+    def decode(value, where: str):
+        if not isinstance(value, list):
+            raise ModelError("SCHEMA_ERROR", f"{where}: expected list")
+        return collect(_string(item, where) for item in value)
+    return decode
+
+
+def _enum(enum_cls) -> Callable:
+    def decode(value, where: str):
+        try:
+            return enum_cls(_string(value, where))
+        except ValueError:
+            raise ModelError("SCHEMA_ERROR", f"{where}: bad value {value!r}") from None
+    return decode
+
+
+def _pattern(value, where: str) -> RealmPattern:
+    text = _string(value, where)
+    try:
+        return RealmPattern.parse(text)
+    except ModelError:  # BAD_REALM
+        raise ModelError("SCHEMA_ERROR", f"{where}: bad pattern") from None
 
 
 def _key_bytes_to_json(value: Union[bytes, str]) -> str:
     return value.hex() if isinstance(value, bytes) else value
 
 
-def credential_to_json(cred: Credential) -> dict:
-    if isinstance(cred, SharedSecret):
-        return {"kind": "shared-secret", "secret": _key_bytes_to_json(cred.secret)}
-    return {"kind": "tls-ref", "profile": cred.profile}
+def _key_bytes(value, where: str) -> Union[bytes, str]:
+    text = _string(value, where)
+    if text == REDACTED:
+        return text
+    if not _HEX_RE.fullmatch(text):
+        raise ModelError("SCHEMA_ERROR", f"{where}: expected hex bytes")
+    return bytes.fromhex(text)
 
 
-def peer_to_json(p: PeerEntry) -> dict:
-    return {
-        "peer_id": p.peer_id,
-        "identity": p.identity,
-        "host": p.host,
-        "port": p.port,
-        "transport": p.transport.value,
-        "credential": credential_to_json(p.credential),
-        "expiration": p.expiration,
-    }
+_CREDENTIAL = Choice((
+    Schema(SharedSecret, (Leaf("secret", _key_bytes_to_json, _key_bytes),), kind="shared-secret"),
+    Schema(TlsRef, (Leaf("profile", _same, _string),), kind="tls-ref"),
+))
 
-
-def route_to_json(r: RealmEntry) -> dict:
-    return {
-        "pattern": r.pattern.text,
-        "next_hop": r.next_hop,
-        "action": r.action.value,
-        "rule_refs": list(r.rule_refs),
-        "expiration": r.expiration,
-    }
-
-
-def profile_to_json(t: TlsProfile) -> dict:
-    return {
-        "name": t.name,
-        "local_identity": t.local_identity,
-        "local_key": _key_bytes_to_json(t.local_key),
-        "trusted_identities": sorted(t.trusted_identities),
-    }
-
-
-def rule_to_json(a: AttributeRule) -> dict:
-    return {
-        "rule_id": a.rule_id,
-        "direction": a.direction.value,
-        "op": a.op.value,
-        "attribute": a.attribute,
-        "value": a.value,
-    }
-
-
-_TO_JSON = {
-    "peers": peer_to_json,
-    "routing": route_to_json,
-    "tls": profile_to_json,
-    "attributes": rule_to_json,
+#: every keyed list, in the canonical encoding order
+SCHEMAS = {
+    "peers": Schema(PeerEntry, (
+        Leaf("peer_id", _same, _string),
+        Leaf("identity", _same, _string),
+        Leaf("host", _same, _string),
+        Leaf("port", _same, _integer),
+        Leaf("transport", _VALUE, _enum(Transport)),
+        Leaf("credential", _CREDENTIAL.encode, _CREDENTIAL.decode),
+        Leaf("expiration", _same, _integer, None),
+    ), duplicate="DUPLICATE_PEER_ID", check=_check_peer),
+    "routing": Schema(RealmEntry, (
+        Leaf("pattern", attrgetter("text"), _pattern),
+        Leaf("next_hop", _same, _string, None),
+        Leaf("action", _VALUE, _enum(Action)),
+        Leaf("rule_refs", list, _strings(tuple), ()),
+        Leaf("expiration", _same, _integer, None),
+    ), duplicate="DUPLICATE_PATTERN", check=_check_route),
+    "tls": Schema(TlsProfile, (
+        Leaf("name", _same, _string),
+        Leaf("local_identity", _same, _string),
+        Leaf("local_key", _key_bytes_to_json, _key_bytes),
+        Leaf("trusted_identities", sorted, _strings(frozenset)),
+    ), duplicate="DUPLICATE_TLS_PROFILE", check=_check_tls),
+    "attributes": Schema(AttributeRule, (
+        Leaf("rule_id", _same, _string),
+        Leaf("direction", _VALUE, _enum(Direction)),
+        Leaf("op", _VALUE, _enum(RuleOp)),
+        Leaf("attribute", _same, _string),
+        Leaf("value", _same, _string, None),
+    ), duplicate="DUPLICATE_RULE_ID", check=_check_rule),
 }
+CONTAINERS = tuple(SCHEMAS)
+
+#: the containers with every referenced entity before its referrers: the
+#: order of violations in a report, and of a full document pushed as changes
+REFERENTS_FIRST = ("tls", "attributes", "peers", "routing")
+_VALIDATION_RANK = {container: rank for rank, container in enumerate(REFERENTS_FIRST)}
 
 
 def entity_to_json(container: str, entity) -> dict:
-    return _TO_JSON[container](entity)
+    return SCHEMAS[container].to_json(entity)
+
+
+def entity_from_json(container: str, obj) -> object:
+    if container not in SCHEMAS:
+        raise ModelError("SCHEMA_ERROR", f"bad container {container!r}")
+    return SCHEMAS[container].from_json(obj, container)
 
 
 def document_to_json(doc: ConfigDocument) -> dict:
     """The canonical form: fixed container order, each a list sorted by key."""
     out = {}
-    for container in CONTAINERS:
+    for container, schema in SCHEMAS.items():
         entries = getattr(doc, container)
-        out[container] = [_TO_JSON[container](entries[key]) for key in sorted(entries)]
+        out[container] = [schema.to_json(entries[key]) for key in sorted(entries)]
     return out
 
 
 def encode_document(doc: ConfigDocument) -> str:
     """Canonical UTF-8 JSON: fixed container order, entries sorted by key."""
     return json.dumps(document_to_json(doc), separators=(",", ":"))
-
-
-class _Fields:
-    """Strict field extraction for decode; unknown keys are schema errors."""
-
-    def __init__(self, obj, where: str, allowed: set[str]):
-        if not isinstance(obj, dict):
-            raise ModelError("SCHEMA_ERROR", f"{where}: expected object")
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ModelError("SCHEMA_ERROR", f"{where}: unknown key {sorted(unknown)[0]!r}")
-        self.obj = obj
-        self.where = where
-
-    def req(self, key: str):
-        if key not in self.obj:
-            raise ModelError("SCHEMA_ERROR", f"{self.where}: missing key {key!r}")
-        return self.obj[key]
-
-    def opt(self, key: str, default=None):
-        return self.obj.get(key, default)
-
-
-def _decode_str(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ModelError("SCHEMA_ERROR", f"{where}: expected string")
-    return value
-
-
-def _decode_int(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ModelError("SCHEMA_ERROR", f"{where}: expected integer")
-    return value
-
-
-def _decode_opt_int(value, where: str) -> Optional[int]:
-    return None if value is None else _decode_int(value, where)
-
-
-def _decode_key_bytes(value, where: str) -> Union[bytes, str]:
-    text = _decode_str(value, where)
-    if text == REDACTED:
-        return text
-    try:
-        return bytes.fromhex(text)
-    except ValueError:
-        raise ModelError("SCHEMA_ERROR", f"{where}: expected hex bytes") from None
-
-
-def _decode_enum(enum_cls, value, where: str):
-    try:
-        return enum_cls(_decode_str(value, where))
-    except ValueError:
-        raise ModelError("SCHEMA_ERROR", f"{where}: bad value {value!r}") from None
-
-
-def credential_from_json(obj, where: str = "credential") -> Credential:
-    f = _Fields(obj, where, {"kind", "secret", "profile"})
-    kind = _decode_str(f.req("kind"), where)
-    if kind == "shared-secret":
-        return SharedSecret(_decode_key_bytes(f.req("secret"), where))
-    if kind == "tls-ref":
-        return TlsRef(_decode_str(f.req("profile"), where))
-    raise ModelError("SCHEMA_ERROR", f"{where}: bad credential kind {kind!r}")
-
-
-def peer_from_json(obj, where: str = "peers") -> PeerEntry:
-    f = _Fields(
-        obj, where,
-        {"peer_id", "identity", "host", "port", "transport", "credential", "expiration"},
-    )
-    return PeerEntry(
-        peer_id=_decode_str(f.req("peer_id"), where),
-        identity=_decode_str(f.req("identity"), where),
-        host=_decode_str(f.req("host"), where),
-        port=_decode_int(f.req("port"), where),
-        transport=_decode_enum(Transport, f.req("transport"), where),
-        credential=credential_from_json(f.req("credential"), f"{where}.credential"),
-        expiration=_decode_opt_int(f.opt("expiration"), where),
-    )
-
-
-def route_from_json(obj, where: str = "routing") -> RealmEntry:
-    f = _Fields(obj, where, {"pattern", "next_hop", "action", "rule_refs", "expiration"})
-    refs = f.opt("rule_refs", [])
-    if not isinstance(refs, list):
-        raise ModelError("SCHEMA_ERROR", f"{where}: rule_refs must be a list")
-    next_hop = f.opt("next_hop")
-    try:
-        pattern = RealmPattern.parse(_decode_str(f.req("pattern"), where))
-    except ModelError as err:
-        if err.code == "BAD_REALM":
-            raise ModelError("SCHEMA_ERROR", f"{where}: bad pattern") from None
-        raise
-    return RealmEntry(
-        pattern=pattern,
-        next_hop=None if next_hop is None else _decode_str(next_hop, where),
-        action=_decode_enum(Action, f.req("action"), where),
-        rule_refs=tuple(_decode_str(r, where) for r in refs),
-        expiration=_decode_opt_int(f.opt("expiration"), where),
-    )
-
-
-def profile_from_json(obj, where: str = "tls") -> TlsProfile:
-    f = _Fields(obj, where, {"name", "local_identity", "local_key", "trusted_identities"})
-    trusted = f.req("trusted_identities")
-    if not isinstance(trusted, list):
-        raise ModelError("SCHEMA_ERROR", f"{where}: trusted_identities must be a list")
-    return TlsProfile(
-        name=_decode_str(f.req("name"), where),
-        local_identity=_decode_str(f.req("local_identity"), where),
-        local_key=_decode_key_bytes(f.req("local_key"), where),
-        trusted_identities=frozenset(_decode_str(t, where) for t in trusted),
-    )
-
-
-def rule_from_json(obj, where: str = "attributes") -> AttributeRule:
-    f = _Fields(obj, where, {"rule_id", "direction", "op", "attribute", "value"})
-    value = f.opt("value")
-    return AttributeRule(
-        rule_id=_decode_str(f.req("rule_id"), where),
-        direction=_decode_enum(Direction, f.req("direction"), where),
-        op=_decode_enum(RuleOp, f.req("op"), where),
-        attribute=_decode_str(f.req("attribute"), where),
-        value=None if value is None else _decode_str(value, where),
-    )
-
-
-_FROM_JSON = {
-    "peers": peer_from_json,
-    "routing": route_from_json,
-    "tls": profile_from_json,
-    "attributes": rule_from_json,
-}
-
-
-def entity_from_json(container: str, obj) -> object:
-    if container not in _FROM_JSON:
-        raise ModelError("SCHEMA_ERROR", f"bad container {container!r}")
-    return _FROM_JSON[container](obj, container)
 
 
 def document_from_json(obj) -> ConfigDocument:
@@ -911,11 +876,11 @@ def document_from_json(obj) -> ConfigDocument:
         bad = sorted(set(obj) ^ set(CONTAINERS))[0]
         raise ModelError("SCHEMA_ERROR", f"bad top-level key {bad!r}")
     parts = {}
-    for container in CONTAINERS:
+    for container, schema in SCHEMAS.items():
         entries = obj[container]
         if not isinstance(entries, list):
             raise ModelError("SCHEMA_ERROR", f"{container} must be a list")
-        parts[container] = tuple(_FROM_JSON[container](e, container) for e in entries)
+        parts[container] = tuple(schema.from_json(e, container) for e in entries)
     return ConfigDocument(**parts)
 
 

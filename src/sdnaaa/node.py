@@ -491,8 +491,8 @@ class Node:
         entry = self.running.peer(node_id)
         if entry is not None:
             return entry
-        address = self.network.address_of(node_id)
-        return self.peer_for_host(address) if address else None
+        other = self.network.nodes.get(node_id)
+        return self.peer_for_host(other.address) if other else None
 
     # ------------------------------------------------------------------
     # redirect
@@ -513,7 +513,7 @@ class Node:
     def _handle_redirect_query(self, query: RedirectQuery) -> None:
         now = self.loop.now
         entry = model.select_route((self.running.routing,), query.realm, now)
-        requester = self.network.node_by_id(query.requester)
+        requester = self.network.nodes.get(query.requester)
         if entry is None:
             reply: object = RedirectMiss(query.realm)
         elif entry.next_hop is not None:

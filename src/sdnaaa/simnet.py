@@ -247,15 +247,8 @@ class Network:
         self.nodes[node.node_id] = node
         self._by_address[node.address] = node
 
-    def node_by_id(self, node_id: str):
-        return self.nodes.get(node_id)
-
     def node_by_address(self, address: str):
         return self._by_address.get(address)
-
-    def address_of(self, node_id: str) -> Optional[str]:
-        n = self.nodes.get(node_id)
-        return n.address if n else None
 
     def send_record(self, src, dst, record) -> None:
         self.transcript.add(

@@ -61,12 +61,12 @@ class Reply:
             self._callbacks.append(cb)
 
 
-def run_workflow(gen, done: Optional[Reply] = None) -> Reply:
+def run_workflow(gen) -> Reply:
     """Drive a generator that yields Reply objects; its return value
-    resolves ``done``. Already-resolved replies resume synchronously, so a
-    workflow consumes no logical time beyond the frames it awaits."""
-    if done is None:
-        done = Reply()
+    resolves the returned Reply. Already-resolved replies resume
+    synchronously, so a workflow consumes no logical time beyond the frames
+    it awaits."""
+    done = Reply()
 
     def step(value):
         try:

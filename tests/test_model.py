@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -463,6 +464,18 @@ def test_decode_rejects_bad_json():
         lambda o: o["attributes"].append(
             {"rule_id": "r", "direction": "sideways", "op": "add", "attribute": "X", "value": "v"}
         ),
+        # a credential member of the other choice case would be dropped
+        lambda o: o["peers"][0]["credential"].update(profile="x"),
+        lambda o: o["peers"].append({
+            "peer_id": "p1", "identity": "p1", "host": "p1.sim", "port": 2083,
+            "transport": "radius-tls",
+            "credential": {"kind": "tls-ref", "profile": "t", "secret": "00" * 16},
+        }),
+        # bytes.fromhex skips whitespace, so these would re-encode differently
+        lambda o: o["peers"][0]["credential"].update(secret="00 11"),
+        lambda o: o["tls"].append({
+            "name": "t", "local_identity": "p0", "local_key": "00\n11", "trusted_identities": [],
+        }),
     ],
 )
 def test_decode_rejects_schema_errors(mutate):
@@ -478,6 +491,16 @@ def test_decode_rejects_schema_errors(mutate):
     with pytest.raises(ModelError) as err:
         model.decode_document(json.dumps(obj))
     assert err.value.code == "SCHEMA_ERROR"
+
+
+def test_each_schema_declares_exactly_the_entity_fields():
+    schemas = [*model.SCHEMAS.values(), *model._CREDENTIAL.cases]
+    assert {s.cls for s in schemas} == {
+        PeerEntry, RealmEntry, TlsProfile, AttributeRule, SharedSecret, TlsRef,
+    }
+    for schema in schemas:
+        leaves = tuple(leaf.name for leaf in schema.leaves)
+        assert leaves == tuple(f.name for f in dataclasses.fields(schema.cls)), schema.cls
 
 
 def test_round_trip_on_1000_random_documents():

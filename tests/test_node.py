@@ -166,11 +166,11 @@ def test_edit_and_lookup_work_does_not_grow_with_table_size(monkeypatch):
 
     # one-route edit against 1000 routes: the per-entity checkers run once
     checked = []
-    for container, check in list(model._CHECKERS.items()):
-        def counted(*args, _container=container, _check=check):
+    for container, schema in list(model.SCHEMAS.items()):
+        def counted(*args, _container=container, _check=schema.check):
             checked.append(_container)
             return _check(*args)
-        monkeypatch.setitem(model._CHECKERS, container, counted)
+        monkeypatch.setitem(model.SCHEMAS, container, dataclasses.replace(schema, check=counted))
     apply_ok(a, merge("routing", RealmEntry(RealmPattern.parse("new.org"), "b", Action.RELAY)))
     assert checked == ["routing"]
 

@@ -7,13 +7,18 @@ from conftest import make_random_valid_doc
 from sdnaaa import model, simnet, southbound
 from sdnaaa.model import (
     Action,
+    AttributeRule,
     ConfigDocument,
+    Direction,
     Notification,
     PeerEntry,
     Realm,
     RealmEntry,
     RealmPattern,
+    RuleOp,
     SharedSecret,
+    TlsProfile,
+    TlsRef,
     Transport,
 )
 from sdnaaa.node import Node
@@ -246,6 +251,16 @@ def test_txn_strictly_increases_and_replies_echo(rig):
 
 def frame_samples():
     doc = make_random_valid_doc(random.Random(3))
+    profile = TlsProfile("tls-ai", "ai", b"k" * 16, frozenset({"aj", "ak"}))
+    rule = AttributeRule("r1", Direction.OUTGOING, RuleOp.ADD, "Class", "gold")
+    tls_peer = PeerEntry("aj", "aj", "aj.sim", 2083, Transport.RADIUS_TLS, TlsRef("tls-ai"), 900)
+    proxy = RealmEntry(RealmPattern.parse("*.org"), "aj", Action.PROXY, ("r1",))
+    every_container = (
+        ConfigChange(southbound.MERGE, "tls/tls-ai", profile),
+        ConfigChange(southbound.MERGE, "attributes/r1", rule),
+        merge_peer(tls_peer),
+        ConfigChange(southbound.MERGE, "routing/*.org", proxy),
+    )
     return [
         Frame(1, southbound.EDIT_CONFIG, changes=(merge_peer(peer("aj")), merge_route("realm.org", "aj"))),
         Frame(2, southbound.GET_CONFIG),
@@ -253,6 +268,7 @@ def frame_samples():
         Frame(1, southbound.OK),
         Frame(3, southbound.ERROR, error={"code": "VALIDATION_FAILED", "detail": [{"code": "BAD_PORT", "subject": "peers/x"}]}),
         Frame(0, southbound.NOTIFICATION, note=Notification.forward_failure("ai", "aj", Realm.parse("realm.org"))),
+        pytest.param(Frame(4, southbound.EDIT_CONFIG, changes=every_container), id="edit-config-every-container"),
     ]
 
 
