@@ -81,9 +81,6 @@ class Topology:
         self.adjacent = {n: tuple(sorted(ms)) for n, ms in adjacent.items()}
         self.clients = tuple(sorted(n for n, info in self.nodes.items() if info.role == CLIENT))
 
-    def neighbors(self, node_id: str) -> tuple[str, ...]:
-        return self.adjacent.get(node_id, ())
-
 
 @dataclass(frozen=True)
 class Policy:
@@ -180,11 +177,6 @@ class EstablishResult:
     error: Optional[str] = None
 
 
-def _route_change(pattern: RealmPattern, next_hop, action: Action, rule_refs=()) -> ConfigChange:
-    entry = RealmEntry(pattern, next_hop, action, tuple(rule_refs))
-    return ConfigChange(southbound.MERGE, f"routing/{pattern.text}", entry)
-
-
 class Controller:
     def __init__(
         self,
@@ -222,11 +214,6 @@ class Controller:
             self.suspected.remove(node_id)
             self._next_hops.clear()
 
-    def load_policies(self, text: str) -> list[Policy]:
-        policies = load_policy(text, self.topology)
-        self.policies.extend(policies)
-        return policies
-
     # ------------------------------------------------------------------
     # job queue: handlers and provisioning run strictly one at a time
 
@@ -259,11 +246,6 @@ class Controller:
 
     def establish_adjacency(self, node_a: str, node_b: str, security: str, ttl=None) -> Reply:
         return self._submit(self._adjacency_job(node_a, node_b, security, ttl))
-
-    def install_route(self, node_id, pattern, next_hop, action, rule_refs=(), ttl=None) -> Reply:
-        return self._submit(
-            self._route_job(node_id, pattern, next_hop, action, tuple(rule_refs), ttl, None)
-        )
 
     def provision_realm(self, policy: Policy) -> Reply:
         return self._submit(self._provision_job(policy))
@@ -372,7 +354,7 @@ class Controller:
     def _node_ledger(self, node_id: str) -> dict:
         return self.ledger.setdefault(node_id, {"peers": {}, "routes": {}})
 
-    def _ledger_changes(self, node_id: str, changes, security: str, policy_id) -> None:
+    def _ledger_changes(self, node_id: str, changes, policy_id) -> None:
         """Record confirmed changes; the controller only ever ledgers merges."""
         entry = self._node_ledger(node_id)
         for ch in changes:
@@ -381,7 +363,7 @@ class Controller:
                 entry["peers"][key] = {
                     "peer_id": key,
                     "transport": ch.value.transport.value,
-                    "security": security,
+                    "security": PSK if isinstance(ch.value.credential, SharedSecret) else TLS,
                     "expiration": ch.value.expiration,
                     "policy": policy_id,
                 }
@@ -393,14 +375,6 @@ class Controller:
                     "expiration": ch.value.expiration,
                     "policy": policy_id,
                 }
-
-    def _has_route(self, node_id: str, pattern: RealmPattern, next_hop, action: Action) -> bool:
-        have = self.ledger.get(node_id, {}).get("routes", {}).get(pattern.text)
-        return (
-            have is not None
-            and have["next_hop"] == next_hop
-            and have["action"] == action.value
-        )
 
     def _policy_by_id(self, policy_id) -> Optional[Policy]:
         for p in self.policies:
@@ -475,8 +449,8 @@ class Controller:
             return EstablishResult("FAILED", 1, frame_a.error["code"])
 
         self.adjacencies[pair] = AdjacencyRecord(pair, "ESTABLISHED", security, fingerprint)
-        self._ledger_changes(a, changes_a, security, policy_id)
-        self._ledger_changes(b, changes_b, security, policy_id)
+        self._ledger_changes(a, changes_a, policy_id)
+        self._ledger_changes(b, changes_b, policy_id)
         log.info("adjacency %s-%s established (%s)", a, b, security)
         return EstablishResult("ESTABLISHED")
 
@@ -488,22 +462,6 @@ class Controller:
             for ch in reversed(changes)
             if ch.op == southbound.MERGE
         ]
-
-    def _route_job(self, node_id, pattern, next_hop, action, rule_refs, ttl, policy_id):
-        session = self.sessions.get(node_id)
-        if session is None:
-            return {"op": "route", "node": node_id, "outcome": "FAILED", "error": "NO_SESSION"}
-        changes = self._stamp([_route_change(pattern, next_hop, action, rule_refs)], ttl)
-        frame = yield session.edit_config(changes)
-        if frame.type != southbound.OK:
-            return {
-                "op": "route",
-                "node": node_id,
-                "outcome": "FAILED",
-                "error": frame.error["code"],
-            }
-        self._ledger_changes(node_id, changes, "", policy_id)
-        return {"op": "route", "node": node_id, "pattern": pattern.text, "outcome": "OK"}
 
     def _get_config_job(self, node_id):
         session = self.sessions.get(node_id)
@@ -538,41 +496,53 @@ class Controller:
                 n = next_hops[n]
         return order, unreachable
 
-    def _ensure_hop(self, policy: Policy, n: str, next_hop: str):
-        """Give ``n`` the policy's RELAY route via ``next_hop``. A missing
-        adjacency is established with the route in n's frame and, when the
-        next hop is the home, the home's LOCAL route in the mirror frame.
+    def _ensure_hop(self, policy: Policy, n: str, next_hop: Optional[str]):
+        """Give ``n`` the policy's route: RELAY via ``next_hop``, or LOCAL
+        when ``next_hop`` is None (``n`` is the home). A missing adjacency
+        is established with n's route in n's frame and, when the next hop
+        is the home, the home's LOCAL route in the mirror frame; with the
+        adjacency in place a missing route goes alone in one frame.
 
-        Returns the adjacency's EstablishResult, the route job's outcome,
+        Returns the adjacency's EstablishResult, the route frame's outcome,
         or None when nothing was missing."""
         pattern = policy.realm_pattern
-        home = policy.home_node
         ttl = policy.default_entry_ttl
-        record = self.adjacencies.get(frozenset((n, next_hop)))
-        need_route = not self._has_route(n, pattern, next_hop, Action.RELAY)
-        if record is None or record.status != "ESTABLISHED":
-            # Mirror side first: if n holds parked traffic, its lazy
-            # handshake must find the counterpart entry already in place.
-            extra_mirror = []
-            if next_hop == home and not self._has_route(home, pattern, None, Action.LOCAL):
-                extra_mirror = [_route_change(pattern, None, Action.LOCAL)]
-            extra_self = [_route_change(pattern, next_hop, Action.RELAY)] if need_route else []
-            return (yield from self._adjacency_job(
-                next_hop, n, policy.security, ttl, extra_mirror, extra_self, policy.policy_id
-            ))
-        if need_route:
-            return (yield from self._route_job(
-                n, pattern, next_hop, Action.RELAY, (), ttl, policy.policy_id
-            ))
-        return None
+
+        def missing_route(node: str, hop: Optional[str]) -> list[ConfigChange]:
+            action = Action.LOCAL if hop is None else Action.RELAY
+            have = self.ledger.get(node, {}).get("routes", {}).get(pattern.text)
+            if have is not None and have["next_hop"] == hop and have["action"] == action.value:
+                return []
+            entry = RealmEntry(pattern, hop, action)
+            return [ConfigChange(southbound.MERGE, f"routing/{pattern.text}", entry)]
+
+        route = missing_route(n, next_hop)
+        if next_hop is not None:
+            record = self.adjacencies.get(frozenset((n, next_hop)))
+            if record is None or record.status != "ESTABLISHED":
+                # Mirror side first: if n holds parked traffic, its lazy
+                # handshake must find the counterpart entry already in place.
+                mirror = missing_route(next_hop, None) if next_hop == policy.home_node else []
+                return (yield from self._adjacency_job(
+                    next_hop, n, policy.security, ttl, mirror, route, policy.policy_id
+                ))
+        if not route:
+            return None
+        session = self.sessions.get(n)
+        if session is None:
+            return {"op": "route", "node": n, "outcome": "FAILED", "error": "NO_SESSION"}
+        route = self._stamp(route, ttl)
+        frame = yield session.edit_config(route)
+        if frame.type != southbound.OK:
+            return {"op": "route", "node": n, "outcome": "FAILED", "error": frame.error["code"]}
+        self._ledger_changes(n, route, policy.policy_id)
+        return {"op": "route", "node": n, "pattern": pattern.text, "outcome": "OK"}
 
     def _provision_job(self, policy: Policy):
         """Install peers and routes along every client->home path, pairing
         each new adjacency with the new route in one edit-config frame."""
         report: list[dict] = []
         home = policy.home_node
-        pattern = policy.realm_pattern
-        ttl = policy.default_entry_ttl
         next_hops = self._next_hops_to(home)
         order, unreachable = self._client_paths(policy, next_hops)
         for client in unreachable:
@@ -591,17 +561,17 @@ class Controller:
                     failed.add(next_hop if result.failed_step == 1 else n)
             elif result is not None:
                 report.append(result)
-        if home not in failed and not self._has_route(home, pattern, None, Action.LOCAL):
-            outcome = yield from self._route_job(
-                home, pattern, None, Action.LOCAL, (), ttl, policy.policy_id
-            )
-            report.append(outcome)
+        if home not in failed:
+            result = yield from self._ensure_hop(policy, home, None)
+            if result is not None:
+                report.append(result)
         self.reports.append({"event": "provision", "policy": policy.policy_id, "report": report})
         return report
 
     def _acquire_job(self, note: Notification):
-        """Reactive path: answer an acquire-route with one combined
-        peer+route frame to the notifying node (plus the mirror frame)."""
+        """Reactive path: give the notifying node its hop of the matched
+        policy, with one combined peer+route frame (plus the mirror frame)
+        when the adjacency is missing."""
         n = note.node_id
         realm = note.realm
         policy = self._match_policy(realm)
@@ -609,44 +579,28 @@ class Controller:
             self.reports.append({"event": "unroutable", "node": n, "realm": realm.text})
             log.info("acquire from %s for %s: no policy", n, realm.text)
             return None
-        pattern = policy.realm_pattern
-        ttl = policy.default_entry_ttl
-        home = policy.home_node
-        if n == home:
-            if not self._has_route(home, pattern, None, Action.LOCAL):
-                return (yield from self._route_job(
-                    home, pattern, None, Action.LOCAL, (), ttl, policy.policy_id
-                ))
-            return None
-        next_hop = self._next_hops_to(home).get(n)
-        if next_hop is None:
-            self.reports.append(
-                {"event": "unroutable", "node": n, "realm": realm.text, "reason": "no path"}
-            )
-            return None
+        next_hop = None
+        if n != policy.home_node:
+            next_hop = self._next_hops_to(policy.home_node).get(n)
+            if next_hop is None:
+                self.reports.append(
+                    {"event": "unroutable", "node": n, "realm": realm.text, "reason": "no path"}
+                )
+                return None
         return (yield from self._ensure_hop(policy, n, next_hop))
 
     def _expired_job(self, note: Notification):
         """Re-provision an expired entry when its policy is still active."""
         node_entry = self.ledger.get(note.node_id, {})
-        owner = None
         if note.kind == Notification.PEER_EXPIRED:
             gone = node_entry.get("peers", {}).pop(note.peer_id, None)
-            pair = frozenset((note.node_id, note.peer_id))
-            record = self.adjacencies.get(pair)
+            record = self.adjacencies.get(frozenset((note.node_id, note.peer_id)))
             if record is not None:
                 record.status = "NONE"
-            owner = gone and gone.get("policy")
         else:
             gone = node_entry.get("routes", {}).pop(note.pattern.text, None)
-            owner = gone and gone.get("policy")
-        policy = self._policy_by_id(owner)
-        if policy is None:
-            self.reports.append(
-                {"event": "expired", "node": note.node_id, "outcome": "REMOVAL_CONFIRMED"}
-            )
-            return None
-        return (yield from self._provision_job(policy))
+        policy = self._policy_by_id(gone and gone.get("policy"))
+        return (yield from self._reprovision(policy, "expired", note, "REMOVAL_CONFIRMED"))
 
     def _forward_failure_job(self, note: Notification):
         """Suspect the failed peer's node, recompute next hops without it,
@@ -656,10 +610,13 @@ class Controller:
             self._next_hops.clear()
         log.info("forward failure at %s via %s; suspecting %s", note.node_id, note.peer_id, note.peer_id)
         policy = self._match_policy(note.realm)
+        return (yield from self._reprovision(policy, "forward-failure", note, "NO_POLICY"))
+
+    def _reprovision(self, policy: Optional[Policy], event: str, note: Notification, outcome: str):
+        """Re-provision the policy a notification concerns, or report that
+        there is none."""
         if policy is None:
-            self.reports.append(
-                {"event": "forward-failure", "node": note.node_id, "outcome": "NO_POLICY"}
-            )
+            self.reports.append({"event": event, "node": note.node_id, "outcome": outcome})
             return None
         return (yield from self._provision_job(policy))
 
@@ -698,7 +655,3 @@ class Controller:
             },
         }
         return json.dumps(state, separators=(",", ":"))
-
-    def save_snapshot(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.snapshot_json() + "\n")

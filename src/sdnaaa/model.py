@@ -668,7 +668,7 @@ def validate_changes(doc: ConfigDocument, touched) -> list[Violation]:
 
 REQUIRED = object()  # Leaf.default of a leaf that must be present
 _VALUE = attrgetter("value")  # Leaf.encode of an enum leaf
-_HEX_RE = re.compile(r"(?:[0-9a-fA-F]{2})*")  # bytes.fromhex alone also skips whitespace
+_HEX_RE = re.compile(r"(?:[0-9a-f]{2})*")  # bytes.fromhex alone also skips whitespace
 
 
 @dataclass(frozen=True)
@@ -762,10 +762,14 @@ def _integer(value, where: str) -> int:
 
 
 def _strings(collect: Callable) -> Callable:
+    """A leaf-list of strings; a repeated value is an error (RFC 7950 §7.7)."""
     def decode(value, where: str):
         if not isinstance(value, list):
             raise ModelError("SCHEMA_ERROR", f"{where}: expected list")
-        return collect(_string(item, where) for item in value)
+        items = [_string(item, where) for item in value]
+        if len(set(items)) != len(items):
+            raise ModelError("SCHEMA_ERROR", f"{where}: repeated value")
+        return collect(items)
     return decode
 
 
@@ -791,6 +795,9 @@ def _key_bytes_to_json(value: Union[bytes, str]) -> str:
 
 
 def _key_bytes(value, where: str) -> Union[bytes, str]:
+    """Hex digit pairs in lower case, the form the encoder writes, or the
+    redaction token. Upper case is rejected rather than accepted and
+    re-encoded in lower case, so decoding stays the inverse of encoding."""
     text = _string(value, where)
     if text == REDACTED:
         return text

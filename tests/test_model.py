@@ -476,6 +476,12 @@ def test_decode_rejects_bad_json():
         lambda o: o["tls"].append({
             "name": "t", "local_identity": "p0", "local_key": "00\n11", "trusted_identities": [],
         }),
+        # a repeated leaf-list value (RFC 7950 §7.7) and upper-case hex
+        lambda o: o["tls"].append({
+            "name": "t", "local_identity": "p0", "local_key": "00", "trusted_identities": ["b", "b"],
+        }),
+        lambda o: o["routing"][0].update(rule_refs=["r1", "r1"]),
+        lambda o: o["peers"][0]["credential"].update(secret="AB" * 16),
     ],
 )
 def test_decode_rejects_schema_errors(mutate):
@@ -501,6 +507,52 @@ def test_each_schema_declares_exactly_the_entity_fields():
     for schema in schemas:
         leaves = tuple(leaf.name for leaf in schema.leaves)
         assert leaves == tuple(f.name for f in dataclasses.fields(schema.cls)), schema.cls
+
+
+def _normalising_rewrites(obj):
+    """(path, value) pairs, each rewriting one leaf of ``obj`` into a form
+    decoding could only normalise: a repeated leaf-list value, or hex in
+    upper case."""
+    for i, t in enumerate(obj["tls"]):
+        yield ("tls", i, "trusted_identities"), t["trusted_identities"] * 2
+        yield ("tls", i, "local_key"), t["local_key"].upper()
+    for i, r in enumerate(obj["routing"]):
+        if r["rule_refs"]:
+            yield ("routing", i, "rule_refs"), r["rule_refs"] * 2
+    for i, p in enumerate(obj["peers"]):
+        if p["credential"]["kind"] == "shared-secret":
+            yield ("peers", i, "credential", "secret"), p["credential"]["secret"].upper()
+
+
+def test_every_decodable_text_re_encodes_to_its_canonical_form():
+    """Reordering entries and set members keeps the document; every other
+    rewrite that decoding would have to normalise is a SCHEMA_ERROR."""
+    rng = random.Random(20261018)
+    rewrites = 0
+    for _ in range(300):
+        doc = make_random_valid_doc(rng, max_entities=6)
+        text = model.encode_document(doc)
+        obj = json.loads(text)
+        for entries in obj.values():
+            rng.shuffle(entries)
+        for t in obj["tls"]:
+            rng.shuffle(t["trusted_identities"])
+        reordered = model.decode_document(json.dumps(obj))
+        assert reordered == doc
+        assert model.encode_document(reordered) == text
+        for (*parents, leaf), value in _normalising_rewrites(obj):
+            mutant = json.loads(json.dumps(obj))
+            holder = mutant
+            for key in parents:
+                holder = holder[key]
+            if holder[leaf] == value:
+                continue  # hex without a letter reads the same in upper case
+            holder[leaf] = value
+            with pytest.raises(ModelError) as err:
+                model.decode_document(json.dumps(mutant))
+            assert err.value.code == "SCHEMA_ERROR", (leaf, value)
+            rewrites += 1
+    assert rewrites > 300
 
 
 def test_round_trip_on_1000_random_documents():

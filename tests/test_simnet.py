@@ -405,7 +405,7 @@ def test_gen_random_topology_outputs_are_connected():
         frontier = [names[0]]
         while frontier:
             n = frontier.pop()
-            for m in t.neighbors(n):
+            for m in t.adjacent[n]:
                 if m not in seen:
                     seen.add(m)
                     frontier.append(m)
