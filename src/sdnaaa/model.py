@@ -705,8 +705,14 @@ class Schema:
         leaf = self.leaves[0]
         return leaf.encode(getattr(entity, leaf.name))
 
+    @cached_property
+    def _encoders(self) -> tuple:  # (name, encode) per leaf; None: the field is its own JSON
+        return tuple((leaf.name, None if leaf.encode is _same else leaf.encode)
+                     for leaf in self.leaves)
+
     def to_json(self, entity) -> dict:
-        return {leaf.name: leaf.encode(getattr(entity, leaf.name)) for leaf in self.leaves}
+        return {name: getattr(entity, name) if encode is None else encode(getattr(entity, name))
+                for name, encode in self._encoders}
 
     def from_json(self, obj, where: str):
         """Strict decode: no member but the leaves (and a case's ``kind``)."""
@@ -785,9 +791,11 @@ def _enum(enum_cls) -> Callable:
 def _pattern(value, where: str) -> RealmPattern:
     text = _string(value, where)
     try:
-        return RealmPattern.parse(text)
+        if text == text.lower():  # upper case is rejected, not lower-cased, as in a hex leaf
+            return RealmPattern.parse(text)
     except ModelError:  # BAD_REALM
-        raise ModelError("SCHEMA_ERROR", f"{where}: bad pattern") from None
+        pass
+    raise ModelError("SCHEMA_ERROR", f"{where}: bad pattern")
 
 
 def _key_bytes_to_json(value: Union[bytes, str]) -> str:

@@ -47,25 +47,34 @@ class ScenarioError(Exception):
 
 
 class EventLoop:
-    """Time-ordered callback queue; equal timestamps run in insertion order."""
+    """Calendar queue: one callback list per pending tick, a heap of the ticks.
+    Callbacks due at one tick run in scheduling order; one scheduled for the
+    current tick, or for a past time, runs after those already due."""
 
     def __init__(self):
         self.now = 0
-        self._heap: list = []
-        self._seq = 0
+        self._due: dict[int, list] = {}  # tick -> callbacks in scheduling order
+        self._times: list[int] = []  # heap of the keys of _due
 
     def call_at(self, time: int, fn) -> None:
-        heapq.heappush(self._heap, (max(time, self.now), self._seq, fn))
-        self._seq += 1
+        if time < self.now:
+            time = self.now
+        fns = self._due.get(time)
+        if fns is None:
+            self._due[time] = [fn]
+            heapq.heappush(self._times, time)
+        else:
+            fns.append(fn)
 
     def call_later(self, delay: int, fn) -> None:
         self.call_at(self.now + delay, fn)
 
     def run_until(self, stop_time: int) -> None:
-        while self._heap and self._heap[0][0] <= stop_time:
-            time, _seq, fn = heapq.heappop(self._heap)
-            self.now = time
-            fn()
+        times, due = self._times, self._due
+        while times and times[0] <= stop_time:
+            self.now = time = heapq.heappop(times)
+            for fn in due.pop(time):
+                fn()
         self.now = max(self.now, stop_time)
 
 
@@ -164,9 +173,7 @@ class Transcript:
         self._entries: list[dict] = []
 
     def add(self, time: int, actor: str, direction: str, **payload) -> None:
-        record = {"time": time, "actor": actor, "direction": direction}
-        record.update(payload)
-        self._entries.append(record)
+        self._entries.append({"time": time, "actor": actor, "direction": direction, **payload})
 
     def to_ndjson(self) -> str:
         entries = self._entries

@@ -511,12 +511,13 @@ def test_each_schema_declares_exactly_the_entity_fields():
 
 def _normalising_rewrites(obj):
     """(path, value) pairs, each rewriting one leaf of ``obj`` into a form
-    decoding could only normalise: a repeated leaf-list value, or hex in
-    upper case."""
+    decoding could only normalise: a repeated leaf-list value, or hex or a
+    routing pattern in upper case."""
     for i, t in enumerate(obj["tls"]):
         yield ("tls", i, "trusted_identities"), t["trusted_identities"] * 2
         yield ("tls", i, "local_key"), t["local_key"].upper()
     for i, r in enumerate(obj["routing"]):
+        yield ("routing", i, "pattern"), r["pattern"].upper()
         if r["rule_refs"]:
             yield ("routing", i, "rule_refs"), r["rule_refs"] * 2
     for i, p in enumerate(obj["peers"]):

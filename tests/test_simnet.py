@@ -1,4 +1,7 @@
+import heapq
 import json
+import random
+from collections import Counter
 from operator import methodcaller
 
 import pytest
@@ -33,6 +36,106 @@ def test_event_loop_never_schedules_into_the_past():
     loop.call_at(3, lambda: loop.call_at(1, lambda: fired.append(loop.now)))
     loop.run_until(10)
     assert fired == [3]
+
+
+class _HeapLoop:
+    """Reference scheduler: one heap of (time, seq, fn) over every callback."""
+
+    def __init__(self):
+        self.now = 0
+        self._heap = []
+        self._seq = 0
+
+    def call_at(self, time, fn):
+        heapq.heappush(self._heap, (max(time, self.now), self._seq, fn))
+        self._seq += 1
+
+    def call_later(self, delay, fn):
+        self.call_at(self.now + delay, fn)
+
+    def run_until(self, stop_time):
+        while self._heap and self._heap[0][0] <= stop_time:
+            self.now, _seq, fn = heapq.heappop(self._heap)
+            fn()
+        self.now = max(self.now, stop_time)
+
+
+def _random_schedule(rng):
+    """Segments of (roots, stop time), and what each callback schedules when
+    it runs: (method, argument, child) triples. Absolute times fall in a
+    narrow window, so many share a tick and many are already past."""
+    children = []
+
+    def spawn(depth):
+        cid = len(children)
+        children.append([])
+        for _ in range(rng.choice((0, 0, 1, 2, 3)) if depth < 4 else 0):
+            if rng.random() < 0.5:
+                step = ("call_later", rng.choice((0, 0, 0, 1, 2, 5)))
+            else:
+                step = ("call_at", rng.randint(0, 30))
+            children[cid].append((*step, spawn(depth + 1)))
+        return cid
+
+    stops = sorted(rng.randint(0, 40) for _ in range(rng.randint(1, 4))) + [10**6]
+    segments = [([(rng.randint(0, 30), spawn(0)) for _ in range(rng.randint(0, 8))], stop)
+                for stop in stops]
+    return segments, children
+
+
+def _play(loop, segments, children):
+    """(callback, now) at each call and (None, now) after each run_until."""
+    seen = []
+
+    def make(cid):
+        def fn():
+            seen.append((cid, loop.now))
+            for method, argument, child in children[cid]:
+                getattr(loop, method)(argument, make(child))
+        return fn
+
+    for roots, stop in segments:
+        for time, cid in roots:
+            loop.call_at(time, make(cid))
+        loop.run_until(stop)
+        seen.append((None, loop.now))
+    return seen
+
+
+def test_event_loop_runs_callbacks_in_the_order_of_a_time_seq_heap():
+    rng = random.Random(20261018)
+    zero_delay = clamped = largest_tick = 0
+    for _ in range(300):
+        segments, children = _random_schedule(rng)
+        seen = _play(EventLoop(), segments, children)
+        assert seen == _play(_HeapLoop(), segments, children)
+        runs = {cid: now for cid, now in seen if cid is not None}
+        largest_tick = max(largest_tick, *Counter(runs.values()).values(), 0)
+        for cid, steps in enumerate(children):
+            for method, argument, _child in steps:
+                if cid in runs:
+                    zero_delay += method == "call_later" and argument == 0
+                    clamped += method == "call_at" and argument < runs[cid]
+    assert zero_delay > 1000 and clamped > 1000 and largest_tick >= 20
+
+
+def test_a_wrapper_of_call_at_sees_callbacks_scheduled_by_call_later(monkeypatch):
+    """The benchmark counts events by replacing ``EventLoop.call_at`` on the
+    class; ``call_later`` must reach it."""
+    original = EventLoop.__dict__["call_at"]
+    scheduled, ran = [], []
+
+    def call_at(loop, when, fn):
+        scheduled.append(when)
+        return original(loop, when, lambda: (ran.append(when), fn()))
+
+    monkeypatch.setattr(EventLoop, "call_at", call_at)
+    loop = EventLoop()
+    loop.call_later(3, lambda: loop.call_later(0, lambda: None))
+    loop.call_at(1, lambda: loop.call_later(4, lambda: None))
+    loop.run_until(10)
+    assert scheduled == [3, 1, 5, 3]
+    assert ran == [1, 3, 3, 5]
 
 
 # ---------------------------------------------------------------------------
