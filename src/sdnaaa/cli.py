@@ -39,6 +39,15 @@ def _read(path: str) -> str:
         sys.exit(2)
 
 
+def _load(path: str) -> simnet.Scenario:
+    """The scenario at ``path``, or its coded error on one stderr line and exit 2."""
+    try:
+        return simnet.load_scenario(_read(path))
+    except model.CodedError as err:
+        click.echo(str(err), err=True)
+        sys.exit(2)
+
+
 def _write(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
@@ -67,7 +76,7 @@ def validate(path: str) -> None:
     if isinstance(obj, dict) and set(obj) == set(model.CONTAINERS):
         try:
             doc = model.decode_document(text)
-        except model.ModelError as err:
+        except model.CodedError as err:
             click.echo(str(err), err=True)
             sys.exit(1)
         violations = model.validate_document(doc)
@@ -79,7 +88,7 @@ def validate(path: str) -> None:
     elif isinstance(obj, dict) and "topology" in obj:
         try:
             simnet.load_scenario(text)
-        except (simnet.ScenarioError, model.ModelError) as err:
+        except model.CodedError as err:
             click.echo(str(err), err=True)
             sys.exit(1)
         click.echo("scenario ok", err=True)
@@ -99,12 +108,7 @@ def validate(path: str) -> None:
               help="Write the metrics JSON here as well as to stdout.")
 def run(path, mode, seed_override, transcript_path, metrics_path) -> None:
     """Run a scenario; exits 0 only when no message ended in error."""
-    text = _read(path)
-    try:
-        scenario = simnet.load_scenario(text)
-    except (simnet.ScenarioError, model.ModelError) as err:
-        click.echo(str(err), err=True)
-        sys.exit(2)
+    scenario = _load(path)
     if mode is not None:
         scenario.mode = mode.upper()
     if seed_override is not None:
@@ -125,12 +129,7 @@ def run(path, mode, seed_override, transcript_path, metrics_path) -> None:
               help="Logical time to replay the scenario to.")
 def inspect(scenario_path: str, node_id: str, at_time: int) -> None:
     """Replay a scenario and print the node's redacted running config."""
-    text = _read(scenario_path)
-    try:
-        scenario = simnet.load_scenario(text)
-    except (simnet.ScenarioError, model.ModelError) as err:
-        click.echo(str(err), err=True)
-        sys.exit(2)
+    scenario = _load(scenario_path)
     if node_id not in scenario.topology.nodes:
         click.echo(f"unknown node {node_id!r}", err=True)
         sys.exit(1)

@@ -21,7 +21,7 @@ from typing import Optional
 from . import model, southbound
 from .model import (
     Action,
-    ModelError,
+    CodedError,
     Notification,
     PeerEntry,
     Realm,
@@ -42,12 +42,6 @@ AGENT = "AGENT"
 
 PSK = "psk"
 TLS = "tls"
-
-
-class PolicyError(Exception):
-    def __init__(self, code: str, detail: str = ""):
-        super().__init__(f"{code}: {detail}" if detail else code)
-        self.code = code
 
 
 @dataclass
@@ -110,21 +104,21 @@ def load_policy(text: str, topology: Topology) -> list[Policy]:
             or tokens[2] != "via"
             or tokens[4] != "security"
         ):
-            raise PolicyError("PARSE_ERROR", f"line {lineno}: {line!r}")
+            raise CodedError("PARSE_ERROR", f"line {lineno}: {line!r}")
         try:
             pattern = RealmPattern.parse(tokens[1])
-        except ModelError:
-            raise PolicyError("PARSE_ERROR", f"line {lineno}: bad pattern {tokens[1]!r}") from None
+        except CodedError:
+            raise CodedError("PARSE_ERROR", f"line {lineno}: bad pattern {tokens[1]!r}") from None
         home = tokens[3]
         if home not in topology.nodes:
-            raise PolicyError("UNKNOWN_HOME_NODE", home)
+            raise CodedError("UNKNOWN_HOME_NODE", home)
         security = tokens[5]
         if security not in (PSK, TLS):
-            raise PolicyError("PARSE_ERROR", f"line {lineno}: bad security {security!r}")
+            raise CodedError("PARSE_ERROR", f"line {lineno}: bad security {security!r}")
         ttl = None
         if len(tokens) == 8:
             if tokens[6] != "ttl" or not tokens[7].isdigit() or int(tokens[7]) <= 0:
-                raise PolicyError("PARSE_ERROR", f"line {lineno}: bad ttl")
+                raise CodedError("PARSE_ERROR", f"line {lineno}: bad ttl")
             ttl = int(tokens[7])
         policies.append(Policy(f"p{len(policies) + 1}", pattern, home, security, ttl))
     return policies
@@ -286,53 +280,26 @@ class Controller:
     def _adjacency_changes(self, a: str, b: str, security: str):
         """Fabricate one credential pair; the raw material lives only in the
         returned changes, the controller keeps the fingerprint."""
+        def side(other: str, identity: str, transport: Transport, credential, *material) -> list:
+            """The credential material, then the peer entry for ``other``."""
+            entry = PeerEntry(other, identity, self._address(other),
+                              model.TRANSPORT_PORTS[transport], transport, credential)
+            return [*material, ConfigChange(southbound.MERGE, f"peers/{other}", entry)]
+
         if security == PSK:
             secret = self.rng.randbytes(32)
-            fingerprint = hashlib.sha256(secret).hexdigest()
-
-            def entry(other: str) -> PeerEntry:
-                return PeerEntry(
-                    peer_id=other,
-                    identity=other,
-                    host=self._address(other),
-                    port=model.TRANSPORT_PORTS[Transport.RADIUS_UDP],
-                    transport=Transport.RADIUS_UDP,
-                    credential=SharedSecret(secret),
-                )
-
-            return (
-                [ConfigChange(southbound.MERGE, f"peers/{b}", entry(b))],
-                [ConfigChange(southbound.MERGE, f"peers/{a}", entry(a))],
-                fingerprint,
-            )
-
+            credential = SharedSecret(secret)
+            return (side(b, b, Transport.RADIUS_UDP, credential),
+                    side(a, a, Transport.RADIUS_UDP, credential),
+                    hashlib.sha256(secret).hexdigest())
         key_a = self.rng.randbytes(32)
         key_b = self.rng.randbytes(32)
-        fingerprint = hashlib.sha256(key_a + key_b).hexdigest()
-        prof_a = TlsProfile(f"tls-{a}-{b}", f"{a}-cert", key_a, frozenset({f"{b}-cert"}))
-        prof_b = TlsProfile(f"tls-{b}-{a}", f"{b}-cert", key_b, frozenset({f"{a}-cert"}))
-
-        def entry(other: str, profile: str) -> PeerEntry:
-            return PeerEntry(
-                peer_id=other,
-                identity=f"{other}-cert",
-                host=self._address(other),
-                port=model.TRANSPORT_PORTS[Transport.RADIUS_TLS],
-                transport=Transport.RADIUS_TLS,
-                credential=TlsRef(profile),
-            )
-
-        return (
-            [
-                ConfigChange(southbound.MERGE, f"tls/{prof_a.name}", prof_a),
-                ConfigChange(southbound.MERGE, f"peers/{b}", entry(b, prof_a.name)),
-            ],
-            [
-                ConfigChange(southbound.MERGE, f"tls/{prof_b.name}", prof_b),
-                ConfigChange(southbound.MERGE, f"peers/{a}", entry(a, prof_b.name)),
-            ],
-            fingerprint,
-        )
+        sides = []
+        for own, other, key in ((a, b, key_a), (b, a, key_b)):
+            profile = TlsProfile(f"tls-{own}-{other}", f"{own}-cert", key, frozenset({f"{other}-cert"}))
+            sides.append(side(other, f"{other}-cert", Transport.RADIUS_TLS, TlsRef(profile.name),
+                              ConfigChange(southbound.MERGE, f"tls/{profile.name}", profile)))
+        return sides[0], sides[1], hashlib.sha256(key_a + key_b).hexdigest()
 
     def _stamp(self, changes, ttl: Optional[int]):
         """Fix absolute expirations so entry lifetime measured from node-side

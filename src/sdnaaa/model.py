@@ -30,8 +30,9 @@ MIN_SECRET_LEN = 16
 MAX_SECRET_LEN = 64
 
 
-class ModelError(ValueError):
-    """Parse or decode failure; ``code`` is the machine-readable reason."""
+class CodedError(Exception):
+    """Any layer's failure on bad input or state; ``code`` is the
+    machine-readable reason, the message ``code: detail`` or just ``code``."""
 
     def __init__(self, code: str, detail: str = ""):
         super().__init__(f"{code}: {detail}" if detail else code)
@@ -55,7 +56,7 @@ class Realm:
         if not (1 <= len(labels) <= _MAX_REALM_LABELS) or not all(
             _LABEL_RE.match(label) for label in labels
         ):
-            raise ModelError("BAD_REALM", text)
+            raise CodedError("BAD_REALM", text)
         return cls(labels)
 
     @cached_property  # stored in the instance dict; eq and hash use the fields
@@ -87,12 +88,12 @@ def split_nai(text: str) -> tuple[str, str]:
     Errors: NO_AT_SIGN, EMPTY_USER, BAD_USER (embedded '@').
     """
     if "@" not in text:
-        raise ModelError("NO_AT_SIGN", text)
+        raise CodedError("NO_AT_SIGN", text)
     user, _, realm_text = text.rpartition("@")
     if not user:
-        raise ModelError("EMPTY_USER", text)
+        raise CodedError("EMPTY_USER", text)
     if "@" in user:
-        raise ModelError("BAD_USER", text)
+        raise CodedError("BAD_USER", text)
     return user, realm_text
 
 
@@ -385,7 +386,7 @@ class ConfigDocument:
     held as a dict from entity key (the schema's first leaf) to entity. Dict
     order carries no meaning; the canonical encoding sorts by key. A
     container given as a sequence is keyed on construction, and a repeated
-    key raises ModelError with the container's DUPLICATE_* code. Containers
+    key raises CodedError with the container's DUPLICATE_* code. Containers
     are never changed in place; with_entry / without_entry copy one.
     """
 
@@ -416,7 +417,7 @@ class ConfigDocument:
 def entry_key(container: str, entity) -> str:
     """The unique key an entity is stored under within its container."""
     if container not in SCHEMAS:
-        raise ModelError("BAD_CONTAINER", container)
+        raise CodedError("BAD_CONTAINER", container)
     return SCHEMAS[container].key_of(entity)
 
 
@@ -426,7 +427,7 @@ def _keyed(container: str, entities) -> dict:
     for entity in entities:
         key = schema.key_of(entity)
         if key in out:
-            raise ModelError(schema.duplicate, f"{container}/{key}")
+            raise CodedError(schema.duplicate, f"{container}/{key}")
         out[key] = entity
     return out
 
@@ -717,15 +718,15 @@ class Schema:
     def from_json(self, obj, where: str):
         """Strict decode: no member but the leaves (and a case's ``kind``)."""
         if not isinstance(obj, dict):
-            raise ModelError("SCHEMA_ERROR", f"{where}: expected object")
+            raise CodedError("SCHEMA_ERROR", f"{where}: expected object")
         for name in obj:
             if name not in self._members:
-                raise ModelError("SCHEMA_ERROR", f"{where}: unknown key {name!r}")
+                raise CodedError("SCHEMA_ERROR", f"{where}: unknown key {name!r}")
         values = []
         for leaf in self.leaves:
             value = obj.get(leaf.name, leaf.default)
             if value is REQUIRED:
-                raise ModelError("SCHEMA_ERROR", f"{where}: missing key {leaf.name!r}")
+                raise CodedError("SCHEMA_ERROR", f"{where}: missing key {leaf.name!r}")
             values.append(value if value is leaf.default else leaf.decode(value, f"{where}.{leaf.name}"))
         return self.cls(*values)
 
@@ -748,7 +749,7 @@ class Choice:
         for case in self.cases:
             if kind == case.kind:
                 return case.from_json(obj, where)
-        raise ModelError("SCHEMA_ERROR", f"{where}: bad kind {kind!r}")
+        raise CodedError("SCHEMA_ERROR", f"{where}: bad kind {kind!r}")
 
 
 def _same(value):
@@ -757,13 +758,13 @@ def _same(value):
 
 def _string(value, where: str) -> str:
     if not isinstance(value, str):
-        raise ModelError("SCHEMA_ERROR", f"{where}: expected string")
+        raise CodedError("SCHEMA_ERROR", f"{where}: expected string")
     return value
 
 
 def _integer(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ModelError("SCHEMA_ERROR", f"{where}: expected integer")
+        raise CodedError("SCHEMA_ERROR", f"{where}: expected integer")
     return value
 
 
@@ -771,20 +772,21 @@ def _strings(collect: Callable) -> Callable:
     """A leaf-list of strings; a repeated value is an error (RFC 7950 §7.7)."""
     def decode(value, where: str):
         if not isinstance(value, list):
-            raise ModelError("SCHEMA_ERROR", f"{where}: expected list")
+            raise CodedError("SCHEMA_ERROR", f"{where}: expected list")
         items = [_string(item, where) for item in value]
         if len(set(items)) != len(items):
-            raise ModelError("SCHEMA_ERROR", f"{where}: repeated value")
+            raise CodedError("SCHEMA_ERROR", f"{where}: repeated value")
         return collect(items)
     return decode
 
 
 def _enum(enum_cls) -> Callable:
     def decode(value, where: str):
+        text = _string(value, where)
         try:
-            return enum_cls(_string(value, where))
+            return enum_cls(text)
         except ValueError:
-            raise ModelError("SCHEMA_ERROR", f"{where}: bad value {value!r}") from None
+            raise CodedError("SCHEMA_ERROR", f"{where}: bad value {value!r}") from None
     return decode
 
 
@@ -793,9 +795,9 @@ def _pattern(value, where: str) -> RealmPattern:
     try:
         if text == text.lower():  # upper case is rejected, not lower-cased, as in a hex leaf
             return RealmPattern.parse(text)
-    except ModelError:  # BAD_REALM
+    except CodedError:  # BAD_REALM
         pass
-    raise ModelError("SCHEMA_ERROR", f"{where}: bad pattern")
+    raise CodedError("SCHEMA_ERROR", f"{where}: bad pattern")
 
 
 def _key_bytes_to_json(value: Union[bytes, str]) -> str:
@@ -810,7 +812,7 @@ def _key_bytes(value, where: str) -> Union[bytes, str]:
     if text == REDACTED:
         return text
     if not _HEX_RE.fullmatch(text):
-        raise ModelError("SCHEMA_ERROR", f"{where}: expected hex bytes")
+        raise CodedError("SCHEMA_ERROR", f"{where}: expected hex bytes")
     return bytes.fromhex(text)
 
 
@@ -865,7 +867,7 @@ def entity_to_json(container: str, entity) -> dict:
 
 def entity_from_json(container: str, obj) -> object:
     if container not in SCHEMAS:
-        raise ModelError("SCHEMA_ERROR", f"bad container {container!r}")
+        raise CodedError("SCHEMA_ERROR", f"bad container {container!r}")
     return SCHEMAS[container].from_json(obj, container)
 
 
@@ -886,15 +888,15 @@ def encode_document(doc: ConfigDocument) -> str:
 def document_from_json(obj) -> ConfigDocument:
     """Errors: SCHEMA_ERROR, or a DUPLICATE_* code for a repeated key."""
     if not isinstance(obj, dict):
-        raise ModelError("SCHEMA_ERROR", "top level must be an object")
+        raise CodedError("SCHEMA_ERROR", "top level must be an object")
     if set(obj) != set(CONTAINERS):
         bad = sorted(set(obj) ^ set(CONTAINERS))[0]
-        raise ModelError("SCHEMA_ERROR", f"bad top-level key {bad!r}")
+        raise CodedError("SCHEMA_ERROR", f"bad top-level key {bad!r}")
     parts = {}
     for container, schema in SCHEMAS.items():
         entries = obj[container]
         if not isinstance(entries, list):
-            raise ModelError("SCHEMA_ERROR", f"{container} must be a list")
+            raise CodedError("SCHEMA_ERROR", f"{container} must be a list")
         parts[container] = tuple(schema.from_json(e, container) for e in entries)
     return ConfigDocument(**parts)
 
@@ -905,7 +907,7 @@ def decode_document(text: str) -> ConfigDocument:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
-        raise ModelError("PARSE_ERROR", str(err)) from None
+        raise CodedError("PARSE_ERROR", str(err)) from None
     return document_from_json(obj)
 
 

@@ -19,6 +19,7 @@ from . import model, southbound
 from .model import (
     AaaMessage,
     Action,
+    CodedError,
     Direction,
     MsgKind,
     Notification,
@@ -35,18 +36,8 @@ PENDING_LIMIT = 64
 PENDING_TIMEOUT_MS = 5000
 REDIRECT_HINT_TTL_MS = 30000
 
-IDLE = "IDLE"
-ESTABLISHED = "ESTABLISHED"
-FAILED = "FAILED"
-
 UP = "UP"
 DOWN = "DOWN"
-
-
-class RuleError(Exception):
-    def __init__(self, code: str, attribute: str = ""):
-        super().__init__(f"{code}: {attribute}" if attribute else code)
-        self.code = code
 
 
 def apply_attribute_rules(msg: AaaMessage, rules, direction: Direction) -> AaaMessage:
@@ -62,13 +53,13 @@ def apply_attribute_rules(msg: AaaMessage, rules, direction: Direction) -> AaaMe
             continue
         if rule.op is RuleOp.ADD:
             if rule.attribute in attrs:
-                raise RuleError("ADD_EXISTS", rule.attribute)
+                raise CodedError("ADD_EXISTS", rule.attribute)
             attrs[rule.attribute] = rule.value
         elif rule.op is RuleOp.REMOVE:
             attrs.pop(rule.attribute, None)
         else:  # REPLACE
             if rule.attribute not in attrs:
-                raise RuleError("REPLACE_MISSING", rule.attribute)
+                raise CodedError("REPLACE_MISSING", rule.attribute)
             attrs[rule.attribute] = rule.value
     return msg.copy(attributes=attrs)
 
@@ -146,7 +137,7 @@ class Node:
         self.session = None
 
         self.running = model.ConfigDocument()
-        self.channels: dict[str, str] = {}  # peer_id -> ESTABLISHED or FAILED
+        self.channels: set[str] = set()  # peer ids with an established channel
         self.pending: dict[str, _PendingQueue] = {}
         self.route_cache: dict[str, RealmEntry] = {}
 
@@ -160,9 +151,6 @@ class Node:
 
     def is_up(self) -> bool:
         return self.state == UP
-
-    def channel_status(self, peer_id: str) -> str:
-        return self.channels.get(peer_id, IDLE)
 
     # ------------------------------------------------------------------
     # southbound configuration
@@ -179,7 +167,7 @@ class Node:
         try:
             for change in changes:
                 doc = self._apply_one(doc, change)
-        except southbound.SouthboundError as err:
+        except CodedError as err:
             return False, {"code": err.code, "detail": [str(err)]}
         violations = model.validate_changes(doc, [c.container_key() for c in changes])
         if violations:
@@ -197,15 +185,15 @@ class Node:
         container, key = change.container_key()
         if change.op == southbound.MERGE:
             if change.value is None:
-                raise southbound.SouthboundError("BAD_PATH", f"{change.path}: merge without value")
+                raise CodedError("BAD_PATH", f"{change.path}: merge without value")
             if model.entry_key(container, change.value) != key:
-                raise southbound.SouthboundError("BAD_PATH", f"{change.path}: key mismatch")
+                raise CodedError("BAD_PATH", f"{change.path}: key mismatch")
             return model.with_entry(doc, container, key, change.value)
         if change.op == southbound.DELETE:
             if key not in getattr(doc, container):
-                raise southbound.SouthboundError("BAD_PATH", f"{change.path}: no such entry")
+                raise CodedError("BAD_PATH", f"{change.path}: no such entry")
             return model.without_entry(doc, container, key)
-        raise southbound.SouthboundError("BAD_PATH", f"{change.path}: bad op {change.op!r}")
+        raise CodedError("BAD_PATH", f"{change.path}: bad op {change.op!r}")
 
     def _after_apply(self, old: model.ConfigDocument, changes) -> None:
         routing_touched = False
@@ -230,13 +218,13 @@ class Node:
             self._flush_pending()
 
     def _drop_channel_pair(self, entry: model.PeerEntry) -> None:
-        self.channels.pop(entry.peer_id, None)
+        self.channels.discard(entry.peer_id)
         peer_node = self.network.node_by_address(entry.host)
         if peer_node is None:
             return
         mirror = peer_node.peer_for_host(self.address)
         if mirror is not None:
-            peer_node.channels.pop(mirror.peer_id, None)
+            peer_node.channels.discard(mirror.peer_id)
 
     def peer_for_host(self, host: str) -> Optional[model.PeerEntry]:
         """The peer entry behind ``host``; the smallest peer_id when
@@ -267,12 +255,12 @@ class Node:
         reason, peer_node, mirror = self._handshake_verdict(peer_id)
         ok = reason is None
         if ok:
-            self.channels[peer_id] = ESTABLISHED
-            peer_node.channels[mirror.peer_id] = ESTABLISHED
+            self.channels.add(peer_id)
+            peer_node.channels.add(mirror.peer_id)
             self.network.transcript.add(self.loop.now, self.node_id, "channel-up",
                                         peer=peer_node.node_id)
         else:
-            self.channels[peer_id] = FAILED
+            self.channels.discard(peer_id)
         for cb in waiters:
             cb(ok, reason)
         if ok:
@@ -359,7 +347,7 @@ class Node:
             rules = [self.running.rule(ref) for ref in entry.rule_refs]
             try:
                 msg = apply_attribute_rules(msg, rules, Direction.OUTGOING)
-            except RuleError as err:
+            except CodedError as err:
                 self._fail(msg, err.code)
                 return
             self._forward(msg, entry.next_hop)
@@ -372,15 +360,15 @@ class Node:
             # join it to keep per-realm FIFO, and keep probing the channel so
             # a recovery flushes the whole queue
             self._park(msg, self.loop.now, acquire=False)
-            if self.channels.get(peer_id) != ESTABLISHED:
+            if peer_id not in self.channels:
                 self.establish_channel(peer_id, lambda ok, reason: None)
             return
         self._send(peer_id, msg)
 
     def _send(self, peer_id: str, record) -> None:
-        """Transmit ``record`` to ``peer_id`` over an ESTABLISHED channel,
+        """Transmit ``record`` to ``peer_id`` over an established channel,
         else after a handshake; a record that cannot go out goes to _unsent."""
-        if self.channels.get(peer_id) == ESTABLISHED:
+        if peer_id in self.channels:
             self._transmit(peer_id, record)
             return
 

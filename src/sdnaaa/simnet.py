@@ -25,12 +25,11 @@ from .controller import (
     Controller,
     NodeInfo,
     Policy,
-    PolicyError,
     Topology,
     compute_next_hops,
     load_policy,
 )
-from .model import AaaMessage, MsgKind, Realm
+from .model import AaaMessage, CodedError, MsgKind, Realm
 
 PROACTIVE = "PROACTIVE"
 REACTIVE = "REACTIVE"
@@ -38,12 +37,6 @@ REACTIVE = "REACTIVE"
 ROLES = (CLIENT, SERVER, AGENT)
 
 EVENT_KINDS = ("inject", "node-down", "node-up", "snapshot")
-
-
-class ScenarioError(Exception):
-    def __init__(self, code: str, detail: str = ""):
-        super().__init__(f"{code}: {detail}" if detail else code)
-        self.code = code
 
 
 class EventLoop:
@@ -299,13 +292,12 @@ class Network:
 
     def invalidate_channels_to(self, downed) -> None:
         address = downed.address
-        for nid in sorted(self.nodes):
-            other = self.nodes[nid]
+        for other in self.nodes.values():
             if other is downed:
                 continue
             for p in other.running.peers.values():
                 if p.host == address:
-                    other.channels.pop(p.peer_id, None)
+                    other.channels.discard(p.peer_id)
 
 
 # ---------------------------------------------------------------------------
@@ -336,19 +328,11 @@ class Scenario:
 
 def _require(cond: bool, code: str, detail: str = "") -> None:
     if not cond:
-        raise ScenarioError(code, detail)
+        raise CodedError(code, detail)
 
 
 def _is_str_map(obj) -> bool:
     return isinstance(obj, dict) and all(isinstance(x, str) for kv in obj.items() for x in kv)
-
-
-def _decode(parse, value):
-    """``parse(value)`` with a model error turned into a ScenarioError."""
-    try:
-        return parse(value)
-    except model.ModelError as err:
-        raise ScenarioError(err.code, str(err)) from None
 
 
 def scenario_from_dict(obj: dict) -> Scenario:
@@ -380,7 +364,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
 
     def realm_of(text: str) -> Realm:
         if text not in realms_by_text:
-            realms_by_text[text] = _decode(Realm.parse, text)
+            realms_by_text[text] = Realm.parse(text)
         return realms_by_text[text]
 
     users_of: dict[str, dict[str, str]] = {}
@@ -441,10 +425,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
         and all(isinstance(p, str) for p in policies_obj),
         "PARSE_ERROR", "policies",
     )
-    try:
-        policies = load_policy("\n".join(policies_obj), topology)
-    except PolicyError as err:
-        raise ScenarioError(err.code, str(err)) from None
+    policies = load_policy("\n".join(policies_obj), topology)
 
     _require(isinstance(obj["events"], list), "PARSE_ERROR", "events")
     valid_nais: set[str] = set()
@@ -458,7 +439,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
         _require(isinstance(time, int) and not isinstance(time, bool) and time >= 0,
                  "PARSE_ERROR", "event time")
         if last_time is not None and time < last_time:
-            raise ScenarioError("UNSORTED_EVENTS", f"t={time} after t={last_time}")
+            raise CodedError("UNSORTED_EVENTS", f"t={time} after t={last_time}")
         last_time = time
         if kind == "inject":
             _require(
@@ -472,7 +453,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
                 "PARSE_ERROR", "inject nai and password must be strings",
             )
             if raw["nai"] not in valid_nais:
-                realm_of(_decode(model.split_nai, raw["nai"])[1])
+                realm_of(model.split_nai(raw["nai"])[1])
                 valid_nais.add(raw["nai"])
             events.append(Event(time, kind, node=raw["at"], nai=raw["nai"],
                                 password=raw["password"]))
@@ -496,7 +477,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
     static_config: dict[str, model.ConfigDocument] = {}
     for nid, doc_obj in static_obj.items():
         _require(nid in infos, "UNKNOWN_NODE", nid)
-        static_config[nid] = _decode(model.document_from_json, doc_obj)
+        static_config[nid] = model.document_from_json(doc_obj)
 
     return Scenario(
         seed=seed,
@@ -516,12 +497,12 @@ def load_scenario(text: str) -> Scenario:
 
     Errors: PARSE_ERROR, UNKNOWN_NODE, UNSORTED_EVENTS, plus the policy,
     realm, NAI and document codes of the embedded formats (a static_config
-    that repeats a key gives its DUPLICATE_* code); always a ScenarioError.
+    that repeats a key gives its DUPLICATE_* code); always a CodedError.
     """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
-        raise ScenarioError("PARSE_ERROR", str(err)) from None
+        raise CodedError("PARSE_ERROR", str(err)) from None
     return scenario_from_dict(obj)
 
 
@@ -671,11 +652,8 @@ class Simulation:
 
     def _finalize(self) -> None:
         pairs = set()
-        for nid in sorted(self.nodes):
-            n = self.nodes[nid]
-            for peer_id, status in n.channels.items():
-                if status != node_mod.ESTABLISHED:
-                    continue
+        for nid, n in self.nodes.items():
+            for peer_id in n.channels:
                 entry = n.running.peer(peer_id)
                 other = self.network.node_by_address(entry.host) if entry else None
                 if other is not None:
@@ -703,12 +681,12 @@ def gen_random_topology(
     AGENTs. Rejection-samples edge sets until connected; deterministic for a
     given seed. Raises GIVE_UP after 1000 attempts."""
     if not (3 <= n_nodes <= 64):
-        raise ScenarioError("BAD_ARGS", f"n_nodes {n_nodes}")
+        raise CodedError("BAD_ARGS", f"n_nodes {n_nodes}")
     if not (0 < edge_prob <= 1):
-        raise ScenarioError("BAD_ARGS", f"edge_prob {edge_prob}")
+        raise CodedError("BAD_ARGS", f"edge_prob {edge_prob}")
     realm_objs = [Realm.parse(r) for r in realms]
     if n_nodes < len(realm_objs) + 1:
-        raise ScenarioError("BAD_ARGS", "not enough nodes for realms plus a client")
+        raise CodedError("BAD_ARGS", "not enough nodes for realms plus a client")
     rng = random.Random(seed)
     names = [f"n{i:02d}" for i in range(n_nodes)]
     infos: dict[str, NodeInfo] = {}
@@ -733,5 +711,5 @@ def gen_random_topology(
         # connected: every other node has a next hop toward the first
         if len(compute_next_hops(topology, names[0])) == n_nodes - 1:
             return topology
-    raise ScenarioError("GIVE_UP", f"no connected graph after 1000 attempts (p={edge_prob})")
+    raise CodedError("GIVE_UP", f"no connected graph after 1000 attempts (p={edge_prob})")
 

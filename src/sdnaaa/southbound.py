@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import model
+from .model import CodedError
 
 LATENCY = 1
 
@@ -26,14 +27,6 @@ NOTIFICATION = "notification"
 
 MERGE = "merge"
 DELETE = "delete"
-
-
-class SouthboundError(Exception):
-    """Session-level failure; ``code`` is machine readable."""
-
-    def __init__(self, code: str, detail: str = ""):
-        super().__init__(f"{code}: {detail}" if detail else code)
-        self.code = code
 
 
 class Reply:
@@ -96,7 +89,7 @@ class ConfigChange:
     def container_key(self) -> tuple[str, str]:
         container, sep, key = self.path.partition("/")
         if not sep or container not in model.CONTAINERS or not key:
-            raise SouthboundError("BAD_PATH", self.path)
+            raise CodedError("BAD_PATH", self.path)
         return container, key
 
     def to_json(self) -> dict:
@@ -153,7 +146,7 @@ def frame_from_json(obj: dict) -> Frame:
         return Frame(obj["txn"], ftype, note=model.notification_from_json(obj["note"]))
     if ftype in (GET_CONFIG, OK):
         return Frame(obj["txn"], ftype)
-    raise SouthboundError("BAD_FRAME", ftype)
+    raise CodedError("BAD_FRAME", ftype)
 
 
 def frame_to_line(frame: Frame) -> str:
@@ -249,11 +242,11 @@ def open_session(controller_id: str, node, loop, recorder=None, on_notification=
     NODE_DOWN, SESSION_EXISTS.
     """
     if controller_id != node.authorized_controller:
-        raise SouthboundError("UNAUTHORIZED", controller_id)
+        raise CodedError("UNAUTHORIZED", controller_id)
     if not node.is_up():
-        raise SouthboundError("NODE_DOWN", node.node_id)
+        raise CodedError("NODE_DOWN", node.node_id)
     if node.session is not None:
-        raise SouthboundError("SESSION_EXISTS", node.node_id)
+        raise CodedError("SESSION_EXISTS", node.node_id)
     session = Session(node, loop, recorder, on_notification)
     node.session = session
     return session

@@ -129,6 +129,16 @@ MALFORMED_SCENARIOS = {
         lambda o: o.update(static_config={"ac": dict(_EMPTY_DOC, peers=[_PEER, _PEER])}),
         "DUPLICATE_PEER_ID",
     ),
+    "policy-unknown-home": (
+        lambda o: o.update(policies=["route realm.org via zz security tls"]), "UNKNOWN_HOME_NODE",
+    ),
+    "policy-bad-pattern": (
+        lambda o: o.update(policies=["route realm..org via ah security tls"]), "PARSE_ERROR",
+    ),
+    "node-realm-bad": (lambda o: o["topology"]["nodes"]["ai"].update(realms=["a..b"]), "BAD_REALM"),
+    "static-container-not-list": (
+        lambda o: o.update(static_config={"ac": dict(_EMPTY_DOC, peers={})}), "SCHEMA_ERROR",
+    ),
 }
 
 
@@ -139,13 +149,16 @@ def test_malformed_scenario_is_a_coded_load_error(runner, tmp_path, case):
     mutate(obj)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
-    with pytest.raises(simnet.ScenarioError) as err:
+    with pytest.raises(model.CodedError) as err:
         simnet.load_scenario(path.read_text())
     assert err.value.code == code
+    message = str(err.value)
+    assert message == code or message.startswith(f"{code}: ")
+    assert not message.startswith(f"{code}: {code}")
     validated = invoke(runner, "validate", str(path))
-    assert validated.exit_code == 1 and code in validated.stderr
+    assert validated.exit_code == 1 and validated.stderr.splitlines() == [message]
     ran = invoke(runner, "run", str(path))
-    assert ran.exit_code == 2 and code in ran.stderr
+    assert ran.exit_code == 2 and ran.stderr.splitlines() == [message]
 
 
 def test_validate_document_with_duplicate_key_names_it(runner, tmp_path):

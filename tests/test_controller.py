@@ -6,12 +6,11 @@ from conftest import chain_nodes, fw_distances, inject, make_scenario, run_all, 
 from sdnaaa import controller as controller_mod, simnet, southbound
 from sdnaaa.controller import (
     NodeInfo,
-    PolicyError,
     Topology,
     compute_next_hops,
     load_policy,
 )
-from sdnaaa.model import Action, ConfigDocument, Realm, RealmEntry, RealmPattern
+from sdnaaa.model import Action, CodedError, ConfigDocument, Realm, RealmEntry, RealmPattern
 
 
 def topo(names_roles: dict[str, str], links) -> Topology:
@@ -65,7 +64,7 @@ def test_load_policy_parses_directives():
 
 def test_load_policy_unknown_home_node():
     t = topo({"ai": "AGENT"}, [])
-    with pytest.raises(PolicyError) as err:
+    with pytest.raises(CodedError) as err:
         load_policy("route realm.org via ghost security tls", t)
     assert err.value.code == "UNKNOWN_HOME_NODE"
 
@@ -89,7 +88,7 @@ def test_load_policy_empty_file_is_empty_list():
 )
 def test_load_policy_parse_errors(line):
     t = topo({"ah": "SERVER"}, [])
-    with pytest.raises(PolicyError) as err:
+    with pytest.raises(CodedError) as err:
         load_policy(line, t)
     assert err.value.code == "PARSE_ERROR"
 

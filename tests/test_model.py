@@ -11,9 +11,9 @@ from sdnaaa import model
 from sdnaaa.model import (
     Action,
     AttributeRule,
+    CodedError,
     ConfigDocument,
     Direction,
-    ModelError,
     PatternKind,
     PeerEntry,
     Realm,
@@ -63,7 +63,7 @@ def test_parse_nai_single_label_realm():
     ],
 )
 def test_parse_nai_errors(text, code):
-    with pytest.raises(ModelError) as err:
+    with pytest.raises(CodedError) as err:
         parse_nai(text)
     assert err.value.code == code
 
@@ -254,7 +254,7 @@ def test_validate_dangling_next_hop():
 
 def test_validate_duplicate_peer_id():
     peer = PeerEntry("aj", "aj", "aj.sim", 1812, Transport.RADIUS_UDP, SharedSecret(b"s" * 16))
-    with pytest.raises(ModelError) as err:
+    with pytest.raises(CodedError) as err:
         ConfigDocument(peers=(peer, peer))
     assert err.value.code == "DUPLICATE_PEER_ID"
 
@@ -442,13 +442,13 @@ def test_document_round_trips_byte_identically():
 
 def test_decode_rejects_unknown_top_level_key():
     text = '{"peers":[],"rooting":[],"tls":[],"attributes":[]}'
-    with pytest.raises(ModelError) as err:
+    with pytest.raises(CodedError) as err:
         model.decode_document(text)
     assert err.value.code == "SCHEMA_ERROR"
 
 
 def test_decode_rejects_bad_json():
-    with pytest.raises(ModelError) as err:
+    with pytest.raises(CodedError) as err:
         model.decode_document("{nope")
     assert err.value.code == "PARSE_ERROR"
 
@@ -494,9 +494,18 @@ def test_decode_rejects_schema_errors(mutate):
     )
     obj = model.document_to_json(doc)
     mutate(obj)
-    with pytest.raises(ModelError) as err:
+    with pytest.raises(CodedError) as err:
         model.decode_document(json.dumps(obj))
     assert err.value.code == "SCHEMA_ERROR"
+
+
+def test_non_string_enum_member_is_expected_string_like_every_string_leaf():
+    peer = PeerEntry("p0", "p0", "p0.sim", 1812, Transport.RADIUS_UDP, SharedSecret(b"s" * 16))
+    obj = model.document_to_json(ConfigDocument(peers=(peer,)))
+    obj["peers"][0]["transport"] = 5
+    with pytest.raises(CodedError) as err:
+        model.decode_document(json.dumps(obj))
+    assert (err.value.code, err.value.detail) == ("SCHEMA_ERROR", "peers.transport: expected string")
 
 
 def test_each_schema_declares_exactly_the_entity_fields():
@@ -549,7 +558,7 @@ def test_every_decodable_text_re_encodes_to_its_canonical_form():
             if holder[leaf] == value:
                 continue  # hex without a letter reads the same in upper case
             holder[leaf] = value
-            with pytest.raises(ModelError) as err:
+            with pytest.raises(CodedError) as err:
                 model.decode_document(json.dumps(mutant))
             assert err.value.code == "SCHEMA_ERROR", (leaf, value)
             rewrites += 1

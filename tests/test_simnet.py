@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import chain_nodes, inject, make_scenario
 from sdnaaa import model, node as node_mod, simnet
-from sdnaaa.model import AaaMessage
+from sdnaaa.model import AaaMessage, CodedError
 from sdnaaa.southbound import ERROR, NOTIFICATION, OK, Frame
-from sdnaaa.simnet import EventLoop, ScenarioError, Simulation, gen_random_topology, load_scenario
+from sdnaaa.simnet import EventLoop, Simulation, gen_random_topology, load_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +153,7 @@ def test_load_chain_fixture(chain_text):
 def test_event_referencing_unknown_node(chain_text):
     obj = json.loads(chain_text)
     obj["events"].append({"time": 60, "kind": "node-down", "node": "zz"})
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(CodedError) as err:
         load_scenario(json.dumps(obj))
     assert err.value.code == "UNKNOWN_NODE"
 
@@ -164,13 +164,13 @@ def test_events_out_of_order(chain_text):
         {"time": 60, "kind": "node-down", "node": "ai"},
         {"time": 10, "kind": "node-up", "node": "ai"},
     ]
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(CodedError) as err:
         load_scenario(json.dumps(obj))
     assert err.value.code == "UNSORTED_EVENTS"
 
 
 def test_bad_json_is_parse_error():
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(CodedError) as err:
         load_scenario("{not json")
     assert err.value.code == "PARSE_ERROR"
 
@@ -190,7 +190,7 @@ def test_bad_json_is_parse_error():
 def test_scenario_shape_errors(chain_text, mutate, code):
     obj = json.loads(chain_text)
     mutate(obj)
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(CodedError) as err:
         load_scenario(json.dumps(obj))
     assert err.value.code == code
 
@@ -524,7 +524,7 @@ def test_gen_random_topology_roles():
 
 
 def test_gen_random_topology_gives_up_when_impossible():
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(CodedError) as err:
         gen_random_topology(1, 16, 0.01)
     assert err.value.code == "GIVE_UP"
 
@@ -532,7 +532,7 @@ def test_gen_random_topology_gives_up_when_impossible():
 @pytest.mark.parametrize("bad", [(2, 0.5), (65, 0.5), (5, 0.0), (5, 1.5)])
 def test_gen_random_topology_rejects_bad_args(bad):
     n, p = bad
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(CodedError) as err:
         gen_random_topology(1, n, p)
     assert err.value.code == "BAD_ARGS"
 

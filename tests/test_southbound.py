@@ -8,6 +8,7 @@ from sdnaaa import model, simnet, southbound
 from sdnaaa.model import (
     Action,
     AttributeRule,
+    CodedError,
     ConfigDocument,
     Direction,
     Notification,
@@ -22,7 +23,7 @@ from sdnaaa.model import (
     Transport,
 )
 from sdnaaa.node import Node
-from sdnaaa.southbound import ConfigChange, Frame, SouthboundError, open_session
+from sdnaaa.southbound import ConfigChange, Frame, open_session
 
 
 @pytest.fixture
@@ -69,14 +70,14 @@ def test_open_session_starts_txn_at_one(rig):
 def test_second_open_session_is_rejected(rig):
     loop, _network, node = rig
     open_session("controller", node, loop)
-    with pytest.raises(SouthboundError) as err:
+    with pytest.raises(CodedError) as err:
         open_session("controller", node, loop)
     assert err.value.code == "SESSION_EXISTS"
 
 
 def test_rogue_controller_is_unauthorized(rig):
     loop, _network, node = rig
-    with pytest.raises(SouthboundError) as err:
+    with pytest.raises(CodedError) as err:
         open_session("rogue", node, loop)
     assert err.value.code == "UNAUTHORIZED"
 
@@ -84,7 +85,7 @@ def test_rogue_controller_is_unauthorized(rig):
 def test_open_session_requires_node_up(rig):
     loop, _network, node = rig
     node.set_down()
-    with pytest.raises(SouthboundError) as err:
+    with pytest.raises(CodedError) as err:
         open_session("controller", node, loop)
     assert err.value.code == "NODE_DOWN"
 
@@ -100,7 +101,7 @@ def test_edit_config_merge_applies(rig):
     drain(loop)
     assert reply.value.type == southbound.OK
     assert node.running.peer("aj") is not None
-    assert node.channel_status("aj") == "IDLE"
+    assert "aj" not in node.channels
 
 
 def test_combined_merge_applies_both_in_one_frame(rig):
