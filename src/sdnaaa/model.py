@@ -290,18 +290,20 @@ class AaaMessage:
     def copy(self, *, msg_id=_SAME, kind=_SAME, nai=_SAME, dest_realm=_SAME,
              attributes=_SAME, hop_trace=_SAME, status=_SAME, error=_SAME) -> "AaaMessage":
         """This message with the named fields replaced: what
-        ``dataclasses.replace`` returns, by one constructor call (it runs
-        on every hop)."""
-        return AaaMessage(
-            self.msg_id if msg_id is _SAME else msg_id,
-            self.kind if kind is _SAME else kind,
-            self.nai if nai is _SAME else nai,
-            self.dest_realm if dest_realm is _SAME else dest_realm,
-            self.attributes if attributes is _SAME else attributes,
-            self.hop_trace if hop_trace is _SAME else hop_trace,
-            self.status if status is _SAME else status,
-            self.error if error is _SAME else error,
-        )
+        ``dataclasses.replace`` returns. It runs on every hop, so it writes
+        the slots through their descriptors, not through the frozen
+        ``__init__`` (one ``object.__setattr__`` per field); the copy is as
+        frozen as any other message."""
+        new = _new_object(AaaMessage)
+        _SET_MSG_ID(new, self.msg_id if msg_id is _SAME else msg_id)
+        _SET_KIND(new, self.kind if kind is _SAME else kind)
+        _SET_NAI(new, self.nai if nai is _SAME else nai)
+        _SET_DEST_REALM(new, self.dest_realm if dest_realm is _SAME else dest_realm)
+        _SET_ATTRIBUTES(new, self.attributes if attributes is _SAME else attributes)
+        _SET_HOP_TRACE(new, self.hop_trace if hop_trace is _SAME else hop_trace)
+        _SET_STATUS(new, self.status if status is _SAME else status)
+        _SET_ERROR(new, self.error if error is _SAME else error)
+        return new
 
     def to_json(self) -> dict:
         """The transcript form. It shares ``attributes`` and ``hop_trace``
@@ -320,6 +322,12 @@ class AaaMessage:
         if self.error is not None:
             out["error"] = self.error
         return out
+
+
+# AaaMessage.copy: the slot setters, bound once, in field order
+_new_object = object.__new__
+(_SET_MSG_ID, _SET_KIND, _SET_NAI, _SET_DEST_REALM, _SET_ATTRIBUTES, _SET_HOP_TRACE, _SET_STATUS,
+ _SET_ERROR) = (AaaMessage.__dict__[f].__set__ for f in AaaMessage.__slots__)
 
 
 @dataclass(frozen=True)

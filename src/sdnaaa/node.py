@@ -211,7 +211,7 @@ class Node:
                 before = old.route(key)
                 after = self.running.route(key)
                 if before is not None and after is not None and before.next_hop != after.next_hop:
-                    self.network.note_reroute()
+                    self.network.metrics.reroutes += 1
                 if after is not None and after.expiration is not None:
                     self.loop.call_at(after.expiration, self._timer_tick)
         if routing_touched:
@@ -219,7 +219,7 @@ class Node:
 
     def _drop_channel_pair(self, entry: model.PeerEntry) -> None:
         self.channels.discard(entry.peer_id)
-        peer_node = self.network.node_by_address(entry.host)
+        peer_node = self.network.by_address.get(entry.host)
         if peer_node is None:
             return
         mirror = peer_node.peer_for_host(self.address)
@@ -275,7 +275,7 @@ class Node:
         entry = self.running.peer(peer_id)
         if entry is None:
             return "NO_MIRROR_ENTRY", None, None
-        peer_node = self.network.node_by_address(entry.host)
+        peer_node = self.network.by_address.get(entry.host)
         if peer_node is None or not peer_node.is_up():
             return "PEER_DOWN", None, None
         mirror = peer_node.peer_for_host(self.address)
@@ -318,7 +318,11 @@ class Node:
             self._fail(msg, "HOP_LIMIT")
             return
         msg = msg.copy(hop_trace=msg.hop_trace + (self.node_id,))
-        self._route(msg, now)
+        entry = self._select(msg.dest_realm, now)
+        if entry is None:
+            self._park(msg, now, acquire=True)
+        else:
+            self._dispatch(msg, entry, now)
 
     def _select(self, realm: Realm, now: int) -> Optional[RealmEntry]:
         # live cache entries shadow running entries with the same pattern,
@@ -330,13 +334,6 @@ class Node:
                 if cached.expiration is not None and now >= cached.expiration:
                     del self.route_cache[key]
         return model.select_route((self.route_cache, self.running.routing), realm, now)
-
-    def _route(self, msg: AaaMessage, now: int) -> None:
-        entry = self._select(msg.dest_realm, now)
-        if entry is None:
-            self._park(msg, now, acquire=True)
-            return
-        self._dispatch(msg, entry, now)
 
     def _dispatch(self, msg: AaaMessage, entry: RealmEntry, now: int) -> None:
         if entry.action is Action.LOCAL:
@@ -362,8 +359,10 @@ class Node:
             self._park(msg, self.loop.now, acquire=False)
             if peer_id not in self.channels:
                 self.establish_channel(peer_id, lambda ok, reason: None)
-            return
-        self._send(peer_id, msg)
+        elif peer_id in self.channels:
+            self._transmit(peer_id, msg)
+        else:
+            self._send(peer_id, msg)
 
     def _send(self, peer_id: str, record) -> None:
         """Transmit ``record`` to ``peer_id`` over an established channel,
@@ -381,7 +380,7 @@ class Node:
         self.establish_channel(peer_id, done)
 
     def _transmit(self, peer_id: str, record) -> None:
-        entry = self.running.peer(peer_id)
+        entry = self.running.peers.get(peer_id)
         if entry is None:
             self._unsent(record, peer_id, "NO_MIRROR_ENTRY")
             return
@@ -389,7 +388,7 @@ class Node:
             self.redirect_queries_sent += 1
         else:
             self.forwards += 1
-        self.network.send_record(self, self.network.node_by_address(entry.host), record)
+        self.network.send_record(self, self.network.by_address.get(entry.host), record)
 
     def _unsent(self, record, peer_id: str, reason: Optional[str]) -> None:
         """A request is recorded and parked for a retry after a reroute, a
@@ -452,17 +451,9 @@ class Node:
             return
         expected = self.users.get(msg.nai.user)
         accepted = expected is not None and expected == msg.attributes.get("password")
-        self.network.note_authenticated(msg)
-        response = AaaMessage(
-            msg_id=msg.msg_id,
-            kind=MsgKind.RESPONSE,
-            nai=msg.nai,
-            dest_realm=msg.dest_realm,
-            attributes={},
-            hop_trace=msg.hop_trace,
-            status="accept" if accepted else "reject",
-        )
-        self._route_response(response)
+        self.network.metrics.hops[msg.msg_id] = len(msg.hop_trace)
+        self._route_response(msg.copy(kind=MsgKind.RESPONSE, attributes={},
+                                      status="accept" if accepted else "reject"))
 
     def _route_response(self, resp: AaaMessage) -> None:
         idx = resp.hop_trace.index(self.node_id)
@@ -546,8 +537,11 @@ class Node:
     # ------------------------------------------------------------------
     # record delivery entry point
 
-    def receive(self, record, from_node_id: str) -> None:
-        if isinstance(record, AaaMessage):
+    def receive(self, record) -> None:
+        """A record sent one tick earlier; lost in flight if this node is DOWN."""
+        if self.state != UP:
+            self.network.metrics.lost_in_flight += 1
+        elif isinstance(record, AaaMessage):
             self.handle_message(record, self.loop.now)
         elif isinstance(record, RedirectQuery):
             self._handle_redirect_query(record)

@@ -13,6 +13,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from operator import methodcaller
 from typing import Optional
@@ -240,19 +241,18 @@ class Network:
         self.metrics = metrics
         self.transcript = transcript
         self.nodes: dict[str, node_mod.Node] = {}
-        self._by_address: dict[str, node_mod.Node] = {}
+        self.by_address: dict[str, node_mod.Node] = {}
         self.registry: dict[str, dict] = {}
 
     def register(self, node) -> None:
         self.nodes[node.node_id] = node
-        self._by_address[node.address] = node
-
-    def node_by_address(self, address: str):
-        return self._by_address.get(address)
+        self.by_address[node.address] = node
 
     def send_record(self, src, dst, record) -> None:
+        """Record the transfer; ``dst.receive`` gets ``record`` one tick later."""
+        loop = self.loop
         self.transcript.add(
-            self.loop.now,
+            loop.now,
             src.node_id,
             "fwd",
             to=dst.node_id if dst is not None else None,
@@ -261,19 +261,7 @@ class Network:
         if dst is None:
             self.metrics.lost_in_flight += 1
             return
-        self.loop.call_later(1, lambda: self._deliver(dst, record, src.node_id))
-
-    def _deliver(self, dst, record, src_id: str) -> None:
-        if not dst.is_up():
-            self.metrics.lost_in_flight += 1
-            return
-        dst.receive(record, src_id)
-
-    def note_reroute(self) -> None:
-        self.metrics.reroutes += 1
-
-    def note_authenticated(self, msg: AaaMessage) -> None:
-        self.metrics.hops[msg.msg_id] = len(msg.hop_trace)
+        loop.call_at(loop.now + 1, partial(dst.receive, record))
 
     def finalize_message(self, node_id: str, msg: AaaMessage) -> None:
         entry = self.registry.get(msg.msg_id)
@@ -655,7 +643,7 @@ class Simulation:
         for nid, n in self.nodes.items():
             for peer_id in n.channels:
                 entry = n.running.peer(peer_id)
-                other = self.network.node_by_address(entry.host) if entry else None
+                other = self.network.by_address.get(entry.host) if entry else None
                 if other is not None:
                     pairs.add(tuple(sorted((nid, other.node_id))))
         self.metrics.channels = sorted(pairs)

@@ -100,8 +100,15 @@ class ConfigChange:
         return out
 
 
+def _member(obj, key: str):
+    """``obj[key]``; BAD_FRAME when a decoded frame or change lacks it."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise CodedError("BAD_FRAME", f"no {key!r} in {obj!r:.80}")
+    return obj[key]
+
+
 def change_from_json(obj: dict) -> ConfigChange:
-    change = ConfigChange(obj["op"], obj["path"])
+    change = ConfigChange(_member(obj, "op"), _member(obj, "path"))
     if "value" in obj:
         container, _ = change.container_key()
         change = ConfigChange(change.op, change.path, model.entity_from_json(container, obj["value"]))
@@ -135,18 +142,20 @@ class Frame:
 
 
 def frame_from_json(obj: dict) -> Frame:
-    ftype = obj["type"]
+    """Errors: BAD_FRAME for a frame or change that is not an object or
+    lacks a member its type needs, and for an unknown type."""
+    ftype, txn = _member(obj, "type"), _member(obj, "txn")
     if ftype == EDIT_CONFIG:
-        return Frame(obj["txn"], ftype, changes=tuple(change_from_json(c) for c in obj["changes"]))
+        return Frame(txn, ftype, changes=tuple(change_from_json(c) for c in _member(obj, "changes")))
     if ftype == CONFIG:
-        return Frame(obj["txn"], ftype, doc=model.document_from_json(obj["doc"]))
+        return Frame(txn, ftype, doc=model.document_from_json(_member(obj, "doc")))
     if ftype == ERROR:
-        return Frame(obj["txn"], ftype, error={"code": obj["code"], "detail": obj.get("detail", [])})
+        return Frame(txn, ftype, error={"code": _member(obj, "code"), "detail": obj.get("detail", [])})
     if ftype == NOTIFICATION:
-        return Frame(obj["txn"], ftype, note=model.notification_from_json(obj["note"]))
+        return Frame(txn, ftype, note=model.notification_from_json(_member(obj, "note")))
     if ftype in (GET_CONFIG, OK):
-        return Frame(obj["txn"], ftype)
-    raise CodedError("BAD_FRAME", ftype)
+        return Frame(txn, ftype)
+    raise CodedError("BAD_FRAME", str(ftype))
 
 
 def frame_to_line(frame: Frame) -> str:

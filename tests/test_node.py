@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import inject, make_scenario, psk_pair
 from sdnaaa import model, simnet, southbound
@@ -494,6 +496,44 @@ def test_message_copy_equals_dataclasses_replace_for_every_field():
             msg, status="pending", error=None)
 
 
+# one strategy per AaaMessage field; attributes is sometimes a hashable
+# stand-in for the dict, so that hash() compares values and does not only
+# raise TypeError on both sides
+_NAIS = [parse_nai("alice@realm.org"), parse_nai("bob@other.org")]
+MESSAGE_FIELDS = {
+    "msg_id": st.text(max_size=4),
+    "kind": st.sampled_from(MsgKind),
+    "nai": st.sampled_from(_NAIS),
+    "dest_realm": st.sampled_from([nai.realm for nai in _NAIS]),
+    "attributes": st.dictionaries(st.text(max_size=3), st.text(max_size=3), max_size=2)
+    | st.frozensets(st.tuples(st.text(max_size=3), st.text(max_size=3)), max_size=2),
+    "hop_trace": st.lists(st.text(max_size=3), max_size=3).map(tuple),
+    "status": st.sampled_from(["pending", "accept", "reject", "error"]) | st.text(max_size=3),
+    "error": st.none() | st.text(max_size=3),
+}
+
+
+def _hash_or_error(msg: AaaMessage):
+    try:
+        return hash(msg)
+    except TypeError as err:
+        return type(err)
+
+
+@given(st.builds(AaaMessage, **MESSAGE_FIELDS), st.fixed_dictionaries({}, optional=MESSAGE_FIELDS))
+def test_message_copy_matches_replace_for_any_subset_and_stays_frozen(msg, subset):
+    assert list(MESSAGE_FIELDS) == [f.name for f in dataclasses.fields(AaaMessage)]
+    copied, replaced = msg.copy(**subset), dataclasses.replace(msg, **subset)
+    assert type(copied) is AaaMessage
+    for name in MESSAGE_FIELDS:
+        assert getattr(copied, name) is getattr(replaced, name), name
+    assert copied == replaced
+    assert _hash_or_error(copied) == _hash_or_error(replaced)
+    for name in MESSAGE_FIELDS:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(copied, name, getattr(msg, name))
+
+
 def proxy_scenario(rules, refs):
     ex, ey = psk_pair("x", "y", b"s" * 16)
     static = {
@@ -769,3 +809,20 @@ def test_established_channel_sends_without_a_handshake(monkeypatch):
     sent = [(r["actor"], r["to"], r["message"]["msg_id"])
             for r in network.transcript.records if r["direction"] == "fwd"]
     assert sent == [("a", "b", "m1"), ("b", "a", "r1")]
+
+
+def test_record_to_a_node_that_goes_down_in_flight_is_lost(monkeypatch):
+    loop, network, a, b = rig("a", "b")
+    reached = []
+    monkeypatch.setattr(b, "handle_message", lambda msg, now: reached.append(msg.msg_id))
+    network.send_record(a, b, request("m1", "alice@realm.org", trace=["a"]))
+    b.set_down()
+    loop.run_until(10)
+    assert network.metrics.lost_in_flight == 1
+    assert reached == []
+    # liveness is checked at delivery: a node back UP by then gets the record
+    network.send_record(a, b, request("m2", "alice@realm.org", trace=["a"]))
+    b.set_up()
+    loop.run_until(20)
+    assert network.metrics.lost_in_flight == 1
+    assert reached == ["m2"]

@@ -309,3 +309,24 @@ def test_notification_after_close_is_dropped(rig):
     assert node.notification_drops == 1
     # the slot is free again: reopening succeeds
     open_session("controller", node, loop)
+
+
+@pytest.mark.parametrize("line", [
+    '{"txn": 1}',
+    '{"type": "ok"}',
+    '{"txn": 1, "type": "edit-config"}',
+    '[{"txn": 1, "type": "ok"}]',
+    '"ok"',
+    "null",
+    '{"txn": 1, "type": "config"}',
+    '{"txn": 2, "type": "error"}',
+    '{"txn": 0, "type": "notification"}',
+    '{"txn": 1, "type": "edit-config", "changes": [{"path": "peers/aj"}]}',
+    '{"txn": 1, "type": "edit-config", "changes": ["merge"]}',
+    '{"txn": 1, "type": "get-configuration"}',
+], ids=["no-type", "no-txn", "no-changes", "list", "string", "null", "no-doc", "no-code",
+        "no-note", "change-without-op", "change-not-an-object", "unknown-type"])
+def test_malformed_frame_line_is_bad_frame(line):
+    with pytest.raises(CodedError) as err:
+        southbound.frame_from_line(line)
+    assert err.value.code == "BAD_FRAME"
