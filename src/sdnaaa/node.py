@@ -12,7 +12,7 @@ latency supplied by the surrounding harness.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from . import model, southbound
@@ -137,7 +137,7 @@ class Node:
         self.session = None
 
         self.running = model.ConfigDocument()
-        self.channels: set[str] = set()  # peer ids with an established channel
+        self.channels: dict[str, Node] = {}  # peer id -> node at the end of an established channel
         self.pending: dict[str, _PendingQueue] = {}
         self.route_cache: dict[str, RealmEntry] = {}
 
@@ -163,42 +163,43 @@ class Node:
         validated, and tick removes expired peers together with the routes
         that use them. Returns (True, None) or (False, {"code", "detail"}).
         """
-        doc = self.running
+        old = self.running
+        edited: dict[str, dict] = {}  # container -> its one copy for the whole frame
+        touched: list[tuple[str, str]] = []
         try:
             for change in changes:
-                doc = self._apply_one(doc, change)
+                container, key = change.container_key()
+                entries = edited.get(container)
+                if entries is None:
+                    entries = edited[container] = dict(getattr(old, container))
+                if change.op == southbound.MERGE:
+                    if change.value is None:
+                        raise CodedError("BAD_PATH", f"{change.path}: merge without value")
+                    if model.entry_key(container, change.value) != key:
+                        raise CodedError("BAD_PATH", f"{change.path}: key mismatch")
+                    entries[key] = change.value
+                elif change.op == southbound.DELETE:
+                    if entries.pop(key, None) is None:
+                        raise CodedError("BAD_PATH", f"{change.path}: no such entry")
+                else:
+                    raise CodedError("BAD_PATH", f"{change.path}: bad op {change.op!r}")
+                touched.append((container, key))
         except CodedError as err:
             return False, {"code": err.code, "detail": [str(err)]}
-        violations = model.validate_changes(doc, [c.container_key() for c in changes])
+        doc = replace(old, **edited) if edited else old
+        violations = model.validate_changes(doc, touched)
         if violations:
             return False, {
                 "code": "VALIDATION_FAILED",
                 "detail": [v.to_json() for v in violations],
             }
-        old = self.running
         self.running = doc
-        self._after_apply(old, changes)
+        self._after_apply(old, touched)
         return True, None
 
-    @staticmethod
-    def _apply_one(doc: model.ConfigDocument, change) -> model.ConfigDocument:
-        container, key = change.container_key()
-        if change.op == southbound.MERGE:
-            if change.value is None:
-                raise CodedError("BAD_PATH", f"{change.path}: merge without value")
-            if model.entry_key(container, change.value) != key:
-                raise CodedError("BAD_PATH", f"{change.path}: key mismatch")
-            return model.with_entry(doc, container, key, change.value)
-        if change.op == southbound.DELETE:
-            if key not in getattr(doc, container):
-                raise CodedError("BAD_PATH", f"{change.path}: no such entry")
-            return model.without_entry(doc, container, key)
-        raise CodedError("BAD_PATH", f"{change.path}: bad op {change.op!r}")
-
-    def _after_apply(self, old: model.ConfigDocument, changes) -> None:
+    def _after_apply(self, old: model.ConfigDocument, touched) -> None:
         routing_touched = False
-        for change in changes:
-            container, key = change.container_key()
+        for container, key in touched:
             if container == "peers":
                 before = old.peer(key)
                 after = self.running.peer(key)
@@ -218,13 +219,13 @@ class Node:
             self._flush_pending()
 
     def _drop_channel_pair(self, entry: model.PeerEntry) -> None:
-        self.channels.discard(entry.peer_id)
+        self.channels.pop(entry.peer_id, None)
         peer_node = self.network.by_address.get(entry.host)
         if peer_node is None:
             return
         mirror = peer_node.peer_for_host(self.address)
         if mirror is not None:
-            peer_node.channels.discard(mirror.peer_id)
+            peer_node.channels.pop(mirror.peer_id, None)
 
     def peer_for_host(self, host: str) -> Optional[model.PeerEntry]:
         """The peer entry behind ``host``; the smallest peer_id when
@@ -255,12 +256,12 @@ class Node:
         reason, peer_node, mirror = self._handshake_verdict(peer_id)
         ok = reason is None
         if ok:
-            self.channels.add(peer_id)
-            peer_node.channels.add(mirror.peer_id)
-            self.network.transcript.add(self.loop.now, self.node_id, "channel-up",
-                                        peer=peer_node.node_id)
+            self.channels[peer_id] = peer_node
+            peer_node.channels[mirror.peer_id] = self
+            self.network.transcript.add({"time": self.loop.now, "actor": self.node_id,
+                                         "direction": "channel-up", "peer": peer_node.node_id})
         else:
-            self.channels.discard(peer_id)
+            self.channels.pop(peer_id, None)
         for cb in waiters:
             cb(ok, reason)
         if ok:
@@ -380,15 +381,13 @@ class Node:
         self.establish_channel(peer_id, done)
 
     def _transmit(self, peer_id: str, record) -> None:
-        entry = self.running.peers.get(peer_id)
-        if entry is None:
-            self._unsent(record, peer_id, "NO_MIRROR_ENTRY")
-            return
+        """Send over the established channel to ``peer_id``; changing, deleting
+        or expiring its peer entry, or a node going down, drops a channel."""
         if isinstance(record, RedirectQuery):
             self.redirect_queries_sent += 1
         else:
             self.forwards += 1
-        self.network.send_record(self, self.network.by_address.get(entry.host), record)
+        self.network.send_record(self, self.channels[peer_id], record)
 
     def _unsent(self, record, peer_id: str, reason: Optional[str]) -> None:
         """A request is recorded and parked for a retry after a reroute, a
@@ -408,8 +407,9 @@ class Node:
             return
         else:
             realm = record.dest_realm
-            self.network.transcript.add(self.loop.now, self.node_id, "channel-failed",
-                                        peer=peer_id, reason=reason, message=record)
+            self.network.transcript.add({"time": self.loop.now, "actor": self.node_id,
+                                         "direction": "channel-failed", "peer": peer_id,
+                                         "reason": reason, "message": record})
             queue = self._park(record, self.loop.now, acquire=False)
         if peer_id not in queue.failures_reported:
             queue.failures_reported.add(peer_id)
@@ -460,7 +460,11 @@ class Node:
         if idx == 0:
             self.network.finalize_message(self.node_id, resp)
             return
-        entry = self._peer_for_node(resp.hop_trace[idx - 1])
+        prev = resp.hop_trace[idx - 1]
+        if prev in self.channels:  # the channel the request came in on
+            self._transmit(prev, resp)
+            return
+        entry = self._peer_for_node(prev)
         if entry is None:
             self._fail(resp, "CHANNEL_FAILED")
             return
@@ -492,7 +496,7 @@ class Node:
     def _handle_redirect_query(self, query: RedirectQuery) -> None:
         now = self.loop.now
         entry = model.select_route((self.running.routing,), query.realm, now)
-        requester = self.network.nodes.get(query.requester)
+        requester = self.network.nodes[query.requester]
         if entry is None:
             reply: object = RedirectMiss(query.realm)
         elif entry.next_hop is not None:

@@ -166,8 +166,9 @@ class Transcript:
     def __init__(self):
         self._entries: list[dict] = []
 
-    def add(self, time: int, actor: str, direction: str, **payload) -> None:
-        self._entries.append({"time": time, "actor": actor, "direction": direction, **payload})
+    def add(self, record: dict) -> None:
+        """Append ``record``: ``time``, ``actor``, ``direction``, then its payload."""
+        self._entries.append(record)
 
     def to_ndjson(self) -> str:
         entries = self._entries
@@ -251,16 +252,8 @@ class Network:
     def send_record(self, src, dst, record) -> None:
         """Record the transfer; ``dst.receive`` gets ``record`` one tick later."""
         loop = self.loop
-        self.transcript.add(
-            loop.now,
-            src.node_id,
-            "fwd",
-            to=dst.node_id if dst is not None else None,
-            message=record,
-        )
-        if dst is None:
-            self.metrics.lost_in_flight += 1
-            return
+        self.transcript.add({"time": loop.now, "actor": src.node_id, "direction": "fwd",
+                             "to": dst.node_id, "message": record})
         loop.call_at(loop.now + 1, partial(dst.receive, record))
 
     def finalize_message(self, node_id: str, msg: AaaMessage) -> None:
@@ -268,7 +261,8 @@ class Network:
         if entry is not None and entry["status"] != "pending":
             return
         self.registry[msg.msg_id] = {"status": msg.status, "error": msg.error}
-        self.transcript.add(self.loop.now, node_id, "done", message=msg)
+        self.transcript.add({"time": self.loop.now, "actor": node_id, "direction": "done",
+                             "message": msg})
         if msg.status == "accept":
             self.metrics.delivered += 1
         elif msg.status == "reject":
@@ -279,13 +273,9 @@ class Network:
             self.metrics.error_codes[code] = self.metrics.error_codes.get(code, 0) + 1
 
     def invalidate_channels_to(self, downed) -> None:
-        address = downed.address
         for other in self.nodes.values():
-            if other is downed:
-                continue
-            for p in other.running.peers.values():
-                if p.host == address:
-                    other.channels.discard(p.peer_id)
+            for peer_id in [pid for pid, peer in other.channels.items() if peer is downed]:
+                del other.channels[peer_id]
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +571,8 @@ class Simulation:
         self.controller.attach_session(nid, session)
 
     def _record_frame(self, time: int, node_id: str, direction: str, frame) -> None:
-        self.transcript.add(time, node_id, direction, frame=frame)
+        self.transcript.add({"time": time, "actor": node_id, "direction": direction,
+                             "frame": frame})
         if direction == "c2n":
             self.metrics.controller_frames += 1
 
@@ -596,18 +587,19 @@ class Simulation:
             n = self.nodes[ev.node]
             n.set_down()
             self.network.invalidate_channels_to(n)
-            self.transcript.add(self.loop.now, ev.node, "node-down")
+            self.transcript.add({"time": self.loop.now, "actor": ev.node, "direction": "node-down"})
         elif ev.kind == "node-up":
             n = self.nodes[ev.node]
             n.set_up()
             if n.session is None:
                 self._open_session(ev.node)
             self.controller.node_registered(ev.node)
-            self.transcript.add(self.loop.now, ev.node, "node-up")
+            self.transcript.add({"time": self.loop.now, "actor": ev.node, "direction": "node-up"})
         else:  # snapshot
             snap = self.controller.snapshot_json()
             self.snapshots.append(snap)
-            self.transcript.add(self.loop.now, "controller", "snapshot", snapshot=json.loads(snap))
+            self.transcript.add({"time": self.loop.now, "actor": "controller",
+                                 "direction": "snapshot", "snapshot": json.loads(snap)})
 
     def _inject(self, ev: Event) -> None:
         self._msg_seq += 1
@@ -623,7 +615,8 @@ class Simulation:
         )
         self.metrics.injected += 1
         self.network.registry[msg.msg_id] = {"status": "pending", "error": None}
-        self.transcript.add(self.loop.now, ev.node, "inject", message=msg)
+        self.transcript.add({"time": self.loop.now, "actor": ev.node, "direction": "inject",
+                             "message": msg})
         target = self.nodes[ev.node]
         if target.is_up():
             target.handle_message(msg, self.loop.now)
@@ -639,14 +632,10 @@ class Simulation:
         return self.metrics, self.transcript
 
     def _finalize(self) -> None:
-        pairs = set()
-        for nid, n in self.nodes.items():
-            for peer_id in n.channels:
-                entry = n.running.peer(peer_id)
-                other = self.network.by_address.get(entry.host) if entry else None
-                if other is not None:
-                    pairs.add(tuple(sorted((nid, other.node_id))))
-        self.metrics.channels = sorted(pairs)
+        self.metrics.channels = sorted({
+            tuple(sorted((nid, other.node_id)))
+            for nid, n in self.nodes.items() for other in n.channels.values()
+        })
         self.metrics.still_pending = sum(
             1 for r in self.network.registry.values() if r["status"] == "pending"
         )

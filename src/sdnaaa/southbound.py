@@ -100,10 +100,11 @@ class ConfigChange:
         return out
 
 
-def _member(obj, key: str):
-    """``obj[key]``; BAD_FRAME when a decoded frame or change lacks it."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise CodedError("BAD_FRAME", f"no {key!r} in {obj!r:.80}")
+def _member(obj, key: str, kind: type = object):
+    """``obj[key]``; BAD_FRAME when a decoded frame or change lacks it, or
+    it is not a ``kind``."""
+    if not isinstance(obj, dict) or key not in obj or not isinstance(obj[key], kind):
+        raise CodedError("BAD_FRAME", f"bad or missing {key!r} in {obj!r:.80}")
     return obj[key]
 
 
@@ -142,11 +143,12 @@ class Frame:
 
 
 def frame_from_json(obj: dict) -> Frame:
-    """Errors: BAD_FRAME for a frame or change that is not an object or
-    lacks a member its type needs, and for an unknown type."""
+    """Errors: BAD_FRAME for a frame or change that is not an object or lacks
+    a member its type needs, for ``changes`` that is not a list, and for an unknown type."""
     ftype, txn = _member(obj, "type"), _member(obj, "txn")
     if ftype == EDIT_CONFIG:
-        return Frame(txn, ftype, changes=tuple(change_from_json(c) for c in _member(obj, "changes")))
+        changes = tuple(change_from_json(c) for c in _member(obj, "changes", list))
+        return Frame(txn, ftype, changes=changes)
     if ftype == CONFIG:
         return Frame(txn, ftype, doc=model.document_from_json(_member(obj, "doc")))
     if ftype == ERROR:
@@ -164,7 +166,11 @@ def frame_to_line(frame: Frame) -> str:
 
 
 def frame_from_line(line: str) -> Frame:
-    return frame_from_json(json.loads(line))
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as err:
+        raise CodedError("BAD_FRAME", str(err)) from None
+    return frame_from_json(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,97 @@ def test_expired_peer_cascades_dependent_routes():
     assert a.tick(501) == []
 
 
+# Batches over a few keys per container, so changes in one batch collide:
+# valid and invalid entities, dangling references, key mismatches, deletes
+# of present and absent keys, bad ops and bad paths.
+_PEER_IDS, _PROFILES, _RULE_IDS = ("p0", "p1"), ("t0", "t1"), ("r0", "r1")
+_PEERS = st.builds(
+    lambda pid, tls, profile, port, expiration: PeerEntry(
+        pid, f"{pid}-id", f"{pid}.sim", port,
+        Transport.RADIUS_TLS if tls else Transport.RADIUS_UDP,
+        TlsRef(profile) if tls else SharedSecret(b"s" * 16), expiration),
+    st.sampled_from(_PEER_IDS), st.booleans(), st.sampled_from(_PROFILES),
+    st.sampled_from([1812, 0]), st.sampled_from([None, 500]),
+)
+_PROFILE_ENTITIES = st.builds(
+    lambda name, trusted: TlsProfile(name, f"{name}-cert", b"k" * 16, frozenset(trusted)),
+    st.sampled_from(_PROFILES), st.sets(st.sampled_from([f"{p}-id" for p in _PEER_IDS])),
+)
+_RULES = st.builds(
+    lambda rid, value: AttributeRule(rid, Direction.OUTGOING, RuleOp.ADD, "Operator-Name", value),
+    st.sampled_from(_RULE_IDS), st.sampled_from(["fed", None]),
+)
+_ROUTES = st.builds(
+    lambda pattern, action, hop, refs, expiration: RealmEntry(
+        RealmPattern.parse(pattern), None if action is Action.LOCAL else hop, action,
+        tuple(refs), expiration),
+    st.sampled_from(["a.org", "*.org", "*"]), st.sampled_from([Action.LOCAL, Action.RELAY, Action.PROXY]),
+    st.sampled_from(_PEER_IDS + ("px",)), st.lists(st.sampled_from(_RULE_IDS), max_size=2),
+    st.sampled_from([None, 700]),
+)
+_ENTITIES = {"peers": _PEERS, "tls": _PROFILE_ENTITIES, "attributes": _RULES, "routing": _ROUTES}
+_KEYS = {"peers": _PEER_IDS, "tls": _PROFILES, "attributes": _RULE_IDS,
+         "routing": ("a.org", "*.org", "*")}
+
+
+@st.composite
+def _changes(draw):
+    container = draw(st.sampled_from(sorted(_ENTITIES)))
+    shape = draw(st.sampled_from(["merge"] * 10 + ["delete"] * 4
+                                 + ["mismatch", "no-value", "bad-op", "bad-path"]))
+    if shape in ("merge", "mismatch", "bad-op"):
+        entity = draw(_ENTITIES[container])
+        key = model.entry_key(container, entity)
+        if shape == "mismatch":
+            key = draw(st.sampled_from([k for k in _KEYS[container] if k != key]))
+        op = southbound.MERGE if shape != "bad-op" else "replace"
+        return ConfigChange(op, f"{container}/{key}", entity)
+    if shape == "bad-path":
+        return ConfigChange(southbound.DELETE, draw(st.sampled_from(["bogus/x", "peers/", "peers"])))
+    op = southbound.DELETE if shape == "delete" else southbound.MERGE
+    return ConfigChange(op, f"{container}/{draw(st.sampled_from(_KEYS[container]))}")
+
+
+def _apply_by_folding(doc: ConfigDocument, changes):
+    """apply_changes' verdict and document, one with_entry / without_entry
+    per change and a full validate_document of the result."""
+    try:
+        for change in changes:
+            container, key = change.container_key()
+            if change.op == southbound.MERGE:
+                if change.value is None:
+                    raise CodedError("BAD_PATH", f"{change.path}: merge without value")
+                if model.entry_key(container, change.value) != key:
+                    raise CodedError("BAD_PATH", f"{change.path}: key mismatch")
+                doc = model.with_entry(doc, container, key, change.value)
+            elif change.op == southbound.DELETE:
+                if key not in getattr(doc, container):
+                    raise CodedError("BAD_PATH", f"{change.path}: no such entry")
+                doc = model.without_entry(doc, container, key)
+            else:
+                raise CodedError("BAD_PATH", f"{change.path}: bad op {change.op!r}")
+    except CodedError as err:
+        return (False, {"code": err.code, "detail": [str(err)]}), None
+    violations = model.validate_document(doc)
+    if violations:
+        return (False, {"code": "VALIDATION_FAILED", "detail": [v.to_json() for v in violations]}), None
+    return (True, None), doc
+
+
+@given(st.lists(st.lists(_changes(), max_size=6), min_size=1, max_size=6))
+def test_apply_changes_equals_folding_one_change_at_a_time(batches):
+    _loop, _network, a = rig("a")
+    for batch in batches:
+        before = a.running
+        unchanged = ConfigDocument(**{c: dict(getattr(before, c)) for c in model.CONTAINERS})
+        verdict, doc = _apply_by_folding(before, batch)
+        assert a.apply_changes(batch) == verdict
+        if verdict[0]:
+            assert a.running == doc
+        else:
+            assert a.running is before and before == unchanged
+
+
 class _CountingTable(dict):
     """A route table that counts its reads: one per get, and one per entry
     when a caller scans it."""
@@ -218,8 +309,8 @@ def test_channel_establishes_when_both_sides_mirror():
     loop, _network, a, b = provisioned_pair()
     ok, reason = verdict(loop, a, "b")
     assert ok and reason is None
-    assert "b" in a.channels
-    assert "a" in b.channels
+    assert a.channels == {"b": b}
+    assert b.channels == {"a": a}
 
 
 def test_channel_psk_mismatch_by_one_byte():
@@ -715,6 +806,41 @@ def test_response_travels_reversed_request_path():
     assert responses == [("z", "y"), ("y", "x")]
     done = [r for r in transcript.records if r["direction"] == "done"]
     assert done[0]["actor"] == "x"
+
+
+def test_response_finds_a_channel_keyed_by_another_peer_id():
+    """y holds its entry for x under ``x-gw``, so x's node id is no channel
+    key at y: the response at y finds the entry by x's address and goes out
+    over the channel that x's request opened, with no second handshake."""
+    e_xy, e_yx = psk_pair("x", "y", b"c" * 16)
+    e_yz, e_zy = psk_pair("y", "z", b"d" * 16)
+    static = {
+        "x": ConfigDocument(peers=(e_xy,), routing=(RealmEntry(RealmPattern.parse("realm.org"), "y", Action.RELAY),)),
+        "y": ConfigDocument(peers=(dataclasses.replace(e_yx, peer_id="x-gw"), e_yz),
+                            routing=(RealmEntry(RealmPattern.parse("realm.org"), "z", Action.RELAY),)),
+        "z": ConfigDocument(peers=(e_zy,), routing=(RealmEntry(RealmPattern.parse("realm.org"), None, Action.LOCAL),)),
+    }
+    nodes = {
+        "x": {"role": "CLIENT"},
+        "y": {"role": "AGENT"},
+        "z": {"role": "SERVER", "realms": ["realm.org"], "users": {"alice": "pw"}},
+    }
+    scenario = make_scenario(
+        nodes, [("x", "y"), ("y", "z")], homes={"realm.org": "z"},
+        events=[inject(10, "x", "alice@realm.org", "pw")],
+        static_config=static, stop_time=300,
+    )
+    sim = simnet.Simulation(scenario)
+    metrics, transcript = sim.run()
+    assert metrics.delivered == 1
+    assert sorted(sim.nodes["y"].channels) == ["x-gw", "z"]
+    ups = [(r["actor"], r["peer"]) for r in transcript.records if r["direction"] == "channel-up"]
+    assert ups == [("x", "y"), ("y", "z")]
+    responses = [
+        (r["actor"], r["to"]) for r in transcript.records
+        if r["direction"] == "fwd" and r["message"].get("kind") == "response"
+    ]
+    assert responses == [("z", "y"), ("y", "x")]
 
 
 # ---------------------------------------------------------------------------

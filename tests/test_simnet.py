@@ -13,6 +13,7 @@ from sdnaaa import model, node as node_mod, simnet
 from sdnaaa.model import AaaMessage, CodedError
 from sdnaaa.southbound import ERROR, NOTIFICATION, OK, Frame
 from sdnaaa.simnet import EventLoop, Simulation, gen_random_topology, load_scenario
+from test_golden import GOLDEN, build
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +239,7 @@ def test_transcript_refuses_a_self_referencing_payload():
     message = AaaMessage("m1", model.MsgKind.REQUEST, nai, nai.realm, cycle)
     for payload in ({"detail": cycle}, {"message": message}):
         transcript = simnet.Transcript()
-        transcript.add(0, "x", "in", **payload)
+        transcript.add({"time": 0, "actor": "x", "direction": "in", **payload})
         with pytest.raises((ValueError, RecursionError)):
             transcript.to_ndjson()
 
@@ -259,8 +260,8 @@ def _written(records) -> str:
     transcript = simnet.Transcript()
     for record in records:
         payload = dict(record)
-        transcript.add(payload.pop("time"), payload.pop("actor"), payload.pop("direction"),
-                       **payload)
+        transcript.add({"time": payload.pop("time"), "actor": payload.pop("actor"),
+                        "direction": payload.pop("direction"), **payload})
     return transcript.to_ndjson()
 
 
@@ -464,6 +465,42 @@ def test_node_down_loses_in_flight_messages():
     )
     metrics, _ = simnet.run(scenario)
     assert conservation(metrics)
+
+
+# ---------------------------------------------------------------------------
+# the channel map
+
+
+def channel_violations(sim: Simulation) -> list[str]:
+    """Channels that break what sending over ``Node.channels`` relies on:
+    each channel's peer entry exists and its host is the mapped node, and
+    no channel starts or ends at a DOWN node."""
+    out = []
+    for nid, n in sim.nodes.items():
+        for peer_id, peer in n.channels.items():
+            entry = n.running.peers.get(peer_id)
+            where = f"t={sim.loop.now} {nid}->{peer_id}"
+            if entry is None:
+                out.append(f"{where}: no peer entry")
+            elif sim.network.by_address.get(entry.host) is not peer:
+                out.append(f"{where}: mapped to {peer.node_id}, entry host {entry.host}")
+            if not (n.is_up() and peer.is_up()):
+                out.append(f"{where}: an end is DOWN")
+    return out
+
+
+@pytest.mark.parametrize("mode", [simnet.PROACTIVE, simnet.REACTIVE])
+@pytest.mark.parametrize("name", sorted({name for name, _mode in GOLDEN}))
+def test_each_channel_maps_its_peer_entry_to_the_hosts_node_after_every_tick(name, mode):
+    sim = Simulation(build(name, mode))
+    loop, stop = sim.loop, sim.scenario.stop_time
+    violations, channels_seen = [], 0
+    while loop._times and loop._times[0] <= stop:
+        loop.run_until(loop._times[0])
+        violations += channel_violations(sim)
+        channels_seen += sum(len(n.channels) for n in sim.nodes.values())
+    assert violations == []
+    assert channels_seen > 0
 
 
 # ---------------------------------------------------------------------------

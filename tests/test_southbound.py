@@ -324,8 +324,12 @@ def test_notification_after_close_is_dropped(rig):
     '{"txn": 1, "type": "edit-config", "changes": [{"path": "peers/aj"}]}',
     '{"txn": 1, "type": "edit-config", "changes": ["merge"]}',
     '{"txn": 1, "type": "get-configuration"}',
+    "{not json",
+    '{"txn": 1, "type": "edit-config", "changes": 5}',
+    '{"txn": 1, "type": "edit-config", "changes": null}',
 ], ids=["no-type", "no-txn", "no-changes", "list", "string", "null", "no-doc", "no-code",
-        "no-note", "change-without-op", "change-not-an-object", "unknown-type"])
+        "no-note", "change-without-op", "change-not-an-object", "unknown-type", "not-json",
+        "changes-a-number", "changes-null"])
 def test_malformed_frame_line_is_bad_frame(line):
     with pytest.raises(CodedError) as err:
         southbound.frame_from_line(line)
