@@ -12,7 +12,7 @@ latency supplied by the surrounding harness.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import model, southbound
@@ -163,43 +163,42 @@ class Node:
         validated, and tick removes expired peers together with the routes
         that use them. Returns (True, None) or (False, {"code", "detail"}).
         """
-        old = self.running
-        edited: dict[str, dict] = {}  # container -> its one copy for the whole frame
-        touched: list[tuple[str, str]] = []
+        doc = self.running
         try:
             for change in changes:
-                container, key = change.container_key()
-                entries = edited.get(container)
-                if entries is None:
-                    entries = edited[container] = dict(getattr(old, container))
-                if change.op == southbound.MERGE:
-                    if change.value is None:
-                        raise CodedError("BAD_PATH", f"{change.path}: merge without value")
-                    if model.entry_key(container, change.value) != key:
-                        raise CodedError("BAD_PATH", f"{change.path}: key mismatch")
-                    entries[key] = change.value
-                elif change.op == southbound.DELETE:
-                    if entries.pop(key, None) is None:
-                        raise CodedError("BAD_PATH", f"{change.path}: no such entry")
-                else:
-                    raise CodedError("BAD_PATH", f"{change.path}: bad op {change.op!r}")
-                touched.append((container, key))
+                doc = self._apply_one(doc, change)
         except CodedError as err:
             return False, {"code": err.code, "detail": [str(err)]}
-        doc = replace(old, **edited) if edited else old
-        violations = model.validate_changes(doc, touched)
+        violations = model.validate_changes(doc, [c.container_key() for c in changes])
         if violations:
             return False, {
                 "code": "VALIDATION_FAILED",
                 "detail": [v.to_json() for v in violations],
             }
+        old = self.running
         self.running = doc
-        self._after_apply(old, touched)
+        self._after_apply(old, changes)
         return True, None
 
-    def _after_apply(self, old: model.ConfigDocument, touched) -> None:
+    @staticmethod
+    def _apply_one(doc: model.ConfigDocument, change) -> model.ConfigDocument:
+        container, key = change.container_key()
+        if change.op == southbound.MERGE:
+            if change.value is None:
+                raise CodedError("BAD_PATH", f"{change.path}: merge without value")
+            if model.entry_key(container, change.value) != key:
+                raise CodedError("BAD_PATH", f"{change.path}: key mismatch")
+            return model.with_entry(doc, container, key, change.value)
+        if change.op == southbound.DELETE:
+            if key not in getattr(doc, container):
+                raise CodedError("BAD_PATH", f"{change.path}: no such entry")
+            return model.without_entry(doc, container, key)
+        raise CodedError("BAD_PATH", f"{change.path}: bad op {change.op!r}")
+
+    def _after_apply(self, old: model.ConfigDocument, changes) -> None:
         routing_touched = False
-        for container, key in touched:
+        for change in changes:
+            container, key = change.container_key()
             if container == "peers":
                 before = old.peer(key)
                 after = self.running.peer(key)

@@ -228,3 +228,206 @@ def psk_pair(a: str, b: str, secret: bytes, port: int = 1812):
         PeerEntry(b, b, f"{b}.sim", port, Transport.RADIUS_UDP, SharedSecret(secret)),
         PeerEntry(a, a, f"{a}.sim", port, Transport.RADIUS_UDP, SharedSecret(secret)),
     )
+
+
+# ---------------------------------------------------------------------------
+# golden scenarios: the runs whose transcript digests test_golden.py pins
+
+REALMS = ("realm.org", "b.example.net", "c.example.net")
+
+
+def fixture_scenario(name: str, mode: str) -> simnet.Scenario:
+    scenario = simnet.load_scenario((FIXTURES / f"{name}.json").read_text())
+    scenario.mode = mode
+    return scenario
+
+
+def random_scenario(seed: int, mode: str) -> simnet.Scenario:
+    """Three realms (one reached through a wildcard policy), tls and psk
+    adjacencies with entry ttls, and an agent that goes down and comes back
+    while requests for every realm keep arriving."""
+    topology = simnet.gen_random_topology(seed, 10, 0.35, realms=REALMS)
+    homes = [topology.home_of[r] for r in REALMS]
+    client = next(n for n, i in topology.nodes.items() if i.role == "CLIENT")
+    agents = sorted(n for n, i in topology.nodes.items() if i.role == "AGENT")
+    policy_lines = "\n".join([
+        f"route realm.org via {homes[0]} security tls ttl 1500",
+        f"route *.example.net via {homes[1]} security psk ttl 1500",
+        f"route c.example.net via {homes[2]} security psk",
+    ])
+    events = []
+    for i in range(30):
+        realm = REALMS[i % 3]
+        password = "bad" if i % 7 == 3 else "pw"
+        events.append(simnet.Event(100 + 150 * i, "inject", node=client,
+                                   nai=f"u@{realm}", password=password))
+    events += [
+        simnet.Event(1000, "node-down", node=agents[0]),
+        simnet.Event(2500, "node-up", node=agents[0]),
+        simnet.Event(3000, "snapshot"),
+    ]
+    events.sort(key=lambda ev: ev.time)
+    return simnet.scenario_for_topology(
+        topology,
+        seed=seed,
+        mode=mode,
+        policy_lines=policy_lines,
+        users={home: {"u": "pw"} for home in homes},
+        events=events,
+        stop_time=6000,
+        options={"parallel_adjacency": seed % 2 == 1},
+    )
+
+
+def route(pattern: str, next_hop, action: Action, rule_refs=()) -> RealmEntry:
+    return RealmEntry(RealmPattern.parse(pattern), next_hop, action, rule_refs)
+
+
+def redirect_fabric() -> simnet.Scenario:
+    """q sends every realm to the redirect agent ra, which knows realm.org
+    and late.org (both served by ah) but not none.org: a hint, a miss, a
+    failed handshake to ra while it is down, and a new query once it is
+    back up that also releases the message parked by the failure."""
+    q_ra, ra_q = psk_pair("q", "ra", b"k1" * 8)
+    q_ah, ah_q = psk_pair("q", "ah", b"k2" * 8)
+    ra_ah, ah_ra = psk_pair("ra", "ah", b"k3" * 8)
+    static = {
+        "q": ConfigDocument(peers=(q_ra, q_ah), routing=(route("*", "ra", Action.REDIRECT),)),
+        "ra": ConfigDocument(
+            peers=(ra_q, ra_ah),
+            routing=(route("realm.org", "ah", Action.RELAY), route("late.org", "ah", Action.RELAY)),
+        ),
+        "ah": ConfigDocument(
+            peers=(ah_q, ah_ra),
+            routing=(route("realm.org", None, Action.LOCAL), route("late.org", None, Action.LOCAL)),
+        ),
+    }
+    nodes = {
+        "q": {"role": "CLIENT"},
+        "ra": {"role": "AGENT"},
+        "ah": {"role": "SERVER", "realms": ["realm.org", "late.org"], "users": {"eve": "pw"}},
+    }
+    events = [
+        inject(20, "q", "eve@realm.org", "pw"),
+        inject(40, "q", "eve@none.org", "pw"),
+        {"time": 100, "kind": "node-down", "node": "ra"},
+        inject(120, "q", "eve@late.org", "pw"),
+        inject(130, "q", "eve@late.org", "bad"),
+        {"time": 200, "kind": "node-up", "node": "ra"},
+        inject(220, "q", "eve@late.org", "pw"),
+        inject(240, "q", "eve@realm.org", "pw"),
+    ]
+    return make_scenario(
+        nodes, [("q", "ra"), ("q", "ah"), ("ra", "ah")],
+        homes={"realm.org": "ah", "late.org": "ah"},
+        events=events, static_config=static, stop_time=1000,
+    )
+
+
+def proxy_chain() -> simnet.Scenario:
+    """x relays to the proxy y, whose outgoing rules add an attribute and
+    then replace it, in list order, before it forwards to the home z; its
+    incoming rule does not apply to requests."""
+    x_y, y_x = psk_pair("x", "y", b"p1" * 8)
+    y_z, z_y = psk_pair("y", "z", b"p2" * 8)
+    rules = (
+        AttributeRule("op", Direction.OUTGOING, RuleOp.ADD, "Operator-Name", "fed1"),
+        AttributeRule("re", Direction.OUTGOING, RuleOp.REPLACE, "Operator-Name", "fed2"),
+        AttributeRule("in", Direction.INCOMING, RuleOp.REMOVE, "password"),
+    )
+    static = {
+        "x": ConfigDocument(peers=(x_y,), routing=(route("realm.org", "y", Action.RELAY),)),
+        "y": ConfigDocument(
+            peers=(y_x, y_z),
+            routing=(route("realm.org", "z", Action.PROXY, ("op", "re", "in")),),
+            attributes=rules,
+        ),
+        "z": ConfigDocument(peers=(z_y,), routing=(route("realm.org", None, Action.LOCAL),)),
+    }
+    nodes = {
+        "x": {"role": "CLIENT"},
+        "y": {"role": "AGENT"},
+        "z": {"role": "SERVER", "realms": ["realm.org"], "users": {"alice": "pw"}},
+    }
+    events = [
+        inject(10, "x", "alice@realm.org", "pw"),
+        inject(30, "x", "alice@realm.org", "pw"),
+        inject(50, "x", "alice@realm.org", "wrong"),
+    ]
+    return make_scenario(
+        nodes, [("x", "y"), ("y", "z")], homes={"realm.org": "z"},
+        events=events, static_config=static, stop_time=300,
+    )
+
+
+def broken_return() -> simnet.Scenario:
+    """y relays a request to the home z and goes down in the tick the
+    request reaches z, so z's response cannot re-establish the channel
+    back to y and ends CHANNEL_FAILED at z."""
+    x_y, y_x = psk_pair("x", "y", b"r1" * 8)
+    y_z, z_y = psk_pair("y", "z", b"r2" * 8)
+    static = {
+        "x": ConfigDocument(peers=(x_y,), routing=(route("realm.org", "y", Action.RELAY),)),
+        "y": ConfigDocument(peers=(y_x, y_z), routing=(route("realm.org", "z", Action.RELAY),)),
+        "z": ConfigDocument(peers=(z_y,), routing=(route("realm.org", None, Action.LOCAL),)),
+    }
+    nodes = {
+        "x": {"role": "CLIENT"},
+        "y": {"role": "AGENT"},
+        "z": {"role": "SERVER", "realms": ["realm.org"], "users": {"alice": "pw"}},
+    }
+    events = [
+        inject(10, "x", "alice@realm.org", "pw"),
+        {"time": 14, "kind": "node-down", "node": "y"},
+    ]
+    return make_scenario(
+        nodes, [("x", "y"), ("y", "z")], homes={"realm.org": "z"},
+        events=events, static_config=static, stop_time=300,
+    )
+
+
+STATIC = {
+    "redirect-fabric": redirect_fabric,
+    "proxy-chain": proxy_chain,
+    "broken-return": broken_return,
+}
+
+
+GOLDEN = {
+    ("chain", "PROACTIVE"):
+        "7a9eae7dba18b83964d948ef2b5943eda9d5c878b56f59610f36012fc011e3b5",
+    ("chain", "REACTIVE"):
+        "600f51a6c090cc4f1ed569f34d728e0d589c693b3b2f42863da75552d35db0c5",
+    ("diamond", "PROACTIVE"):
+        "2b4af1a5b19489de2f50be3413e03a14e6650eef33dbeb14fa6b9a7d5e3db753",
+    ("diamond", "REACTIVE"):
+        "849c5f30b6c71fe39cc049dfb75ac35b5562f32ed65db8617f19651cceaafea3",
+    ("loop", "PROACTIVE"):
+        "4b486c0e1f1509124523b1be6347e052ea015165a1723a932101c044946ff307",
+    ("loop", "REACTIVE"):
+        "4b486c0e1f1509124523b1be6347e052ea015165a1723a932101c044946ff307",
+    ("random-4", "PROACTIVE"):
+        "537517638bd11222c15324766ff9a95c41e50ba45dee2bd70f16e21113490a1d",
+    ("random-4", "REACTIVE"):
+        "65b6153bc9f9fe157a4cbf5654978c378b33ce828ff9fc5017c626f25d9d3ffd",
+    ("random-9", "PROACTIVE"):
+        "1f988c31a747f2121848265935ba5cb64a5e37e331f7e9d16aa807150861dce8",
+    ("random-9", "REACTIVE"):
+        "a75d90d744e8c0120e790f2277dc257303de6aa0ec253db69208bd90faa5d153",
+    ("redirect-fabric", "PROACTIVE"):
+        "bc1a1d635a9b1961a57b5c88a70020403bed42a0d72f935589486646c82464ed",
+    ("proxy-chain", "PROACTIVE"):
+        "258a40fef884a211e018275290e299168efc53de1741528ecd2b95c50435ec40",
+    ("broken-return", "PROACTIVE"):
+        "7c95328859ad577556329eedad7e138fff441611c8c3e678d3a5324117a8a8cb",
+}
+
+
+def build(name: str, mode: str) -> simnet.Scenario:
+    if name in STATIC:
+        scenario = STATIC[name]()
+        scenario.mode = mode
+        return scenario
+    if name.startswith("random-"):
+        return random_scenario(int(name.split("-")[1]), mode)
+    return fixture_scenario(name, mode)

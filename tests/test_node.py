@@ -137,97 +137,6 @@ def test_expired_peer_cascades_dependent_routes():
     assert a.tick(501) == []
 
 
-# Batches over a few keys per container, so changes in one batch collide:
-# valid and invalid entities, dangling references, key mismatches, deletes
-# of present and absent keys, bad ops and bad paths.
-_PEER_IDS, _PROFILES, _RULE_IDS = ("p0", "p1"), ("t0", "t1"), ("r0", "r1")
-_PEERS = st.builds(
-    lambda pid, tls, profile, port, expiration: PeerEntry(
-        pid, f"{pid}-id", f"{pid}.sim", port,
-        Transport.RADIUS_TLS if tls else Transport.RADIUS_UDP,
-        TlsRef(profile) if tls else SharedSecret(b"s" * 16), expiration),
-    st.sampled_from(_PEER_IDS), st.booleans(), st.sampled_from(_PROFILES),
-    st.sampled_from([1812, 0]), st.sampled_from([None, 500]),
-)
-_PROFILE_ENTITIES = st.builds(
-    lambda name, trusted: TlsProfile(name, f"{name}-cert", b"k" * 16, frozenset(trusted)),
-    st.sampled_from(_PROFILES), st.sets(st.sampled_from([f"{p}-id" for p in _PEER_IDS])),
-)
-_RULES = st.builds(
-    lambda rid, value: AttributeRule(rid, Direction.OUTGOING, RuleOp.ADD, "Operator-Name", value),
-    st.sampled_from(_RULE_IDS), st.sampled_from(["fed", None]),
-)
-_ROUTES = st.builds(
-    lambda pattern, action, hop, refs, expiration: RealmEntry(
-        RealmPattern.parse(pattern), None if action is Action.LOCAL else hop, action,
-        tuple(refs), expiration),
-    st.sampled_from(["a.org", "*.org", "*"]), st.sampled_from([Action.LOCAL, Action.RELAY, Action.PROXY]),
-    st.sampled_from(_PEER_IDS + ("px",)), st.lists(st.sampled_from(_RULE_IDS), max_size=2),
-    st.sampled_from([None, 700]),
-)
-_ENTITIES = {"peers": _PEERS, "tls": _PROFILE_ENTITIES, "attributes": _RULES, "routing": _ROUTES}
-_KEYS = {"peers": _PEER_IDS, "tls": _PROFILES, "attributes": _RULE_IDS,
-         "routing": ("a.org", "*.org", "*")}
-
-
-@st.composite
-def _changes(draw):
-    container = draw(st.sampled_from(sorted(_ENTITIES)))
-    shape = draw(st.sampled_from(["merge"] * 10 + ["delete"] * 4
-                                 + ["mismatch", "no-value", "bad-op", "bad-path"]))
-    if shape in ("merge", "mismatch", "bad-op"):
-        entity = draw(_ENTITIES[container])
-        key = model.entry_key(container, entity)
-        if shape == "mismatch":
-            key = draw(st.sampled_from([k for k in _KEYS[container] if k != key]))
-        op = southbound.MERGE if shape != "bad-op" else "replace"
-        return ConfigChange(op, f"{container}/{key}", entity)
-    if shape == "bad-path":
-        return ConfigChange(southbound.DELETE, draw(st.sampled_from(["bogus/x", "peers/", "peers"])))
-    op = southbound.DELETE if shape == "delete" else southbound.MERGE
-    return ConfigChange(op, f"{container}/{draw(st.sampled_from(_KEYS[container]))}")
-
-
-def _apply_by_folding(doc: ConfigDocument, changes):
-    """apply_changes' verdict and document, one with_entry / without_entry
-    per change and a full validate_document of the result."""
-    try:
-        for change in changes:
-            container, key = change.container_key()
-            if change.op == southbound.MERGE:
-                if change.value is None:
-                    raise CodedError("BAD_PATH", f"{change.path}: merge without value")
-                if model.entry_key(container, change.value) != key:
-                    raise CodedError("BAD_PATH", f"{change.path}: key mismatch")
-                doc = model.with_entry(doc, container, key, change.value)
-            elif change.op == southbound.DELETE:
-                if key not in getattr(doc, container):
-                    raise CodedError("BAD_PATH", f"{change.path}: no such entry")
-                doc = model.without_entry(doc, container, key)
-            else:
-                raise CodedError("BAD_PATH", f"{change.path}: bad op {change.op!r}")
-    except CodedError as err:
-        return (False, {"code": err.code, "detail": [str(err)]}), None
-    violations = model.validate_document(doc)
-    if violations:
-        return (False, {"code": "VALIDATION_FAILED", "detail": [v.to_json() for v in violations]}), None
-    return (True, None), doc
-
-
-@given(st.lists(st.lists(_changes(), max_size=6), min_size=1, max_size=6))
-def test_apply_changes_equals_folding_one_change_at_a_time(batches):
-    _loop, _network, a = rig("a")
-    for batch in batches:
-        before = a.running
-        unchanged = ConfigDocument(**{c: dict(getattr(before, c)) for c in model.CONTAINERS})
-        verdict, doc = _apply_by_folding(before, batch)
-        assert a.apply_changes(batch) == verdict
-        if verdict[0]:
-            assert a.running == doc
-        else:
-            assert a.running is before and before == unchanged
-
-
 class _CountingTable(dict):
     """A route table that counts its reads: one per get, and one per entry
     when a caller scans it."""
