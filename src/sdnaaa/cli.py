@@ -67,15 +67,14 @@ def main() -> None:
 @click.argument("path")
 def validate(path: str) -> None:
     """Validate a configuration document or scenario file."""
-    text = _read(path)
     try:
-        obj = json.loads(text)
+        obj = json.loads(_read(path))
     except json.JSONDecodeError as err:
         click.echo(f"invalid JSON: {err}", err=True)
         sys.exit(1)
     if isinstance(obj, dict) and set(obj) == set(model.CONTAINERS):
         try:
-            doc = model.decode_document(text)
+            doc = model.document_from_json(obj)
         except model.CodedError as err:
             click.echo(str(err), err=True)
             sys.exit(1)
@@ -87,7 +86,7 @@ def validate(path: str) -> None:
         click.echo("document ok", err=True)
     elif isinstance(obj, dict) and "topology" in obj:
         try:
-            simnet.load_scenario(text)
+            simnet.scenario_from_dict(obj)
         except model.CodedError as err:
             click.echo(str(err), err=True)
             sys.exit(1)

@@ -117,9 +117,10 @@ def load_policy(text: str, topology: Topology) -> list[Policy]:
             raise CodedError("PARSE_ERROR", f"line {lineno}: bad security {security!r}")
         ttl = None
         if len(tokens) == 8:
-            if tokens[6] != "ttl" or not tokens[7].isdigit() or int(tokens[7]) <= 0:
+            digits = tokens[7] if tokens[6] == "ttl" and tokens[7].isascii() else ""
+            if not digits.isdigit() or int(digits) <= 0:
                 raise CodedError("PARSE_ERROR", f"line {lineno}: bad ttl")
-            ttl = int(tokens[7])
+            ttl = int(digits)
         policies.append(Policy(f"p{len(policies) + 1}", pattern, home, security, ttl))
     return policies
 

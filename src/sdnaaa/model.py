@@ -23,7 +23,7 @@ REDACTED = "<redacted>"
 
 HOP_LIMIT = 16
 
-_LABEL_RE = re.compile(r"^[a-z0-9-]{1,63}$")
+_LABEL_RE = re.compile(r"[a-z0-9-]{1,63}")
 _MAX_REALM_LABELS = 32
 
 MIN_SECRET_LEN = 16
@@ -54,9 +54,9 @@ class Realm:
     def parse(cls, text: str) -> "Realm":
         labels = tuple(text.lower().split("."))
         if not (1 <= len(labels) <= _MAX_REALM_LABELS) or not all(
-            _LABEL_RE.match(label) for label in labels
+            _LABEL_RE.fullmatch(label) for label in labels
         ):
-            raise CodedError("BAD_REALM", text)
+            raise CodedError("BAD_REALM", repr(text))
         return cls(labels)
 
     @cached_property  # stored in the instance dict; eq and hash use the fields
@@ -372,16 +372,6 @@ class Notification:
         return cls(cls.FORWARD_FAILURE, node_id, realm=realm, peer_id=peer_id)
 
 
-def notification_from_json(obj: dict) -> Notification:
-    return Notification(
-        kind=obj["kind"],
-        node_id=obj["node"],
-        realm=Realm.parse(obj["realm"]) if "realm" in obj else None,
-        peer_id=obj.get("peer"),
-        pattern=RealmPattern.parse(obj["pattern"]) if "pattern" in obj else None,
-    )
-
-
 # ---------------------------------------------------------------------------
 # configuration document
 
@@ -515,7 +505,7 @@ def _valid_expiration(value) -> bool:
 def _valid_realm_labels(realm: Realm) -> bool:
     return (
         1 <= len(realm.labels) <= _MAX_REALM_LABELS
-        and all(isinstance(l, str) and _LABEL_RE.match(l) for l in realm.labels)
+        and all(isinstance(l, str) and _LABEL_RE.fullmatch(l) for l in realm.labels)
     )
 
 
@@ -871,12 +861,6 @@ _VALIDATION_RANK = {container: rank for rank, container in enumerate(REFERENTS_F
 
 def entity_to_json(container: str, entity) -> dict:
     return SCHEMAS[container].to_json(entity)
-
-
-def entity_from_json(container: str, obj) -> object:
-    if container not in SCHEMAS:
-        raise CodedError("SCHEMA_ERROR", f"bad container {container!r}")
-    return SCHEMAS[container].from_json(obj, container)
 
 
 def document_to_json(doc: ConfigDocument) -> dict:

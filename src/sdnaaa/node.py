@@ -602,7 +602,7 @@ class Node:
     # notifications, failures, liveness
 
     def emit_notification(self, note: Notification) -> None:
-        if self.session is None or self.session.closed:
+        if self.session is None:
             self.notification_drops += 1
             return
         self.session.notify(note)

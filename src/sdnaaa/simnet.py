@@ -1,6 +1,5 @@
 """Deterministic discrete-event harness: logical clock, scenario loading,
-event injection (requests, node failures), random topology generation,
-metrics and transcript capture.
+event injection (requests, node failures), metrics and transcript capture.
 
 Every run is a pure function of the scenario: all randomness comes from the
 scenario seed, the loop is single threaded, and ties at equal timestamps
@@ -11,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import random
 from dataclasses import dataclass, field
 from functools import partial
 from json.encoder import encode_basestring_ascii
@@ -27,7 +25,6 @@ from .controller import (
     NodeInfo,
     Policy,
     Topology,
-    compute_next_hops,
     load_policy,
 )
 from .model import AaaMessage, CodedError, MsgKind, Realm
@@ -182,22 +179,6 @@ class Transcript:
         """The records as written by ``to_ndjson``, decoded."""
         return [json.loads(line) for line in self.to_ndjson().splitlines()]
 
-    def frames(self, ftype: Optional[str] = None, actor: Optional[str] = None,
-               direction: Optional[str] = None) -> list[dict]:
-        out = []
-        for r in self.records:
-            frame = r.get("frame")
-            if frame is None:
-                continue
-            if ftype is not None and frame.get("type") != ftype:
-                continue
-            if actor is not None and r["actor"] != actor:
-                continue
-            if direction is not None and r["direction"] != direction:
-                continue
-            out.append(r)
-        return out
-
 
 class Metrics:
     def __init__(self):
@@ -347,6 +328,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
 
     users_of: dict[str, dict[str, str]] = {}
     infos: dict[str, NodeInfo] = {}
+    addresses: set[str] = set()
     for nid, raw in specs.items():
         _require(isinstance(raw, dict), "PARSE_ERROR", f"node {nid}")
         _require(
@@ -367,6 +349,8 @@ def scenario_from_dict(obj: dict) -> Scenario:
         _require(_is_str_map(users), "PARSE_ERROR", f"node {nid} users")
         address = raw.get("address", f"{nid}.sim")
         _require(isinstance(address, str), "PARSE_ERROR", f"node {nid} address")
+        _require(address not in addresses, "PARSE_ERROR", f"node {nid} repeats address {address!r}")
+        addresses.add(address)
         users_of[nid] = dict(users)
         infos[nid] = NodeInfo(address, role, realms, state)
 
@@ -482,30 +466,6 @@ def load_scenario(text: str) -> Scenario:
     except json.JSONDecodeError as err:
         raise CodedError("PARSE_ERROR", str(err)) from None
     return scenario_from_dict(obj)
-
-
-def scenario_for_topology(
-    topology: Topology,
-    *,
-    seed: int,
-    mode: str,
-    events,
-    stop_time: int,
-    policy_lines: str = "",
-    users: Optional[dict[str, dict[str, str]]] = None,
-    options: Optional[dict] = None,
-) -> Scenario:
-    """Build a Scenario directly from a Topology (for generated graphs)."""
-    return Scenario(
-        seed=seed,
-        topology=topology,
-        users=dict(users or {}),
-        policies=load_policy(policy_lines, topology),
-        mode=mode,
-        events=list(events),
-        stop_time=stop_time,
-        options=dict(options or {}),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -645,48 +605,3 @@ def run(scenario: Scenario) -> tuple[Metrics, Transcript]:
     """Execute the scenario to stop_time; identical inputs give identical
     (metrics, transcript) outputs."""
     return Simulation(scenario).run()
-
-
-# ---------------------------------------------------------------------------
-# random topologies
-
-
-def gen_random_topology(
-    seed: int, n_nodes: int, edge_prob: float, realms=("realm.org",)
-) -> Topology:
-    """Connected random topology: one SERVER per realm, one CLIENT, the rest
-    AGENTs. Rejection-samples edge sets until connected; deterministic for a
-    given seed. Raises GIVE_UP after 1000 attempts."""
-    if not (3 <= n_nodes <= 64):
-        raise CodedError("BAD_ARGS", f"n_nodes {n_nodes}")
-    if not (0 < edge_prob <= 1):
-        raise CodedError("BAD_ARGS", f"edge_prob {edge_prob}")
-    realm_objs = [Realm.parse(r) for r in realms]
-    if n_nodes < len(realm_objs) + 1:
-        raise CodedError("BAD_ARGS", "not enough nodes for realms plus a client")
-    rng = random.Random(seed)
-    names = [f"n{i:02d}" for i in range(n_nodes)]
-    infos: dict[str, NodeInfo] = {}
-    home_of: dict[str, str] = {}
-    for idx, name in enumerate(names):
-        if idx < len(realm_objs):
-            realm = realm_objs[idx]
-            infos[name] = NodeInfo(f"{name}.sim", SERVER, (realm,))
-            home_of[realm.text] = name
-        elif idx == len(realm_objs):
-            infos[name] = NodeInfo(f"{name}.sim", CLIENT)
-        else:
-            infos[name] = NodeInfo(f"{name}.sim", AGENT)
-
-    for _attempt in range(1000):
-        links = set()
-        for i in range(n_nodes):
-            for j in range(i + 1, n_nodes):
-                if rng.random() < edge_prob:
-                    links.add(frozenset((names[i], names[j])))
-        topology = Topology(infos, links, home_of)
-        # connected: every other node has a next hop toward the first
-        if len(compute_next_hops(topology, names[0])) == n_nodes - 1:
-            return topology
-    raise CodedError("GIVE_UP", f"no connected graph after 1000 attempts (p={edge_prob})")
-

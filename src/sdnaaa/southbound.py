@@ -1,15 +1,13 @@
 """Management channel between the controller and AAA nodes.
 
 Transactional edit-config / get-config with per-frame atomicity on the node
-side, ok/error replies, and node-originated notifications. Frames are JSON
-records (one per line when carried over a byte stream); in the simulator
-they travel over an in-memory ordered duplex channel with one logical time
-unit of latency per direction.
+side, ok/error replies, and node-originated notifications. Frames travel
+over an in-memory ordered duplex channel with one logical time unit of
+latency per direction; ``Frame.to_json`` is their form in the transcript.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -100,22 +98,6 @@ class ConfigChange:
         return out
 
 
-def _member(obj, key: str, kind: type = object):
-    """``obj[key]``; BAD_FRAME when a decoded frame or change lacks it, or
-    it is not a ``kind``."""
-    if not isinstance(obj, dict) or key not in obj or not isinstance(obj[key], kind):
-        raise CodedError("BAD_FRAME", f"bad or missing {key!r} in {obj!r:.80}")
-    return obj[key]
-
-
-def change_from_json(obj: dict) -> ConfigChange:
-    change = ConfigChange(_member(obj, "op"), _member(obj, "path"))
-    if "value" in obj:
-        container, _ = change.container_key()
-        change = ConfigChange(change.op, change.path, model.entity_from_json(container, obj["value"]))
-    return change
-
-
 @dataclass(frozen=True)
 class Frame:
     """One unit on the management channel. Replies echo the request txn;
@@ -142,37 +124,6 @@ class Frame:
         return out
 
 
-def frame_from_json(obj: dict) -> Frame:
-    """Errors: BAD_FRAME for a frame or change that is not an object or lacks
-    a member its type needs, for ``changes`` that is not a list, and for an unknown type."""
-    ftype, txn = _member(obj, "type"), _member(obj, "txn")
-    if ftype == EDIT_CONFIG:
-        changes = tuple(change_from_json(c) for c in _member(obj, "changes", list))
-        return Frame(txn, ftype, changes=changes)
-    if ftype == CONFIG:
-        return Frame(txn, ftype, doc=model.document_from_json(_member(obj, "doc")))
-    if ftype == ERROR:
-        return Frame(txn, ftype, error={"code": _member(obj, "code"), "detail": obj.get("detail", [])})
-    if ftype == NOTIFICATION:
-        return Frame(txn, ftype, note=model.notification_from_json(_member(obj, "note")))
-    if ftype in (GET_CONFIG, OK):
-        return Frame(txn, ftype)
-    raise CodedError("BAD_FRAME", str(ftype))
-
-
-def frame_to_line(frame: Frame) -> str:
-    """Wire codec for byte-stream transports: one JSON frame per line."""
-    return json.dumps(frame.to_json(), separators=(",", ":")) + "\n"
-
-
-def frame_from_line(line: str) -> Frame:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as err:
-        raise CodedError("BAD_FRAME", str(err)) from None
-    return frame_from_json(obj)
-
-
 # ---------------------------------------------------------------------------
 # sessions
 
@@ -192,7 +143,6 @@ class Session:
         self.recorder = recorder
         self.on_notification = on_notification
         self.txn = 0
-        self.closed = False
 
     # -- controller side
 
@@ -230,11 +180,6 @@ class Session:
         reply.resolve(frame)
 
     # -- node side
-
-    def close(self) -> None:
-        self.closed = True
-        if self.node.session is self:
-            self.node.session = None
 
     def notify(self, note: model.Notification) -> None:
         frame = Frame(0, NOTIFICATION, note=note)

@@ -1,16 +1,28 @@
 import math
 import random
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
 from sdnaaa import model, simnet
+from sdnaaa.controller import (
+    AGENT,
+    CLIENT,
+    SERVER,
+    NodeInfo,
+    Topology,
+    compute_next_hops,
+    load_policy,
+)
 from sdnaaa.model import (
     Action,
     AttributeRule,
+    CodedError,
     ConfigDocument,
     Direction,
     PeerEntry,
+    Realm,
     RealmEntry,
     RealmPattern,
     RuleOp,
@@ -99,6 +111,92 @@ def chain_nodes() -> tuple[dict, list, dict]:
 
 def inject(time: int, at: str, nai: str, password: str) -> dict:
     return {"time": time, "kind": "inject", "at": at, "nai": nai, "password": password}
+
+
+# ---------------------------------------------------------------------------
+# generated topologies and transcript queries
+
+
+def gen_random_topology(
+    seed: int, n_nodes: int, edge_prob: float, realms=("realm.org",)
+) -> Topology:
+    """Connected random topology: one SERVER per realm, one CLIENT, the rest
+    AGENTs. Rejection-samples edge sets until connected; deterministic for a
+    given seed. Raises GIVE_UP after 1000 attempts."""
+    if not (3 <= n_nodes <= 64):
+        raise CodedError("BAD_ARGS", f"n_nodes {n_nodes}")
+    if not (0 < edge_prob <= 1):
+        raise CodedError("BAD_ARGS", f"edge_prob {edge_prob}")
+    realm_objs = [Realm.parse(r) for r in realms]
+    if n_nodes < len(realm_objs) + 1:
+        raise CodedError("BAD_ARGS", "not enough nodes for realms plus a client")
+    rng = random.Random(seed)
+    names = [f"n{i:02d}" for i in range(n_nodes)]
+    infos: dict[str, NodeInfo] = {}
+    home_of: dict[str, str] = {}
+    for idx, name in enumerate(names):
+        if idx < len(realm_objs):
+            realm = realm_objs[idx]
+            infos[name] = NodeInfo(f"{name}.sim", SERVER, (realm,))
+            home_of[realm.text] = name
+        elif idx == len(realm_objs):
+            infos[name] = NodeInfo(f"{name}.sim", CLIENT)
+        else:
+            infos[name] = NodeInfo(f"{name}.sim", AGENT)
+
+    for _attempt in range(1000):
+        links = set()
+        for i in range(n_nodes):
+            for j in range(i + 1, n_nodes):
+                if rng.random() < edge_prob:
+                    links.add(frozenset((names[i], names[j])))
+        topology = Topology(infos, links, home_of)
+        # connected: every other node has a next hop toward the first
+        if len(compute_next_hops(topology, names[0])) == n_nodes - 1:
+            return topology
+    raise CodedError("GIVE_UP", f"no connected graph after 1000 attempts (p={edge_prob})")
+
+
+def scenario_for_topology(
+    topology: Topology,
+    *,
+    seed: int,
+    mode: str,
+    events,
+    stop_time: int,
+    policy_lines: str = "",
+    users: Optional[dict[str, dict[str, str]]] = None,
+    options: Optional[dict] = None,
+) -> simnet.Scenario:
+    """Build a Scenario directly from a Topology (for generated graphs)."""
+    return simnet.Scenario(
+        seed=seed,
+        topology=topology,
+        users=dict(users or {}),
+        policies=load_policy(policy_lines, topology),
+        mode=mode,
+        events=list(events),
+        stop_time=stop_time,
+        options=dict(options or {}),
+    )
+
+
+def frames(transcript: simnet.Transcript, ftype: Optional[str] = None,
+           actor: Optional[str] = None, direction: Optional[str] = None) -> list[dict]:
+    """The transcript's frame records, filtered by frame type, actor and direction."""
+    out = []
+    for r in transcript.records:
+        frame = r.get("frame")
+        if frame is None:
+            continue
+        if ftype is not None and frame.get("type") != ftype:
+            continue
+        if actor is not None and r["actor"] != actor:
+            continue
+        if direction is not None and r["direction"] != direction:
+            continue
+        out.append(r)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +344,7 @@ def random_scenario(seed: int, mode: str) -> simnet.Scenario:
     """Three realms (one reached through a wildcard policy), tls and psk
     adjacencies with entry ttls, and an agent that goes down and comes back
     while requests for every realm keep arriving."""
-    topology = simnet.gen_random_topology(seed, 10, 0.35, realms=REALMS)
+    topology = gen_random_topology(seed, 10, 0.35, realms=REALMS)
     homes = [topology.home_of[r] for r in REALMS]
     client = next(n for n, i in topology.nodes.items() if i.role == "CLIENT")
     agents = sorted(n for n, i in topology.nodes.items() if i.role == "AGENT")
@@ -267,7 +365,7 @@ def random_scenario(seed: int, mode: str) -> simnet.Scenario:
         simnet.Event(3000, "snapshot"),
     ]
     events.sort(key=lambda ev: ev.time)
-    return simnet.scenario_for_topology(
+    return scenario_for_topology(
         topology,
         seed=seed,
         mode=mode,

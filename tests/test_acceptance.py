@@ -11,8 +11,11 @@ import time
 from conftest import (
     FIXTURES,
     chain_nodes,
+    frames,
     fw_distances,
+    gen_random_topology,
     make_scenario,
+    scenario_for_topology,
     secret_hexes,
     wait,
 )
@@ -24,10 +27,6 @@ from sdnaaa.southbound import ConfigChange, open_session
 
 def load_fixture(name: str) -> simnet.Scenario:
     return simnet.load_scenario((FIXTURES / name).read_text())
-
-
-def frames_of(transcript, ftype, actor=None, direction=None):
-    return transcript.frames(ftype, actor=actor, direction=direction)
 
 
 def notes_of(transcript, kind):
@@ -96,7 +95,7 @@ def test_criterion_03_rollback_on_step3_failure():
     assert result.status == "FAILED" and result.failed_step == 3
     deletes = [
         c["path"]
-        for r in frames_of(sim.transcript, "edit-config", actor="ai", direction="c2n")
+        for r in frames(sim.transcript, "edit-config", actor="ai", direction="c2n")
         for c in r["frame"]["changes"]
         if c["op"] == "delete"
     ]
@@ -116,7 +115,7 @@ def test_criterion_04_reactive_single_acquire_per_node():
     assert per_node == [("ac", "realm.org"), ("ai", "realm.org"), ("aj", "realm.org")]
     assert len(per_node) == len(set(per_node)) == 3
     for node, _realm in per_node:
-        to_node = frames_of(transcript, "edit-config", actor=node, direction="c2n")
+        to_node = frames(transcript, "edit-config", actor=node, direction="c2n")
         combined = [
             r for r in to_node
             if any(c["path"].startswith("peers/") for c in r["frame"]["changes"])
@@ -132,10 +131,10 @@ def test_criterion_05_hop_counts_match_bfs_oracle():
     checked = 0
     for seed in range(100):
         n_nodes = 4 + seed % 9
-        topology = simnet.gen_random_topology(seed, n_nodes, probs[seed % 3])
+        topology = gen_random_topology(seed, n_nodes, probs[seed % 3])
         home = topology.home_of["realm.org"]
         client = next(n for n, i in topology.nodes.items() if i.role == "CLIENT")
-        scenario = simnet.scenario_for_topology(
+        scenario = scenario_for_topology(
             topology,
             seed=seed,
             mode="PROACTIVE",
@@ -183,7 +182,7 @@ def test_criterion_07_no_secret_bytes_in_reads_or_snapshots():
             wait(sim, sim.controller.get_node_config(node_id))
         secrets = _secrets_in_nodes(sim)
         assert secrets, "expected live credential material to scan against"
-        config_frames = frames_of(sim.transcript, "config")
+        config_frames = frames(sim.transcript, "config")
         scanned_frames += len(config_frames)
         assert config_frames
         for record in config_frames:
@@ -215,7 +214,7 @@ def test_criterion_08_route_expiry_and_reprovisioning():
     # find cl's provisioned route to learn its creation and expiration times
     sim.run_until(10)
     route_frames = [
-        r for r in frames_of(sim.transcript, "edit-config", actor="cl", direction="c2n")
+        r for r in frames(sim.transcript, "edit-config", actor="cl", direction="c2n")
         if any(c["path"].startswith("routing/") for c in r["frame"]["changes"])
     ]
     assert route_frames
@@ -319,14 +318,14 @@ def test_criterion_10_byte_identical_reruns():
 
 
 def test_criterion_11_throughput_guard():
-    topology = simnet.gen_random_topology(5, 20, 0.3)
+    topology = gen_random_topology(5, 20, 0.3)
     home = topology.home_of["realm.org"]
     client = next(n for n, i in topology.nodes.items() if i.role == "CLIENT")
     events = [
         simnet.Event(100 + i, "inject", node=client, nai="u@realm.org", password="pw")
         for i in range(10_000)
     ]
-    scenario = simnet.scenario_for_topology(
+    scenario = scenario_for_topology(
         topology,
         seed=5,
         mode="PROACTIVE",

@@ -136,6 +136,19 @@ MALFORMED_SCENARIOS = {
         lambda o: o.update(policies=["route realm..org via ah security tls"]), "PARSE_ERROR",
     ),
     "node-realm-bad": (lambda o: o["topology"]["nodes"]["ai"].update(realms=["a..b"]), "BAD_REALM"),
+    "node-realm-newline": (
+        lambda o: o["topology"]["nodes"]["ai"].update(realms=["realm.org\n"]), "BAD_REALM",
+    ),
+    "nai-realm-newline": (lambda o: o["events"][0].update(nai="alice@realm.org\n"), "BAD_REALM"),
+    "policy-ttl-superscript": (
+        lambda o: o.update(policies=["route realm.org via ah security tls ttl \u00b2"]), "PARSE_ERROR",
+    ),
+    "policy-ttl-arabic-indic": (
+        lambda o: o.update(policies=["route realm.org via ah security tls ttl \u0663"]), "PARSE_ERROR",
+    ),
+    "duplicate-address": (
+        lambda o: o["topology"]["nodes"]["aj"].update(address="ai.sim"), "PARSE_ERROR",
+    ),
     "static-container-not-list": (
         lambda o: o.update(static_config={"ac": dict(_EMPTY_DOC, peers={})}), "SCHEMA_ERROR",
     ),

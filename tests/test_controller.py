@@ -2,7 +2,17 @@ import json
 
 import pytest
 
-from conftest import chain_nodes, fw_distances, inject, make_scenario, run_all, wait
+from conftest import (
+    chain_nodes,
+    frames,
+    fw_distances,
+    gen_random_topology,
+    inject,
+    make_scenario,
+    run_all,
+    scenario_for_topology,
+    wait,
+)
 from sdnaaa import controller as controller_mod, simnet, southbound
 from sdnaaa.controller import (
     NodeInfo,
@@ -28,7 +38,7 @@ def chain_sim(policies=(), mode="PROACTIVE", events=(), options=None, stop_time=
 
 
 def edit_frames(transcript, actor=None):
-    return transcript.frames("edit-config", actor=actor, direction="c2n")
+    return frames(transcript, "edit-config", actor=actor, direction="c2n")
 
 
 def frame_paths(record) -> list[str]:
@@ -37,7 +47,7 @@ def frame_paths(record) -> list[str]:
 
 def notes_of(transcript, kind):
     return [
-        r for r in transcript.frames("notification")
+        r for r in frames(transcript, "notification")
         if r["frame"]["note"]["kind"] == kind
     ]
 
@@ -150,7 +160,7 @@ def test_diamond_tie_breaks_lexicographically():
 def test_next_hop_distances_match_brute_force_on_random_graphs():
     for seed in range(100):
         n = 4 + seed % 9  # 4..12 nodes
-        topology = simnet.gen_random_topology(seed, n, (0.3, 0.5, 0.8)[seed % 3])
+        topology = gen_random_topology(seed, n, (0.3, 0.5, 0.8)[seed % 3])
         target = topology.home_of["realm.org"]
         hops = compute_next_hops(topology, target)
         oracle = fw_distances(topology)
@@ -196,7 +206,7 @@ def test_links_are_read_only_when_the_topology_is_built():
     allowed.iterations = 0
 
     assert compute_next_hops(topology, "ah") == {"ac": "ai", "ai": "aj", "aj": "ah", "at": "ai"}
-    scenario = simnet.scenario_for_topology(
+    scenario = scenario_for_topology(
         topology, seed=1, mode="PROACTIVE",
         policy_lines="route realm.org via ah security tls",
         users={"ah": nodes["ah"]["users"]},
@@ -380,9 +390,9 @@ def test_acquire_answered_with_combined_peer_and_route_frame():
     ]
     assert acquires == ["ac", "ai", "aj"]
     for node in acquires:
-        frames = edit_frames(transcript, actor=node)
+        edits = edit_frames(transcript, actor=node)
         combined = [
-            r for r in frames
+            r for r in edits
             if any(p.startswith("peers/") for p in frame_paths(r))
             and any(p.startswith("routing/") for p in frame_paths(r))
         ]
@@ -467,9 +477,9 @@ def test_acquire_at_the_home_installs_only_its_local_route():
         events=[inject(10, "ah", "alice@realm.org", "alice-pw")],
     )
     metrics, transcript = sim.run()
-    frames = edit_frames(transcript)
-    assert [(r["actor"], frame_paths(r)) for r in frames] == [("ah", ["routing/realm.org"])]
-    assert frames[0]["frame"]["changes"][0]["value"]["action"] == "local"
+    edits = edit_frames(transcript)
+    assert [(r["actor"], frame_paths(r)) for r in edits] == [("ah", ["routing/realm.org"])]
+    assert edits[0]["frame"]["changes"][0]["value"]["action"] == "local"
     assert metrics.delivered == 1
     done = [r for r in transcript.records if r["direction"] == "done"]
     assert done[0]["message"]["trace"] == ["ah"]
@@ -533,7 +543,7 @@ def test_expiry_of_an_unowned_static_entry_sends_no_frame():
     assert [(r["actor"], r["frame"]["note"]["pattern"]) for r in expired] == [("ah", "realm.org")]
     assert metrics.notifications == {"route-expired": 1}
     # the static push is the only controller frame; the expiry adds none
-    assert [r["time"] for r in transcript.frames(direction="c2n")] == [0]
+    assert [r["time"] for r in frames(transcript, direction="c2n")] == [0]
 
 
 def test_node_that_starts_down_gets_a_session_on_node_up():
@@ -547,7 +557,7 @@ def test_node_that_starts_down_gets_a_session_on_node_up():
     sim.run_until(20)
     doc = wait(sim, sim.controller.get_node_config("aj"))
     assert doc is not None and doc.peers == {} and doc.routing == {}
-    assert [r["frame"]["type"] for r in sim.transcript.frames(actor="aj")] == [
+    assert [r["frame"]["type"] for r in frames(sim.transcript, actor="aj")] == [
         "get-config", "config",
     ]
 

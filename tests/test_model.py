@@ -60,6 +60,7 @@ def test_parse_nai_single_label_realm():
         ("alice@a..b", "BAD_REALM"),
         ("a@b@realm.org", "BAD_USER"),
         ("alice@" + ".".join(["x"] * 33), "BAD_REALM"),
+        ("alice@realm.org\n", "BAD_REALM"),
     ],
 )
 def test_parse_nai_errors(text, code):
@@ -482,6 +483,8 @@ def test_decode_rejects_bad_json():
         }),
         lambda o: o["routing"][0].update(rule_refs=["r1", "r1"]),
         lambda o: o["peers"][0]["credential"].update(secret="AB" * 16),
+        # a realm label cannot end in a line break
+        lambda o: o["routing"][0].update(pattern="realm.org\n"),
     ],
 )
 def test_decode_rejects_schema_errors(mutate):

@@ -8,11 +8,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import GOLDEN, build, chain_nodes, inject, make_scenario
+from conftest import (
+    GOLDEN,
+    build,
+    chain_nodes,
+    gen_random_topology,
+    inject,
+    make_scenario,
+    scenario_for_topology,
+)
 from sdnaaa import model, node as node_mod, simnet
 from sdnaaa.model import AaaMessage, CodedError
 from sdnaaa.southbound import ERROR, NOTIFICATION, OK, Frame
-from sdnaaa.simnet import EventLoop, Simulation, gen_random_topology, load_scenario
+from sdnaaa.simnet import EventLoop, Simulation, load_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +591,7 @@ def test_reactive_routes_converge_to_shortest_paths():
         topology = gen_random_topology(seed, 4 + seed % 8, 0.5)
         home = topology.home_of["realm.org"]
         client = next(n for n, i in topology.nodes.items() if i.role == "CLIENT")
-        scenario = simnet.scenario_for_topology(
+        scenario = scenario_for_topology(
             topology, seed=seed, mode="REACTIVE",
             policy_lines=f"route realm.org via {home} security psk",
             users={home: {"u": "pw"}},
