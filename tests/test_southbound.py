@@ -178,6 +178,38 @@ def test_requests_to_down_node_fail_with_node_down(rig):
     assert reply.value.error["code"] == "NODE_DOWN"
 
 
+@pytest.mark.parametrize("kind", [
+    southbound.CONFIG, southbound.OK, southbound.ERROR, southbound.NOTIFICATION, "get-configuration", None,
+], ids=["config", "ok", "error", "notification", "unknown-type", "no-type"])
+def test_request_that_is_not_edit_or_get_config_is_bad_frame(rig, kind):
+    loop, _network, node = rig
+    frames = []
+    session = open_session("controller", node, loop,
+                           recorder=lambda t, _n, d, f: frames.append((t, d, f)))
+    request = Frame(7, kind)
+    reply = session._request(request)
+    drain(loop)
+    assert reply.value.type == southbound.ERROR
+    assert reply.value.txn == 7
+    assert reply.value.error == {"code": "BAD_FRAME", "detail": []}
+    assert node.running == ConfigDocument()
+    assert frames == [(0, "c2n", request), (2, "n2c", reply.value)]
+
+
+@pytest.mark.parametrize("path", ["peers", "peers/", "rooting/realm.org", "/aj"],
+                         ids=["no-separator", "no-key", "unknown-container", "no-container"])
+def test_change_path_without_container_and_key_is_bad_path(path):
+    with pytest.raises(CodedError) as err:
+        ConfigChange(southbound.DELETE, path).container_key()
+    assert err.value.code == "BAD_PATH"
+    assert err.value.detail == path
+
+
+def test_change_path_splits_at_the_first_slash():
+    assert ConfigChange(southbound.DELETE, "routing/*.org").container_key() == ("routing", "*.org")
+    assert ConfigChange(southbound.DELETE, "peers/a/b").container_key() == ("peers", "a/b")
+
+
 # ---------------------------------------------------------------------------
 # notifications
 
@@ -244,6 +276,44 @@ def test_txn_strictly_increases_and_replies_echo(rig):
     assert reply_txns <= set(requests)
     for i, reply in enumerate(replies[:-1]):
         assert reply.value.txn == i + 1
+
+
+# ---------------------------------------------------------------------------
+# replies and workflows
+
+
+def test_reply_resolves_once_and_late_callbacks_run_at_once():
+    reply = southbound.Reply()
+    seen = []
+    reply.add_done_callback(seen.append)
+    assert seen == []
+    reply.resolve("v")
+    assert seen == ["v"]
+    reply.add_done_callback(seen.append)
+    assert seen == ["v", "v"]
+    with pytest.raises(AssertionError):
+        reply.resolve("w")
+    assert reply.value == "v"
+
+
+def test_workflow_resumes_resolved_replies_at_once_and_waits_for_pending_ones():
+    ready = southbound.Reply()
+    ready.resolve(1)
+    later = southbound.Reply()
+    steps = []
+
+    def workflow():
+        a = yield ready
+        steps.append(a)
+        b = yield later
+        steps.append(b)
+        return a + b
+
+    done = southbound.run_workflow(workflow())
+    assert steps == [1] and not done.done
+    later.resolve(2)
+    assert steps == [1, 2]
+    assert done.done and done.value == 3
 
 
 # ---------------------------------------------------------------------------
