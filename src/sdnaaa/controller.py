@@ -177,6 +177,7 @@ class Controller:
         self,
         topology: Topology,
         loop,
+        policies,
         seed: int = 0,
         parallel_adjacency: bool = False,
     ):
@@ -185,7 +186,10 @@ class Controller:
         self.rng = random.Random(seed)
         self.parallel_adjacency = parallel_adjacency
         self.sessions: dict[str, southbound.Session] = {}
-        self.policies: list[Policy] = []
+        self.policies: tuple[Policy, ...] = tuple(policies)
+        # built in reverse, so a repeated pattern keeps its first policy
+        self._policy_for_pattern = {p.realm_pattern.text: p for p in reversed(self.policies)}
+        self._policy_for_id = {p.policy_id: p for p in self.policies}
         self.adjacencies: dict[frozenset, AdjacencyRecord] = {}
         # desired state confirmed by OK replies; holds no credential bytes
         self.ledger: dict[str, dict] = {}
@@ -344,12 +348,6 @@ class Controller:
                     "policy": policy_id,
                 }
 
-    def _policy_by_id(self, policy_id) -> Optional[Policy]:
-        for p in self.policies:
-            if p.policy_id == policy_id:
-                return p
-        return None
-
     def _next_hops_to(self, home: str) -> dict[str, str]:
         """The shared, read-only next-hop tree toward ``home`` for the
         current liveness view."""
@@ -360,13 +358,12 @@ class Controller:
         return hops
 
     def _match_policy(self, realm: Realm) -> Optional[Policy]:
-        best = None
-        best_spec = -1
-        for p in self.policies:
-            spec = model.match_realm(p.realm_pattern, realm)
-            if spec is not None and spec > best_spec:
-                best, best_spec = p, spec
-        return best
+        """The policy of the most specific pattern that matches ``realm``."""
+        for key in realm.lookup_keys:
+            policy = self._policy_for_pattern.get(key)
+            if policy is not None:
+                return policy
+        return None
 
     # ------------------------------------------------------------------
     # jobs
@@ -567,7 +564,7 @@ class Controller:
                 record.status = "NONE"
         else:
             gone = node_entry.get("routes", {}).pop(note.pattern.text, None)
-        policy = self._policy_by_id(gone and gone.get("policy"))
+        policy = self._policy_for_id.get(gone["policy"]) if gone else None
         return (yield from self._reprovision(policy, "expired", note, "REMOVAL_CONFIRMED"))
 
     def _forward_failure_job(self, note: Notification):

@@ -32,10 +32,13 @@ MAX_SECRET_LEN = 64
 
 class CodedError(Exception):
     """Any layer's failure on bad input or state; ``code`` is the
-    machine-readable reason, the message ``code: detail`` or just ``code``."""
+    machine-readable reason, the message ``code: detail`` or just ``code``.
+    The message is one line: a detail with a line break is shown as its
+    repr, while ``detail`` keeps the raw text."""
 
     def __init__(self, code: str, detail: str = ""):
-        super().__init__(f"{code}: {detail}" if detail else code)
+        shown = detail if detail.splitlines() == [detail] else repr(detail)
+        super().__init__(f"{code}: {shown}" if detail else code)
         self.code = code
         self.detail = detail
 
@@ -62,6 +65,15 @@ class Realm:
     @cached_property  # stored in the instance dict; eq and hash use the fields
     def text(self) -> str:
         return ".".join(self.labels)
+
+    @cached_property
+    def lookup_keys(self) -> tuple[str, ...]:
+        """The texts of the patterns that match this realm, most specific
+        first: the realm itself, then ``*.<suffix>`` for ever shorter
+        suffixes, then ``*``. This is the one longest-match order."""
+        labels = self.labels
+        wildcards = ("*." + ".".join(labels[i:]) for i in range(1, len(labels)))
+        return (self.text, *wildcards, "*")
 
     def __str__(self) -> str:
         return self.text
@@ -113,9 +125,9 @@ class PatternKind(Enum):
 class RealmPattern:
     """Routing pattern: an exact realm, a ``*.suffix`` wildcard, or ``*``.
 
-    Specificity is 2n+1 for an exact pattern of n labels, 2n for a wildcard
-    with an n-label suffix and 0 for the default, so distinct patterns that
-    match the same realm never tie.
+    A wildcard requires at least one extra label in front of its suffix;
+    the patterns that match a realm are those whose texts are in
+    ``Realm.lookup_keys``.
     """
 
     kind: PatternKind
@@ -137,30 +149,8 @@ class RealmPattern:
             return f"*.{self.suffix.text}"
         return self.suffix.text
 
-    @property
-    def specificity(self) -> int:
-        if self.kind is PatternKind.DEFAULT:
-            return 0
-        n = len(self.suffix.labels)
-        return 2 * n + 1 if self.kind is PatternKind.EXACT else 2 * n
-
     def __str__(self) -> str:
         return self.text
-
-
-def match_realm(pattern: RealmPattern, realm: Realm) -> Optional[int]:
-    """Return the pattern's specificity if it matches ``realm``, else None.
-
-    A wildcard requires at least one extra label in front of its suffix.
-    """
-    if pattern.kind is PatternKind.DEFAULT:
-        return 0
-    if pattern.kind is PatternKind.EXACT:
-        return pattern.specificity if realm.labels == pattern.suffix.labels else None
-    suffix = pattern.suffix.labels
-    if len(realm.labels) > len(suffix) and realm.labels[-len(suffix):] == suffix:
-        return pattern.specificity
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -451,31 +441,20 @@ def select_route(tables, realm: Realm, now: int) -> Optional[RealmEntry]:
     """Most-specific non-expired entry matching ``realm``, or None.
 
     ``tables`` is a sequence of maps from pattern text to entry; a key
-    found in an earlier map shadows the same key in later ones. The
-    candidate keys are looked up from most to least specific: the realm
-    itself, then ``*.<suffix>`` for ever shorter suffixes, then ``*``, so
-    a lookup costs at most ``len(realm.labels) + 1`` probes per table
-    whatever the table size. The first entry found that has not expired
-    wins; an entry is selectable strictly before its expiration time.
-    Distinct matching patterns never share a specificity, so this is the
-    live match of highest specificity.
+    found in an earlier map shadows the same key in later ones. The keys
+    are probed in ``realm.lookup_keys`` order, so a lookup costs at most
+    ``len(realm.labels) + 1`` probes per table whatever the table size.
+    The first entry found that has not expired wins; an entry is
+    selectable strictly before its expiration time.
     """
-    text = realm.text
-    # ``dot`` starts the suffix of the next wildcard key, -1 after the last
-    key, dot = text, text.find(".")
-    while True:
+    for key in realm.lookup_keys:
         for table in tables:
             entry = table.get(key)
             if entry is not None:
                 if entry.expiration is None or now < entry.expiration:
                     return entry
                 break
-        if key == "*":
-            return None
-        if dot < 0:
-            key = "*"
-        else:
-            key, dot = "*" + text[dot:], text.find(".", dot + 1)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -891,16 +870,6 @@ def document_from_json(obj) -> ConfigDocument:
             raise CodedError("SCHEMA_ERROR", f"{container} must be a list")
         parts[container] = tuple(schema.from_json(e, container) for e in entries)
     return ConfigDocument(**parts)
-
-
-def decode_document(text: str) -> ConfigDocument:
-    """Inverse of encode_document. Errors: PARSE_ERROR, SCHEMA_ERROR,
-    DUPLICATE_* (a key repeated within a container)."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise CodedError("PARSE_ERROR", str(err)) from None
-    return document_from_json(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,6 @@ class Node:
         address: str,
         loop,
         network,
-        role: str = "AGENT",
         served_realms=(),
         users: Optional[dict[str, str]] = None,
         authorized_controller: str = "controller",
@@ -129,7 +128,6 @@ class Node:
         self.address = address
         self.loop = loop
         self.network = network
-        self.role = role
         self.served_realms: frozenset[Realm] = frozenset(served_realms)  # hashed lookup per request
         self.users = dict(users or {})
         self.authorized_controller = authorized_controller
@@ -327,12 +325,12 @@ class Node:
     def _select(self, realm: Realm, now: int) -> Optional[RealmEntry]:
         # live cache entries shadow running entries with the same pattern,
         # so a cached redirect hint overrides the REDIRECT entry it refined;
-        # expired ones are dropped here, before they could shadow anything
-        if self.route_cache:
-            for key in list(self.route_cache):
-                cached = self.route_cache[key]
-                if cached.expiration is not None and now >= cached.expiration:
-                    del self.route_cache[key]
+        # hints are keyed by exact realm text, so the realm's own hint is
+        # the only one on the lookup walk, and it is dropped here once
+        # expired, before it could shadow anything
+        cached = self.route_cache.get(realm.text)
+        if cached is not None and now >= cached.expiration:
+            del self.route_cache[realm.text]
         return model.select_route((self.route_cache, self.running.routing), realm, now)
 
     def _dispatch(self, msg: AaaMessage, entry: RealmEntry, now: int) -> None:

@@ -493,7 +493,6 @@ class Simulation:
                 info.address,
                 self.loop,
                 self.network,
-                role=info.role,
                 served_realms=info.served_realms,
                 users=scenario.users.get(nid),
                 state=info.state,
@@ -502,10 +501,10 @@ class Simulation:
         self.controller = Controller(
             scenario.topology,
             self.loop,
+            scenario.policies,
             seed=scenario.seed,
             parallel_adjacency=bool(scenario.options.get("parallel_adjacency", False)),
         )
-        self.controller.policies.extend(scenario.policies)
 
         for nid in sorted(self.nodes):
             if self.nodes[nid].is_up():

@@ -53,6 +53,14 @@ def test_validate_missing_file_is_io_error(runner):
     assert result.exit_code == 2
 
 
+def test_validate_invalid_json_is_one_line(runner, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{nope")
+    result = invoke(runner, "validate", str(path))
+    assert result.exit_code == 1
+    assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("invalid JSON: ")
+
+
 def test_validate_unrecognized_kind(runner, tmp_path):
     path = tmp_path / "odd.json"
     path.write_text('{"something": 1}')
@@ -125,6 +133,10 @@ MALFORMED_SCENARIOS = {
     "password-number": (lambda o: o["events"][0].update(password=123), "PARSE_ERROR"),
     "parallel-not-bool": (lambda o: o.update(options={"parallel_adjacency": "yes"}), "PARSE_ERROR"),
     "nai-without-at": (lambda o: o["events"][0].update(nai="alice.realm.org"), "NO_AT_SIGN"),
+    "nai-without-at-newline": (
+        lambda o: o["events"][0].update(nai="alice.realm.org\n"), "NO_AT_SIGN",
+    ),
+    "inject-at-newline": (lambda o: o["events"][0].update(at="ac\n"), "UNKNOWN_NODE"),
     "duplicate-static-peer": (
         lambda o: o.update(static_config={"ac": dict(_EMPTY_DOC, peers=[_PEER, _PEER])}),
         "DUPLICATE_PEER_ID",
@@ -203,7 +215,7 @@ def test_run_seed_override_changes_credentials_not_outcome(runner, tmp_path):
 def test_inspect_after_provisioning_shows_redacted_peer(runner):
     result = invoke(runner, "inspect", str(FIXTURES / "chain.json"), "ai", "--at", "40")
     assert result.exit_code == 0
-    doc = model.decode_document(result.stdout.strip())
+    doc = model.document_from_json(json.loads(result.stdout))
     assert doc.peer("aj") is not None
     assert all(t.local_key == model.REDACTED for t in doc.tls.values())
     assert model.REDACTED in result.stdout
@@ -227,7 +239,7 @@ def test_inspect_unknown_node_exits_one(runner):
 def test_inspect_output_never_contains_secret_material(runner):
     result = invoke(runner, "inspect", str(FIXTURES / "diamond.json"), "cl", "--at", "80")
     assert result.exit_code == 0
-    doc = model.decode_document(result.stdout.strip())
+    doc = model.document_from_json(json.loads(result.stdout))
     peer = doc.peer("aa")
     assert peer is not None and peer.credential.secret == model.REDACTED
 

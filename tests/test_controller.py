@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -16,11 +17,15 @@ from conftest import (
 from sdnaaa import controller as controller_mod, simnet, southbound
 from sdnaaa.controller import (
     NodeInfo,
+    Policy,
     Topology,
     compute_next_hops,
     load_policy,
 )
-from sdnaaa.model import Action, CodedError, ConfigDocument, Realm, RealmEntry, RealmPattern
+from sdnaaa.model import (
+    Action, CodedError, ConfigDocument, PatternKind, Realm, RealmEntry, RealmPattern,
+)
+from test_model import match_realm
 
 
 def topo(names_roles: dict[str, str], links) -> Topology:
@@ -416,6 +421,33 @@ def test_most_specific_policy_wins_for_acquire():
     assert metrics.delivered == 1
     done = [r for r in transcript.records if r["direction"] == "done"]
     assert done[0]["message"]["trace"] == ["ac", "ai", "aj", "ah"]
+
+
+def test_match_policy_equals_a_linear_scan_where_a_repeated_pattern_keeps_its_first_policy():
+    rng = random.Random(20261019)
+
+    def realm():
+        return Realm(tuple(rng.choice(("a", "b", "org")) for _ in range(rng.randint(1, 3))))
+
+    def pattern():
+        kind = rng.choice(list(PatternKind))
+        return RealmPattern(kind, None if kind is PatternKind.DEFAULT else realm())
+
+    repeated = 0
+    for _ in range(300):
+        policies = [Policy(f"p{i}", pattern(), "h", "tls") for i in range(rng.randint(0, 8))]
+        repeated += len(policies) - len({p.realm_pattern for p in policies})
+        ctl = controller_mod.Controller(topo({"h": "SERVER"}, []), None, policies)
+        for _ in range(10):
+            r = realm()
+            # the scan keeps the first of equally specific matches (strict >)
+            best, best_spec = None, -1
+            for p in policies:
+                spec = match_realm(p.realm_pattern, r)
+                if spec is not None and spec > best_spec:
+                    best, best_spec = p, spec
+            assert ctl._match_policy(r) is best
+    assert repeated > 100
 
 
 def test_rollback_leaves_neither_node_configured():

@@ -375,7 +375,7 @@ def test_home_finds_its_realm_with_constant_comparisons(monkeypatch):
     loop = simnet.EventLoop()
     network = simnet.Network(loop, simnet.Metrics(), simnet.Transcript())
     realms = [Realm.parse(f"r{i}.org") for i in range(1000)]
-    home = Node("h", "h.sim", loop, network, role="SERVER", served_realms=realms,
+    home = Node("h", "h.sim", loop, network, served_realms=realms,
                 users={"alice": "pw"})
     network.register(home)
     nai = model.Nai("alice", Realm.parse("r999.org"))  # equal to, not the same as, a served realm
@@ -676,6 +676,16 @@ def test_redirect_cache_suppresses_second_query():
     # the synthesized cache entry never appears in the running config
     assert sim.nodes["q"].running.route("realm.org").action is Action.REDIRECT
     assert "realm.org" in sim.nodes["q"].route_cache
+
+
+def test_expired_redirect_hint_is_dropped_and_the_running_route_is_selected():
+    sim = simnet.Simulation(redirect_scenario())
+    sim.run()
+    q, realm = sim.nodes["q"], Realm.parse("realm.org")
+    hint = q.route_cache["realm.org"]
+    assert q._select(realm, hint.expiration - 1) is hint
+    assert q._select(realm, hint.expiration).action is Action.REDIRECT
+    assert "realm.org" not in q.route_cache
 
 
 def test_redirect_without_matching_entry_errors():
