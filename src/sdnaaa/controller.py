@@ -16,7 +16,7 @@ import logging
 import random
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import model, southbound
 from .model import (
@@ -172,6 +172,36 @@ class EstablishResult:
     error: Optional[str] = None
 
 
+class _Route(NamedTuple):
+    """A route to send to a node: its policy, its MERGE change, its report
+    entry (filled when the frame is answered) and the ledger entry for its
+    pattern at the node when it was planned."""
+
+    policy: Policy
+    change: ConfigChange
+    report: dict
+    over: Optional[dict]
+
+
+class _RouteBatch:
+    """The routes the bulk provisioning pass collects, per node in
+    first-touch order."""
+
+    def __init__(self):
+        self.routes: dict[str, list[_Route]] = {}
+        self._latest: dict[tuple[str, str], _Route] = {}
+
+    def add(self, n: str, item: _Route) -> None:
+        self.routes.setdefault(n, []).append(item)
+        self._latest[(n, item.policy.realm_pattern.text)] = item
+
+    def planned(self, n: str, pattern_text: str, ledgered: Optional[dict]) -> Optional[RealmEntry]:
+        """The latest route collected for the pattern at ``n``, unless the
+        ledger entry has changed since (``ledgered`` is the current one)."""
+        item = self._latest.get((n, pattern_text))
+        return item.change.value if item is not None and item.over is ledgered else None
+
+
 class Controller:
     def __init__(
         self,
@@ -249,8 +279,9 @@ class Controller:
     def provision_realm(self, policy: Policy) -> Reply:
         return self._submit(self._provision_job(policy))
 
-    def provision_all(self) -> list[Reply]:
-        return [self.provision_realm(p) for p in self.policies]
+    def provision_all(self) -> Reply:
+        """Provision every policy in one job; resolves with their reports."""
+        return self._submit(self._provision_all_job())
 
     def get_node_config(self, node_id: str) -> Reply:
         return self._submit(self._get_config_job(node_id))
@@ -347,6 +378,9 @@ class Controller:
                     "expiration": ch.value.expiration,
                     "policy": policy_id,
                 }
+
+    def _ledgered_route(self, node_id: str, pattern_text: str) -> Optional[dict]:
+        return self.ledger.get(node_id, {}).get("routes", {}).get(pattern_text)
 
     def _next_hops_to(self, home: str) -> dict[str, str]:
         """The shared, read-only next-hop tree toward ``home`` for the
@@ -461,51 +495,80 @@ class Controller:
                 n = next_hops[n]
         return order, unreachable
 
-    def _ensure_hop(self, policy: Policy, n: str, next_hop: Optional[str]):
+    def _missing_route(self, policy: Policy, node: str, hop: Optional[str], batch=None):
+        """[the MERGE of the policy's route at ``node``]: RELAY via ``hop``,
+        or LOCAL when ``hop`` is None; [] when the ledger already holds it,
+        or when the latest route ``batch`` collected there over that ledger
+        entry does."""
+        pattern = policy.realm_pattern
+        action = Action.LOCAL if hop is None else Action.RELAY
+        have = self._ledgered_route(node, pattern.text)
+        held = have is not None and have["next_hop"] == hop and have["action"] == action.value
+        planned = batch.planned(node, pattern.text, have) if batch is not None else None
+        if planned is not None:
+            held = planned.next_hop == hop and planned.action is action
+        if held:
+            return []
+        entry = RealmEntry(pattern, hop, action)
+        return [ConfigChange(southbound.MERGE, f"routing/{pattern.text}", entry)]
+
+    def _ensure_hop(self, policy: Policy, n: str, next_hop: Optional[str], batch=None):
         """Give ``n`` the policy's route: RELAY via ``next_hop``, or LOCAL
         when ``next_hop`` is None (``n`` is the home). A missing adjacency
         is established with n's route in n's frame and, when the next hop
         is the home, the home's LOCAL route in the mirror frame; with the
-        adjacency in place a missing route goes alone in one frame.
+        adjacency in place a missing route goes alone in one frame, or into
+        ``batch`` when one is given.
 
-        Returns the adjacency's EstablishResult, the route frame's outcome,
-        or None when nothing was missing."""
-        pattern = policy.realm_pattern
-        ttl = policy.default_entry_ttl
-
-        def missing_route(node: str, hop: Optional[str]) -> list[ConfigChange]:
-            action = Action.LOCAL if hop is None else Action.RELAY
-            have = self.ledger.get(node, {}).get("routes", {}).get(pattern.text)
-            if have is not None and have["next_hop"] == hop and have["action"] == action.value:
-                return []
-            entry = RealmEntry(pattern, hop, action)
-            return [ConfigChange(southbound.MERGE, f"routing/{pattern.text}", entry)]
-
-        route = missing_route(n, next_hop)
+        Returns the adjacency's EstablishResult, the route's report entry
+        (filled once its frame is answered), or None when nothing was
+        missing."""
+        route = self._missing_route(policy, n, next_hop, batch)
         if next_hop is not None:
             record = self.adjacencies.get(frozenset((n, next_hop)))
             if record is None or record.status != "ESTABLISHED":
                 # Mirror side first: if n holds parked traffic, its lazy
                 # handshake must find the counterpart entry already in place.
-                mirror = missing_route(next_hop, None) if next_hop == policy.home_node else []
+                mirror = (self._missing_route(policy, next_hop, None, batch)
+                          if next_hop == policy.home_node else [])
                 return (yield from self._adjacency_job(
-                    next_hop, n, policy.security, ttl, mirror, route, policy.policy_id
+                    next_hop, n, policy.security, policy.default_entry_ttl, mirror, route,
+                    policy.policy_id,
                 ))
         if not route:
             return None
-        session = self.sessions.get(n)
-        if session is None:
+        if n not in self.sessions:
             return {"op": "route", "node": n, "outcome": "FAILED", "error": "NO_SESSION"}
-        route = self._stamp(route, ttl)
-        frame = yield session.edit_config(route)
-        if frame.type != southbound.OK:
-            return {"op": "route", "node": n, "outcome": "FAILED", "error": frame.error["code"]}
-        self._ledger_changes(n, route, policy.policy_id)
-        return {"op": "route", "node": n, "pattern": pattern.text, "outcome": "OK"}
+        text = policy.realm_pattern.text
+        item = _Route(policy, route[0], {"op": "route", "node": n}, self._ledgered_route(n, text))
+        if batch is not None:
+            batch.add(n, item)
+        else:
+            changes, reply = self._send_routes(n, [item])
+            self._settle_routes(n, [item], changes, (yield reply))
+        return item.report
 
-    def _provision_job(self, policy: Policy):
+    def _send_routes(self, n: str, items) -> tuple[list[ConfigChange], Reply]:
+        """One edit-config to ``n`` carrying each item's route, stamped with
+        its own policy's ttl."""
+        changes = [self._stamp((item.change,), item.policy.default_entry_ttl)[0] for item in items]
+        return changes, self.sessions[n].edit_config(changes)
+
+    def _settle_routes(self, n: str, items, changes, frame) -> None:
+        """Ledger the routes of an answered route frame in order, so a later
+        route to the same pattern wins, and fill their report entries."""
+        if frame.type != southbound.OK:
+            for item in items:
+                item.report.update(outcome="FAILED", error=frame.error["code"])
+            return
+        for item, change in zip(items, changes):
+            self._ledger_changes(n, (change,), item.policy.policy_id)
+            item.report.update(pattern=change.value.pattern.text, outcome="OK")
+
+    def _provision_job(self, policy: Policy, batch=None):
         """Install peers and routes along every client->home path, pairing
-        each new adjacency with the new route in one edit-config frame."""
+        each new adjacency with the new route in one edit-config frame; with
+        a ``batch``, the routes that need no new adjacency are collected in it."""
         report: list[dict] = []
         home = policy.home_node
         next_hops = self._next_hops_to(home)
@@ -518,7 +581,7 @@ class Controller:
             if n in failed or next_hop in failed:
                 report.append({"op": "route", "node": n, "outcome": "SKIPPED"})
                 continue
-            result = yield from self._ensure_hop(policy, n, next_hop)
+            result = yield from self._ensure_hop(policy, n, next_hop, batch)
             if isinstance(result, EstablishResult):
                 report.append({"op": "adjacency", "node": n, "next_hop": next_hop,
                                "outcome": result.status, "error": result.error})
@@ -527,11 +590,44 @@ class Controller:
             elif result is not None:
                 report.append(result)
         if home not in failed:
-            result = yield from self._ensure_hop(policy, home, None)
+            result = yield from self._ensure_hop(policy, home, None, batch)
             if result is not None:
                 report.append(result)
         self.reports.append({"event": "provision", "policy": policy.policy_id, "report": report})
         return report
+
+    def _provision_all_job(self):
+        """Every policy's walk in order, with its missing adjacencies
+        established on the way as in ``_provision_job``; the routes that
+        need no new adjacency are collected per node, and each node then
+        gets all of its routes in one edit-config, every node's frame in
+        flight at once. A merged frame that fails is resent one route per
+        frame, so each route gets the outcome it would get alone. A route
+        that a later policy's adjacency exchange replaced before the flush
+        is not sent and is reported SUPERSEDED."""
+        batch = _RouteBatch()
+        reports = []
+        for policy in self.policies:
+            reports.append((yield from self._provision_job(policy, batch)))
+        flights = []
+        for n, items in batch.routes.items():
+            live = []
+            for item in items:
+                if self._ledgered_route(n, item.policy.realm_pattern.text) is item.over:
+                    live.append(item)
+                else:
+                    item.report["outcome"] = "SUPERSEDED"
+            if live:
+                flights.append((n, live, *self._send_routes(n, live)))
+        for n, items, changes, reply in flights:
+            frame = yield reply
+            if frame.type == southbound.OK or len(items) == 1:
+                self._settle_routes(n, items, changes, frame)
+                continue
+            for item in items:
+                changes, reply = self._send_routes(n, [item])
+                self._settle_routes(n, [item], changes, (yield reply))
+        return reports
 
     def _acquire_job(self, note: Notification):
         """Reactive path: give the notifying node its hop of the matched

@@ -375,7 +375,8 @@ class ConfigDocument:
     order carries no meaning; the canonical encoding sorts by key. A
     container given as a sequence is keyed on construction, and a repeated
     key raises CodedError with the container's DUPLICATE_* code. Containers
-    are never changed in place; with_entry / without_entry copy one.
+    are never changed in place; with_entry, with_entries and without_entry
+    copy them.
     """
 
     peers: dict[str, PeerEntry] = field(default_factory=dict)
@@ -425,6 +426,24 @@ def with_entry(doc: ConfigDocument, container: str, key: str, entity) -> ConfigD
     entries = dict(getattr(doc, container))
     entries[key] = entity
     return replace(doc, **{container: entries})
+
+
+def with_entries(doc: ConfigDocument, edits) -> ConfigDocument:
+    """``doc`` with ``edits`` applied in order, copying each touched
+    container once. An edit ``(container, key, entity)`` upserts ``entity``
+    under ``key``, which must be its entry_key, or removes ``key`` when
+    ``entity`` is None. Errors: BAD_PATH for the removal of a key that is
+    not there at its turn."""
+    copies: dict[str, dict] = {}
+    for container, key, entity in edits:
+        entries = copies.get(container)
+        if entries is None:
+            entries = copies[container] = dict(getattr(doc, container))
+        if entity is not None:
+            entries[key] = entity
+        elif entries.pop(key, None) is None:
+            raise CodedError("BAD_PATH", f"{container}/{key}: no such entry")
+    return replace(doc, **copies) if copies else doc
 
 
 def without_entry(doc: ConfigDocument, container: str, key: str) -> ConfigDocument:

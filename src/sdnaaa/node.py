@@ -161,10 +161,8 @@ class Node:
         validated, and tick removes expired peers together with the routes
         that use them. Returns (True, None) or (False, {"code", "detail"}).
         """
-        doc = self.running
         try:
-            for change in changes:
-                doc = self._apply_one(doc, change)
+            doc = model.with_entries(self.running, map(self._edit, changes))
         except CodedError as err:
             return False, {"code": err.code, "detail": [str(err)]}
         violations = model.validate_changes(doc, [c.container_key() for c in changes])
@@ -179,18 +177,17 @@ class Node:
         return True, None
 
     @staticmethod
-    def _apply_one(doc: model.ConfigDocument, change) -> model.ConfigDocument:
+    def _edit(change) -> tuple[str, str, object]:
+        """``change`` as a ``model.with_entries`` edit. Errors: BAD_PATH."""
         container, key = change.container_key()
         if change.op == southbound.MERGE:
             if change.value is None:
                 raise CodedError("BAD_PATH", f"{change.path}: merge without value")
             if model.entry_key(container, change.value) != key:
                 raise CodedError("BAD_PATH", f"{change.path}: key mismatch")
-            return model.with_entry(doc, container, key, change.value)
+            return container, key, change.value
         if change.op == southbound.DELETE:
-            if key not in getattr(doc, container):
-                raise CodedError("BAD_PATH", f"{change.path}: no such entry")
-            return model.without_entry(doc, container, key)
+            return container, key, None
         raise CodedError("BAD_PATH", f"{change.path}: bad op {change.op!r}")
 
     def _after_apply(self, old: model.ConfigDocument, changes) -> None:

@@ -484,8 +484,13 @@ class Simulation:
         self.nodes = self.network.nodes
         self.snapshots: list[str] = []
         self._msg_seq = 0
-        # one Nai per distinct NAI text: same-NAI requests share it and its realm
+        # one Nai per distinct NAI text: same-NAI requests share it; and one
+        # Realm per realm, the served one where a node serves it
         self._nais: dict[str, model.Nai] = {}
+        self._realms: dict[Realm, Realm] = {
+            realm: realm for info in scenario.topology.nodes.values()
+            for realm in info.served_realms
+        }
 
         for nid, info in scenario.topology.nodes.items():
             self.network.register(node_mod.Node(
@@ -564,7 +569,11 @@ class Simulation:
         self._msg_seq += 1
         nai = self._nais.get(ev.nai)
         if nai is None:
-            nai = self._nais[ev.nai] = model.parse_nai(ev.nai)
+            nai = model.parse_nai(ev.nai)
+            realm = self._realms.setdefault(nai.realm, nai.realm)
+            if realm is not nai.realm:
+                nai = model.Nai(nai.user, realm)
+            self._nais[ev.nai] = nai
         msg = AaaMessage(
             msg_id=f"m{self._msg_seq:06d}",
             kind=MsgKind.REQUEST,

@@ -505,7 +505,7 @@ GOLDEN = {
     ("loop", "REACTIVE"):
         "4b486c0e1f1509124523b1be6347e052ea015165a1723a932101c044946ff307",
     ("random-4", "PROACTIVE"):
-        "537517638bd11222c15324766ff9a95c41e50ba45dee2bd70f16e21113490a1d",
+        "20bc4726d3ef7bc2b70352f03c3926f6535d7aaeb3e1471dde3392584e007d5d",
     ("random-4", "REACTIVE"):
         "65b6153bc9f9fe157a4cbf5654978c378b33ce828ff9fc5017c626f25d9d3ffd",
     ("random-9", "PROACTIVE"):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import (
+    build,
     chain_nodes,
     frames,
     fw_distances,
@@ -14,7 +15,7 @@ from conftest import (
     scenario_for_topology,
     wait,
 )
-from sdnaaa import controller as controller_mod, simnet, southbound
+from sdnaaa import controller as controller_mod, model, simnet, southbound
 from sdnaaa.controller import (
     NodeInfo,
     Policy,
@@ -366,6 +367,210 @@ def test_desired_state_matches_node_configs_after_provision():
         doc = wait(sim, sim.controller.get_node_config(node_id))
         assert {p.peer_id for p in doc.peers.values()} == set(entry["peers"])
         assert {r.pattern.text for r in doc.routing.values()} == set(entry["routes"])
+
+
+# ---------------------------------------------------------------------------
+# bulk provisioning: provision_all against the serial walk
+
+
+def serial_provision_all(self):
+    """The serial walk: one provision_realm job per policy, in order."""
+    return [self.provision_realm(p) for p in self.policies]
+
+
+def provisioned(scenario, monkeypatch, serial: bool):
+    """Each node's redacted running document once proactive provisioning
+    ends, the controller's ledger then, and every request's final status."""
+    if serial:
+        monkeypatch.setattr(controller_mod.Controller, "provision_all", serial_provision_all)
+    sim = simnet.Simulation(scenario)
+    monkeypatch.undo()
+    # jobs run in submission order: this one ends after provisioning
+    marker = sim.controller.get_node_config(min(sim.nodes))
+    while not marker.done:
+        sim.run_until(sim.loop.now + 1)
+    docs = {nid: model.redact(n.running) for nid, n in sim.nodes.items()}
+    ledger = json.loads(sim.controller.snapshot_json())["ledger"]
+    sim.run()
+    return docs, ledger, dict(sim.network.registry)
+
+
+TTL_FREE_GOLDEN = ("chain", "diamond", "loop", "redirect-fabric", "proxy-chain", "broken-return")
+
+
+@pytest.mark.parametrize("name", TTL_FREE_GOLDEN)
+def test_bulk_provisioning_equals_the_serial_walk_on_golden_scenarios(name, monkeypatch):
+    assert all(p.default_entry_ttl is None for p in build(name, "PROACTIVE").policies)
+    bulk = provisioned(build(name, "PROACTIVE"), monkeypatch, serial=False)
+    serial = provisioned(build(name, "PROACTIVE"), monkeypatch, serial=True)
+    assert bulk == serial
+
+
+SWEEP_REALMS = ("a.example.org", "b.example.org", "c.example.net", "d.example.net")
+
+
+def sweep_scenario(seed: int) -> simnet.Scenario:
+    """A random fabric with two clients and four homes, and five policies in
+    a seeded order: two exact realms, the wildcard ``*.example.org`` and
+    ``*.example.net`` (``*.example.net`` given twice, to two homes, so the
+    later one rewrites the earlier one's routes on the nodes it passes),
+    with a request per client and realm once provisioning is over."""
+    rng = random.Random(seed)
+    base = gen_random_topology(seed, rng.randint(7, 11), 0.4, realms=SWEEP_REALMS)
+    homes = [base.home_of[r] for r in SWEEP_REALMS]
+    agents = sorted(n for n, info in base.nodes.items() if info.role == "AGENT")
+    second_client = rng.choice(agents)
+    infos = {
+        n: NodeInfo(info.address, "CLIENT", info.served_realms) if n == second_client else info
+        for n, info in base.nodes.items()
+    }
+    topology = Topology(infos, base.allowed_links, base.home_of)
+    patterns = ("a.example.org", "*.example.org", "c.example.net", "*.example.net")
+    lines = [
+        f"route {pattern} via {home} security {rng.choice(('psk', 'tls'))}"
+        for pattern, home in zip(patterns, homes)
+    ]
+    rng.shuffle(lines)
+    first = next(i for i, line in enumerate(lines) if "*.example.net" in line)
+    lines.insert(rng.randint(first + 1, len(lines)),
+                 f"route *.example.net via {homes[rng.randrange(3)]} security psk")
+    events = [
+        simnet.Event(300 + 10 * i, "inject", node=client, nai=f"u@{realm}", password="pw")
+        for i, (client, realm) in enumerate(
+            (c, r) for c in topology.clients for r in SWEEP_REALMS
+        )
+    ]
+    return scenario_for_topology(
+        topology, seed=seed, mode="PROACTIVE", events=events, stop_time=1500,
+        policy_lines="\n".join(lines), users={h: {"u": "pw"} for h in homes},
+        options={"parallel_adjacency": seed % 3 == 0},
+    )
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_bulk_provisioning_equals_the_serial_walk_on_random_fabrics(seed, monkeypatch):
+    patterns = [p.realm_pattern.text for p in sweep_scenario(seed).policies]
+    assert len(patterns) == 5 and "*.example.org" in patterns
+    assert "*.example.net" in patterns[patterns.index("*.example.net") + 1:]
+    bulk = provisioned(sweep_scenario(seed), monkeypatch, serial=False)
+    serial = provisioned(sweep_scenario(seed), monkeypatch, serial=True)
+    assert bulk == serial
+
+
+def repeated_pattern_fork() -> simnet.Scenario:
+    """c - a, and a forks to the homes h1 and h2. ``*.x`` is given to h1,
+    then to h2 (whose new adjacency a-h2 carries a's route), then to h1
+    again, after y.org has set up c-a and a-h1."""
+    nodes = {
+        "c": {"role": "CLIENT"},
+        "a": {"role": "AGENT"},
+        "h1": {"role": "SERVER", "realms": ["y.org", "q.x"], "users": {"u": "pw"}},
+        "h2": {"role": "SERVER", "realms": ["q.x"], "users": {"u": "pw"}},
+    }
+    policies = [
+        "route y.org via h1 security psk",
+        "route *.x via h1 security psk",
+        "route *.x via h2 security tls",
+        "route *.x via h1 security psk",
+    ]
+    events = [inject(100, "c", "u@q.x", "pw"), inject(101, "c", "u@y.org", "pw")]
+    return make_scenario(nodes, [("c", "a"), ("a", "h1"), ("a", "h2")], policies=policies,
+                         events=events, stop_time=400)
+
+
+def test_a_repeated_pattern_ends_as_in_the_serial_walk(monkeypatch):
+    bulk = provisioned(repeated_pattern_fork(), monkeypatch, serial=False)
+    serial = provisioned(repeated_pattern_fork(), monkeypatch, serial=True)
+    assert bulk == serial
+    docs, ledger, statuses = bulk
+    assert docs["a"].route("*.x").next_hop == "h1"
+    assert ledger["a"]["routes"]["*.x"]["policy"] == "p4"
+    assert [s["status"] for s in statuses.values()] == ["accept", "accept"]
+
+    sim = simnet.Simulation(repeated_pattern_fork())
+    run_all(sim)
+    reports = {r["policy"]: r["report"] for r in sim.controller.reports}
+    # p2's route at a was replaced by p3's adjacency frame before the flush
+    assert {"op": "route", "node": "a", "outcome": "SUPERSEDED"} in reports["p2"]
+    assert {"op": "route", "node": "a", "pattern": "*.x", "outcome": "OK"} in reports["p4"]
+
+
+def test_a_failed_merged_route_frame_is_resent_one_route_per_frame():
+    """ai holds no peer aj behind the controller's back (as in
+    test_route_only_frame_fails_when_the_ledgered_peer_is_gone), so the
+    merged frame that gives ai both policies' routes fails; each route is
+    then sent alone, and only the drifted one fails."""
+    nodes, links, homes = chain_nodes()
+    nodes["at"] = {"address": "at.sim", "role": "SERVER", "realms": ["other.org"],
+                   "users": {"bob": "bob-pw"}}
+    homes["other.org"] = "at"
+    sim = simnet.Simulation(make_scenario(
+        nodes, links, homes, mode="REACTIVE",
+        policies=["route realm.org via ah security tls", "route other.org via at security psk"],
+    ))
+    wait(sim, sim.controller.establish_adjacency("ai", "aj", "tls"))
+    wait(sim, sim.controller.establish_adjacency("ai", "at", "psk"))
+    delete = southbound.ConfigChange(southbound.DELETE, "peers/aj")
+    assert wait(sim, sim.controller.sessions["ai"].edit_config([delete])).type == southbound.OK
+    start = len(edit_frames(sim.transcript, actor="ai"))
+
+    realm_report, other_report = wait(sim, sim.controller.provision_all())
+
+    assert [frame_paths(r) for r in edit_frames(sim.transcript, actor="ai")[start:]] == [
+        ["tls/tls-ai-ac", "peers/ac"],  # ac's adjacency, on ac's hop of realm.org
+        ["routing/realm.org", "routing/other.org"],
+        ["routing/realm.org"],
+        ["routing/other.org"],
+    ]
+    failed = [r for r in realm_report + other_report if r["outcome"] not in ("OK", "ESTABLISHED")]
+    assert failed == [
+        {"op": "route", "node": "ai", "outcome": "FAILED", "error": "VALIDATION_FAILED"},
+    ]
+    assert {"op": "route", "node": "ai", "pattern": "other.org", "outcome": "OK"} in other_report
+    assert sim.nodes["ai"].running.route("realm.org") is None
+    assert {n: sim.nodes[n].running.route("other.org").next_hop for n in ("ac", "ai", "at")} == {
+        "ac": "ai", "ai": "at", "at": None,
+    }
+    assert sim.nodes["ah"].running.route("realm.org").action is Action.LOCAL
+    assert sim.controller.ledger["ai"]["routes"]["other.org"]["policy"] == "p2"
+    assert "realm.org" not in sim.controller.ledger["ai"]["routes"]
+
+
+def grid_with_realms(realms: int) -> simnet.Scenario:
+    """A 4x5 grid with clients g00 and g20, the right column's four nodes as
+    homes, and one policy per realm (every fifth a wildcard)."""
+    rows, cols = 4, 5
+    ids = {(r, c): f"g{r}{c}" for r in range(rows) for c in range(cols)}
+    links = [(ids[(r, c)], ids[(r, c + 1)]) for r in range(rows) for c in range(cols - 1)]
+    links += [(ids[(r, c)], ids[(r + 1, c)]) for r in range(rows - 1) for c in range(cols)]
+    homes = [ids[(r, cols - 1)] for r in range(rows)]
+    nodes = {nid: {"role": "AGENT"} for nid in ids.values()}
+    nodes["g00"] = nodes["g20"] = {"role": "CLIENT"}
+    served = {h: [] for h in homes}
+    policies = []
+    for i in range(realms):
+        home = homes[i % rows]
+        pattern = f"*.w{i:03d}.example" if i % 5 == 0 else f"r{i:03d}.example"
+        served[home].append(pattern.replace("*", "a"))
+        policies.append(f"route {pattern} via {home} security {('psk', 'tls')[i % 2]}")
+    for h in homes:
+        nodes[h] = {"role": "SERVER", "realms": served[h], "users": {"u": "pw"}}
+    return make_scenario(nodes, links, policies=policies, mode="REACTIVE", stop_time=10_000)
+
+
+def test_provisioning_200_realms_sends_one_route_frame_per_node_and_converges_in_ticks():
+    sim = simnet.Simulation(grid_with_realms(200))
+    reports = wait(sim, sim.controller.provision_all())
+
+    assert len(reports) == 200
+    assert all(r["outcome"] in ("OK", "ESTABLISHED") for report in reports for r in report)
+    established = sum(a.status == "ESTABLISHED" for a in sim.controller.adjacencies.values())
+    routed = sum(1 for entry in sim.controller.ledger.values() if entry["routes"])
+    sent = edit_frames(sim.transcript)
+    assert len(sent) <= 2 * established + routed
+    assert max(r["time"] for r in sent) < 100
+    for client in ("g00", "g20"):
+        assert len(sim.nodes[client].running.routing) == 200
 
 
 # ---------------------------------------------------------------------------

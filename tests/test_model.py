@@ -488,6 +488,49 @@ def test_validate_changes_agrees_with_validate_document(seed):
     assert model.validate_changes(doc, touched) == model.validate_document(doc)
 
 
+@given(st.integers(0, 2**32 - 1))
+def test_with_entries_equals_one_copy_per_change(seed):
+    rng = random.Random(seed)
+    doc = make_random_valid_doc(rng, max_entities=6)
+    before = model.encode_document(doc)
+    batch = _random_batch(rng, doc)
+    expected, missing = doc, None
+    for container, key, entity in batch:
+        if entity is not None:
+            expected = model.with_entry(expected, container, key, entity)
+        elif key in getattr(expected, container):
+            expected = model.without_entry(expected, container, key)
+        else:
+            missing = f"{container}/{key}"
+            break
+    if missing is not None:
+        with pytest.raises(CodedError) as err:
+            model.with_entries(doc, batch)
+        assert (err.value.code, err.value.detail) == ("BAD_PATH", f"{missing}: no such entry")
+    else:
+        got = model.with_entries(doc, batch)
+        assert got == expected
+        touched = {container for container, _key, _entity in batch}
+        for container in model.CONTAINERS:
+            if container not in touched:
+                assert getattr(got, container) is getattr(doc, container)
+    assert model.encode_document(doc) == before
+
+
+def test_with_entries_applies_its_edits_in_order():
+    first, second = _relay("realm.org", "a"), _relay("realm.org", "b")
+    doc = ConfigDocument(routing=(first,))
+    replaced = model.with_entries(doc, [("routing", "realm.org", None),
+                                        ("routing", "realm.org", second)])
+    assert replaced.routing == {"realm.org": second}
+    undone = model.with_entries(doc, [("routing", "new.org", second), ("routing", "new.org", None)])
+    assert undone.routing == {"realm.org": first}
+    with pytest.raises(CodedError) as err:
+        model.with_entries(doc, [("routing", "realm.org", None), ("routing", "realm.org", None)])
+    assert str(err.value) == "BAD_PATH: routing/realm.org: no such entry"
+    assert model.with_entries(doc, []) is doc
+
+
 # ---------------------------------------------------------------------------
 # canonical encoding
 

@@ -86,6 +86,50 @@ def test_delete_referenced_peer_is_rejected_atomically():
     assert model.encode_document(a.running) == before
 
 
+def test_a_frame_applies_its_changes_in_order_on_one_copy():
+    _loop, _network, a = rig("a")
+    entry, _ = psk_pair("a", "b", b"s" * 16)
+    relay = RealmEntry(RealmPattern.parse("realm.org"), "b", Action.RELAY)
+    apply_ok(a, merge("routing", RealmEntry(RealmPattern.parse("old.org"), None, Action.LOCAL)))
+    before = a.running
+    apply_ok(
+        a,
+        merge("peers", entry),
+        merge("routing", relay),
+        ConfigChange(southbound.DELETE, "routing/realm.org"),
+        ConfigChange(southbound.DELETE, "routing/old.org"),
+        merge("routing", relay),
+    )
+    assert a.running.routing == {"realm.org": relay}
+    assert a.running.tls is before.tls and a.running.attributes is before.attributes
+    assert set(before.routing) == {"old.org"} and before.peers == {}
+
+
+@pytest.mark.parametrize("bad,detail", [
+    (ConfigChange(southbound.MERGE, "routing/x.org"), "routing/x.org: merge without value"),
+    (ConfigChange(southbound.MERGE, "peers/c", psk_pair("a", "b", b"s" * 16)[0]),
+     "peers/c: key mismatch"),
+    (ConfigChange(southbound.DELETE, "routing/x.org"), "routing/x.org: no such entry"),
+    (ConfigChange(southbound.DELETE, "peers/b"), "peers/b: no such entry"),
+    (ConfigChange("replace", "peers/b"), "peers/b: bad op 'replace'"),
+    (ConfigChange(southbound.DELETE, "rooting/x.org"), "rooting/x.org"),
+], ids=["merge-without-value", "key-mismatch", "delete-missing", "delete-deleted", "bad-op",
+        "bad-container"])
+def test_a_bad_path_anywhere_in_a_frame_changes_nothing(bad, detail):
+    _loop, _network, a = rig("a")
+    entry, _ = psk_pair("a", "b", b"s" * 16)
+    apply_ok(a, merge("peers", entry))
+    before = a.running
+    ok, err = a.apply_changes([
+        merge("routing", RealmEntry(RealmPattern.parse("realm.org"), "b", Action.RELAY)),
+        ConfigChange(southbound.DELETE, "peers/b"),
+        bad,
+        merge("peers", entry),
+    ])
+    assert not ok and err == {"code": "BAD_PATH", "detail": [f"BAD_PATH: {detail}"]}
+    assert a.running is before
+
+
 def test_merge_route_with_ttl_arms_timer_for_exact_expiry():
     loop, _network, a = rig("a")
     frames = []

@@ -392,6 +392,26 @@ def test_each_nai_is_parsed_once_per_run_and_shared(monkeypatch):
     assert all(msg.nai is not first[msg.nai.text] for msg in seen)
 
 
+def test_each_realm_is_one_realm_object_the_served_one_where_a_node_serves_it():
+    nodes, links, homes = chain_nodes()
+    nodes["ah"]["users"]["bob"] = "bob-pw"
+    nais = ["alice@realm.org", "bob@realm.org", "bob@Realm.ORG", "u@none.org", "v@none.org"]
+    scenario = make_scenario(
+        nodes, links, homes, policies=["route realm.org via ah security tls"],
+        events=[inject(50 + i, "ac", nai, "pw") for i, nai in enumerate(nais)],
+    )
+    sim = Simulation(scenario)
+    sim.run()
+    [served] = scenario.topology.nodes["ah"].served_realms
+    assert sorted(sim._nais) == sorted(nais)
+    assert {nai: sim._nais[nai].realm is served for nai in nais} == {
+        "alice@realm.org": True, "bob@realm.org": True, "bob@Realm.ORG": True,
+        "u@none.org": False, "v@none.org": False,
+    }
+    assert sim._nais["u@none.org"].realm is sim._nais["v@none.org"].realm
+    assert sim._nais["bob@Realm.ORG"].text == "bob@realm.org"
+
+
 def test_proactive_provisions_before_injection(chain_text):
     metrics, transcript = simnet.run(load_scenario(chain_text))
     assert metrics.delivered == 1
