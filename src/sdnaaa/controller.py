@@ -15,7 +15,7 @@ import json
 import logging
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from . import model, southbound
@@ -59,7 +59,7 @@ class Topology:
     Links and roles are fixed for a run, so the sorted neighbour lists and
     the sorted client list are built once, here. A node's ``state`` is the
     loaded one and stays fixed too; the controller caches each home's
-    next-hop tree until its liveness view (``suspected``) changes."""
+    shortest paths until its liveness view (``suspected``) changes."""
 
     nodes: dict[str, NodeInfo]
     allowed_links: set[frozenset]
@@ -172,6 +172,16 @@ class EstablishResult:
     error: Optional[str] = None
 
 
+class _Paths(NamedTuple):
+    """Shortest paths toward one home for one liveness view: each node's
+    next hop, the nodes on client->home paths in first-visit order, and the
+    clients with no path."""
+
+    next_hops: dict[str, str]
+    order: tuple[str, ...]
+    unreachable: tuple[str, ...]
+
+
 class _Route(NamedTuple):
     """A route to send to a node: its policy, its MERGE change, its report
     entry (filled when the frame is answered) and the ledger entry for its
@@ -224,8 +234,8 @@ class Controller:
         # desired state confirmed by OK replies; holds no credential bytes
         self.ledger: dict[str, dict] = {}
         self.suspected: set[str] = set()
-        # next-hop tree per home; dropped whenever ``suspected`` changes
-        self._next_hops: dict[str, dict[str, str]] = {}
+        # shortest paths per home; dropped whenever ``suspected`` changes
+        self._paths: dict[str, _Paths] = {}
         self.reports: list[dict] = []
         self._jobs: deque = deque()
         self._active = False
@@ -241,7 +251,7 @@ class Controller:
         """Re-registration of a node clears any failure suspicion."""
         if node_id in self.suspected:
             self.suspected.remove(node_id)
-            self._next_hops.clear()
+            self._paths.clear()
 
     # ------------------------------------------------------------------
     # job queue: handlers and provisioning run strictly one at a time
@@ -337,25 +347,33 @@ class Controller:
                               ConfigChange(southbound.MERGE, f"tls/{profile.name}", profile)))
         return sides[0], sides[1], hashlib.sha256(key_a + key_b).hexdigest()
 
-    def _stamp(self, changes, ttl: Optional[int]):
-        """Fix absolute expirations so entry lifetime measured from node-side
-        creation equals ttl (send time + channel latency + ttl)."""
-        if ttl is None:
-            return list(changes)
+    def _stamp(self, changes, ttl: Optional[int]) -> list[ConfigChange]:
+        return [self._stamped(ch, ttl) for ch in changes]
+
+    def _stamped(self, change: ConfigChange, ttl: Optional[int]) -> ConfigChange:
+        """Fix an absolute expiration so the entry's lifetime measured from
+        node-side creation equals ttl (send time + channel latency + ttl);
+        ``change`` itself when ttl is None or it merges no peer or route."""
+        if ttl is None or change.op != southbound.MERGE:
+            return change
         exp = self.loop.now + southbound.LATENCY + ttl
-        out = []
-        for ch in changes:
-            if ch.op == southbound.MERGE and isinstance(ch.value, (PeerEntry, RealmEntry)):
-                out.append(ConfigChange(ch.op, ch.path, replace(ch.value, expiration=exp)))
-            else:
-                out.append(ch)
-        return out
+        v = change.value
+        if isinstance(v, PeerEntry):
+            v = PeerEntry(v.peer_id, v.identity, v.host, v.port, v.transport, v.credential, exp)
+        elif isinstance(v, RealmEntry):
+            v = RealmEntry(v.pattern, v.next_hop, v.action, v.rule_refs, exp)
+        else:
+            return change
+        return ConfigChange(change.op, change.path, v)
 
     # ------------------------------------------------------------------
     # ledger bookkeeping
 
     def _node_ledger(self, node_id: str) -> dict:
-        return self.ledger.setdefault(node_id, {"peers": {}, "routes": {}})
+        entry = self.ledger.get(node_id)
+        if entry is None:
+            entry = self.ledger[node_id] = {"peers": {}, "routes": {}}
+        return entry
 
     def _ledger_changes(self, node_id: str, changes, policy_id) -> None:
         """Record confirmed changes; the controller only ever ledgers merges."""
@@ -380,16 +398,17 @@ class Controller:
                 }
 
     def _ledgered_route(self, node_id: str, pattern_text: str) -> Optional[dict]:
-        return self.ledger.get(node_id, {}).get("routes", {}).get(pattern_text)
+        entry = self.ledger.get(node_id)
+        return None if entry is None else entry["routes"].get(pattern_text)
 
-    def _next_hops_to(self, home: str) -> dict[str, str]:
-        """The shared, read-only next-hop tree toward ``home`` for the
+    def _paths_to(self, home: str) -> _Paths:
+        """The shared, read-only shortest paths toward ``home`` for the
         current liveness view."""
-        hops = self._next_hops.get(home)
-        if hops is None:
-            hops = compute_next_hops(self.topology, home, frozenset(self.suspected))
-            self._next_hops[home] = hops
-        return hops
+        paths = self._paths.get(home)
+        if paths is None:
+            next_hops = compute_next_hops(self.topology, home, frozenset(self.suspected))
+            paths = self._paths[home] = _Paths(next_hops, *self._client_paths(home, next_hops))
+        return paths
 
     def _match_policy(self, realm: Realm) -> Optional[Policy]:
         """The policy of the most specific pattern that matches ``realm``."""
@@ -477,9 +496,9 @@ class Controller:
         outcome = "OK" if frame.type == southbound.OK else "FAILED"
         return {"op": "push", "node": node_id, "outcome": outcome}
 
-    def _client_paths(self, policy: Policy, next_hops: dict[str, str]):
-        """Nodes on client->home shortest paths, in first-visit order."""
-        home = policy.home_node
+    def _client_paths(self, home: str, next_hops: dict[str, str]):
+        """Nodes on client->home shortest paths in first-visit order, and
+        the clients with no path."""
         order: list[str] = []
         seen: set[str] = set()
         unreachable: list[str] = []
@@ -493,24 +512,25 @@ class Controller:
                     seen.add(n)
                     order.append(n)
                 n = next_hops[n]
-        return order, unreachable
+        return tuple(order), tuple(unreachable)
 
     def _missing_route(self, policy: Policy, node: str, hop: Optional[str], batch=None):
-        """[the MERGE of the policy's route at ``node``]: RELAY via ``hop``,
-        or LOCAL when ``hop`` is None; [] when the ledger already holds it,
-        or when the latest route ``batch`` collected there over that ledger
+        """(the MERGE of the policy's route at ``node``, the ledger entry for
+        its pattern there). The route is RELAY via ``hop``, or LOCAL when
+        ``hop`` is None; it is None when the ledger already holds it, or
+        when the latest route ``batch`` collected there over that ledger
         entry does."""
         pattern = policy.realm_pattern
+        text = pattern.text
         action = Action.LOCAL if hop is None else Action.RELAY
-        have = self._ledgered_route(node, pattern.text)
+        have = self._ledgered_route(node, text)
         held = have is not None and have["next_hop"] == hop and have["action"] == action.value
-        planned = batch.planned(node, pattern.text, have) if batch is not None else None
+        planned = batch.planned(node, text, have) if batch is not None else None
         if planned is not None:
             held = planned.next_hop == hop and planned.action is action
         if held:
-            return []
-        entry = RealmEntry(pattern, hop, action)
-        return [ConfigChange(southbound.MERGE, f"routing/{pattern.text}", entry)]
+            return None, have
+        return ConfigChange(southbound.MERGE, f"routing/{text}", RealmEntry(pattern, hop, action)), have
 
     def _ensure_hop(self, policy: Policy, n: str, next_hop: Optional[str], batch=None):
         """Give ``n`` the policy's route: RELAY via ``next_hop``, or LOCAL
@@ -523,24 +543,24 @@ class Controller:
         Returns the adjacency's EstablishResult, the route's report entry
         (filled once its frame is answered), or None when nothing was
         missing."""
-        route = self._missing_route(policy, n, next_hop, batch)
+        route, have = self._missing_route(policy, n, next_hop, batch)
         if next_hop is not None:
             record = self.adjacencies.get(frozenset((n, next_hop)))
             if record is None or record.status != "ESTABLISHED":
                 # Mirror side first: if n holds parked traffic, its lazy
                 # handshake must find the counterpart entry already in place.
-                mirror = (self._missing_route(policy, next_hop, None, batch)
-                          if next_hop == policy.home_node else [])
+                mirror = (self._missing_route(policy, next_hop, None, batch)[0]
+                          if next_hop == policy.home_node else None)
                 return (yield from self._adjacency_job(
-                    next_hop, n, policy.security, policy.default_entry_ttl, mirror, route,
+                    next_hop, n, policy.security, policy.default_entry_ttl,
+                    () if mirror is None else (mirror,), () if route is None else (route,),
                     policy.policy_id,
                 ))
-        if not route:
+        if route is None:
             return None
         if n not in self.sessions:
             return {"op": "route", "node": n, "outcome": "FAILED", "error": "NO_SESSION"}
-        text = policy.realm_pattern.text
-        item = _Route(policy, route[0], {"op": "route", "node": n}, self._ledgered_route(n, text))
+        item = _Route(policy, route, {"op": "route", "node": n}, have)
         if batch is not None:
             batch.add(n, item)
         else:
@@ -551,7 +571,7 @@ class Controller:
     def _send_routes(self, n: str, items) -> tuple[list[ConfigChange], Reply]:
         """One edit-config to ``n`` carrying each item's route, stamped with
         its own policy's ttl."""
-        changes = [self._stamp((item.change,), item.policy.default_entry_ttl)[0] for item in items]
+        changes = [self._stamped(item.change, item.policy.default_entry_ttl) for item in items]
         return changes, self.sessions[n].edit_config(changes)
 
     def _settle_routes(self, n: str, items, changes, frame) -> None:
@@ -571,8 +591,7 @@ class Controller:
         a ``batch``, the routes that need no new adjacency are collected in it."""
         report: list[dict] = []
         home = policy.home_node
-        next_hops = self._next_hops_to(home)
-        order, unreachable = self._client_paths(policy, next_hops)
+        next_hops, order, unreachable = self._paths_to(home)
         for client in unreachable:
             report.append({"op": "path", "node": client, "outcome": "UNREACHABLE"})
         failed: set[str] = set()
@@ -642,7 +661,7 @@ class Controller:
             return None
         next_hop = None
         if n != policy.home_node:
-            next_hop = self._next_hops_to(policy.home_node).get(n)
+            next_hop = self._paths_to(policy.home_node).next_hops.get(n)
             if next_hop is None:
                 self.reports.append(
                     {"event": "unroutable", "node": n, "realm": realm.text, "reason": "no path"}
@@ -668,7 +687,7 @@ class Controller:
         and re-provision the affected policy."""
         if note.peer_id not in self.suspected:
             self.suspected.add(note.peer_id)
-            self._next_hops.clear()
+            self._paths.clear()
         log.info("forward failure at %s via %s; suspecting %s", note.node_id, note.peer_id, note.peer_id)
         policy = self._match_policy(note.realm)
         return (yield from self._reprovision(policy, "forward-failure", note, "NO_POLICY"))

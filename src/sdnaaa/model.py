@@ -67,6 +67,15 @@ class Realm:
         return ".".join(self.labels)
 
     @cached_property
+    def valid(self) -> bool:
+        """Whether the labels are what ``parse`` accepts, checked once per
+        realm: validation reads it for every route that names the realm."""
+        labels = self.labels
+        return 1 <= len(labels) <= _MAX_REALM_LABELS and all(
+            isinstance(label, str) and _LABEL_RE.fullmatch(label) for label in labels
+        )
+
+    @cached_property
     def lookup_keys(self) -> tuple[str, ...]:
         """The texts of the patterns that match this realm, most specific
         first: the realm itself, then ``*.<suffix>`` for ever shorter
@@ -132,6 +141,17 @@ class RealmPattern:
 
     kind: PatternKind
     suffix: Optional[Realm] = None
+    # the routing key, built once per pattern; eq and hash use the fields above
+    text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind is PatternKind.DEFAULT:
+            text = "*"
+        elif self.kind is PatternKind.WILDCARD:
+            text = f"*.{self.suffix.text}"
+        else:
+            text = self.suffix.text
+        object.__setattr__(self, "text", text)
 
     @classmethod
     def parse(cls, text: str) -> "RealmPattern":
@@ -140,14 +160,6 @@ class RealmPattern:
         if text.startswith("*."):
             return cls(PatternKind.WILDCARD, Realm.parse(text[2:]))
         return cls(PatternKind.EXACT, Realm.parse(text))
-
-    @property
-    def text(self) -> str:
-        if self.kind is PatternKind.DEFAULT:
-            return "*"
-        if self.kind is PatternKind.WILDCARD:
-            return f"*.{self.suffix.text}"
-        return self.suffix.text
 
     def __str__(self) -> str:
         return self.text
@@ -375,8 +387,7 @@ class ConfigDocument:
     order carries no meaning; the canonical encoding sorts by key. A
     container given as a sequence is keyed on construction, and a repeated
     key raises CodedError with the container's DUPLICATE_* code. Containers
-    are never changed in place; with_entry, with_entries and without_entry
-    copy them.
+    are never changed in place; with_entries and without_entry copy them.
     """
 
     peers: dict[str, PeerEntry] = field(default_factory=dict)
@@ -419,13 +430,6 @@ def _keyed(container: str, entities) -> dict:
             raise CodedError(schema.duplicate, f"{container}/{key}")
         out[key] = entity
     return out
-
-
-def with_entry(doc: ConfigDocument, container: str, key: str, entity) -> ConfigDocument:
-    """Upsert ``entity`` under ``key``, which must be its entry_key."""
-    entries = dict(getattr(doc, container))
-    entries[key] = entity
-    return replace(doc, **{container: entries})
 
 
 def with_entries(doc: ConfigDocument, edits) -> ConfigDocument:
@@ -500,13 +504,6 @@ def _valid_expiration(value) -> bool:
     return value is None or (isinstance(value, int) and not isinstance(value, bool) and value > 0)
 
 
-def _valid_realm_labels(realm: Realm) -> bool:
-    return (
-        1 <= len(realm.labels) <= _MAX_REALM_LABELS
-        and all(isinstance(l, str) and _LABEL_RE.fullmatch(l) for l in realm.labels)
-    )
-
-
 # Each checker appends the violations of the entity stored under ``key`` to
 # ``out``; the cross-reference checks read the referenced container of
 # ``doc``.
@@ -576,9 +573,7 @@ def _check_peer(doc: ConfigDocument, key: str, p: PeerEntry, out: list) -> None:
 
 def _check_route(doc: ConfigDocument, key: str, r: RealmEntry, out: list) -> None:
     where = f"routing/{key}"
-    if r.pattern.kind is not PatternKind.DEFAULT and not _valid_realm_labels(
-        r.pattern.suffix
-    ):
+    if r.pattern.kind is not PatternKind.DEFAULT and not r.pattern.suffix.valid:
         out.append(Violation("BAD_REALM", where))
     if r.action is Action.LOCAL:
         if r.next_hop is not None:

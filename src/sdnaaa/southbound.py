@@ -8,7 +8,7 @@ latency per direction; ``Frame.to_json`` is their form in the transcript.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import model
@@ -25,6 +25,8 @@ NOTIFICATION = "notification"
 
 MERGE = "merge"
 DELETE = "delete"
+
+_CONTAINER_NAMES = {name: name for name in model.CONTAINERS}
 
 
 class Reply:
@@ -75,7 +77,7 @@ def run_workflow(gen) -> Reply:
 # frames
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfigChange:
     """One merge/delete against a path like ``peers/aj`` or
     ``routing/*.org``. MERGE carries the full entity value."""
@@ -83,12 +85,22 @@ class ConfigChange:
     op: str
     path: str
     value: object = None
+    _split: Optional[tuple[str, str]] = field(default=None, init=False, repr=False, compare=False)
 
     def container_key(self) -> tuple[str, str]:
-        container, sep, key = self.path.partition("/")
-        if not sep or container not in model.CONTAINERS or not key:
-            raise CodedError("BAD_PATH", self.path)
-        return container, key
+        """The path split at its first '/': (container, key). The split is
+        made once per change and shared by every reader; it holds the
+        container's one name string, so a kept split costs only the key.
+        Errors: BAD_PATH, on every call, since a failed split is not kept."""
+        split = self._split
+        if split is None:
+            head, sep, key = self.path.partition("/")
+            container = _CONTAINER_NAMES.get(head)
+            if container is None or not sep or not key:
+                raise CodedError("BAD_PATH", self.path)
+            split = (container, key)
+            object.__setattr__(self, "_split", split)
+        return split
 
     def to_json(self) -> dict:
         out = {"op": self.op, "path": self.path}

@@ -573,6 +573,61 @@ def test_provisioning_200_realms_sends_one_route_frame_per_node_and_converges_in
         assert len(sim.nodes[client].running.routing) == 200
 
 
+def record_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap ``owner.name`` so that each call appends (args, result) to the
+    returned list; the list keeps every argument alive, so ids stay unique."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recorded(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def test_provisioning_200_realms_splits_each_change_path_once(monkeypatch):
+    reads = record_calls(monkeypatch, southbound.ConfigChange, "container_key")
+    sim = simnet.Simulation(grid_with_realms(200))
+    wait(sim, sim.controller.provision_all())
+
+    splits: dict[int, set[int]] = {}
+    for (change,), result in reads:
+        splits.setdefault(id(change), set()).add(id(result))
+    assert len(splits) >= 2 * 200  # both clients' routes, at least
+    assert len(reads) > 2 * len(splits)  # node apply, validation and the ledger all read it
+    assert all(len(results) == 1 for results in splits.values())
+
+
+def test_provisioning_200_realms_builds_each_pattern_text_once():
+    sim = simnet.Simulation(grid_with_realms(200))
+    wait(sim, sim.controller.provision_all())
+
+    patterns = {id(p.realm_pattern): p.realm_pattern for p in sim.controller.policies}
+    routed = [entry.pattern for n in sim.nodes.values() for entry in n.running.routing.values()]
+    assert len(routed) > 2 * len(patterns)
+    # every route names its policy's pattern, whose text is one kept string
+    assert {id(pattern) for pattern in routed} <= set(patterns)
+    assert all(pattern.text is pattern.text for pattern in patterns.values())
+
+
+def test_provisioning_200_realms_probes_the_ledger_once_per_hop_and_route(monkeypatch):
+    probes = record_calls(monkeypatch, controller_mod.Controller, "_ledgered_route")
+    hops = record_calls(monkeypatch, controller_mod.Controller, "_missing_route")
+    collected = record_calls(monkeypatch, controller_mod._RouteBatch, "add")
+    walks = record_calls(monkeypatch, controller_mod.Controller, "_client_paths")
+    sim = simnet.Simulation(grid_with_realms(200))
+    wait(sim, sim.controller.provision_all())
+
+    # each hop visited probes once; the flush re-checks each collected route
+    assert len(hops) >= 2 * 200 and len(collected) >= 200
+    assert len(probes) <= len(hops) + len(collected)
+    # the client->home path order is walked once per home tree
+    assert sorted(args[1] for args, _result in walks) == ["g04", "g14", "g24", "g34"]
+
+
 # ---------------------------------------------------------------------------
 # notifications
 
@@ -868,13 +923,18 @@ def test_next_hops_follow_suspicion_and_reregistration(diamond_text):
     sim = simnet.Simulation(simnet.scenario_from_dict(obj))
     sim.run_until(90)
     assert sim.nodes["cl"].running.route("realm.org").next_hop == "aa"
+    assert sim.controller._paths_to("ha").order == ("cl", "aa")
 
     sim.run_until(290)
     assert sim.controller.suspected == {"aa"}
     assert sim.nodes["cl"].running.route("realm.org").next_hop == "ab"
+    assert sim.controller._paths_to("ha") == (
+        {"cl": "ab", "ab": "ha"}, ("cl", "ab"), (),
+    )
 
     sim.run_until(400)
     assert sim.controller.suspected == set()
+    assert sim.controller._paths_to("ha").order == ("cl", "aa")
     [policy] = load_policy("route other.org via ha security psk", sim.controller.topology)
     wait(sim, sim.controller.provision_realm(policy), horizon=50)
     assert sim.nodes["cl"].running.route("other.org").next_hop == "aa"

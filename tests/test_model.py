@@ -420,6 +420,14 @@ def test_validate_returns_all_violations_not_just_first():
     assert {"BAD_PORT", "BAD_SECRET_LENGTH", "DANGLING_NEXT_HOP"} <= set(codes)
 
 
+def with_entry(doc: ConfigDocument, container: str, key: str, entity) -> ConfigDocument:
+    """One-change oracle for ``model.with_entries``: ``doc`` with ``entity``
+    upserted under ``key`` (its entry_key), one container copy per change."""
+    entries = dict(getattr(doc, container))
+    entries[key] = entity
+    return dataclasses.replace(doc, **{container: entries})
+
+
 def _random_batch(rng: random.Random, doc: ConfigDocument) -> list[tuple]:
     """A mixed edit batch as (container, key, entity or None for delete)."""
     donor = make_random_valid_doc(rng, max_entities=6)
@@ -483,7 +491,7 @@ def test_validate_changes_agrees_with_validate_document(seed):
         if entity is None:
             doc = model.without_entry(doc, container, key)
         else:
-            doc = model.with_entry(doc, container, key, entity)
+            doc = with_entry(doc, container, key, entity)
     touched = [(container, key) for container, key, _entity in batch]
     assert model.validate_changes(doc, touched) == model.validate_document(doc)
 
@@ -497,7 +505,7 @@ def test_with_entries_equals_one_copy_per_change(seed):
     expected, missing = doc, None
     for container, key, entity in batch:
         if entity is not None:
-            expected = model.with_entry(expected, container, key, entity)
+            expected = with_entry(expected, container, key, entity)
         elif key in getattr(expected, container):
             expected = model.without_entry(expected, container, key)
         else:

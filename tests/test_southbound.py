@@ -199,15 +199,45 @@ def test_request_that_is_not_edit_or_get_config_is_bad_frame(rig, kind):
 @pytest.mark.parametrize("path", ["peers", "peers/", "rooting/realm.org", "/aj"],
                          ids=["no-separator", "no-key", "unknown-container", "no-container"])
 def test_change_path_without_container_and_key_is_bad_path(path):
-    with pytest.raises(CodedError) as err:
-        ConfigChange(southbound.DELETE, path).container_key()
-    assert err.value.code == "BAD_PATH"
-    assert err.value.detail == path
+    change = ConfigChange(southbound.DELETE, path)
+    for _call in range(2):  # a failed split is not kept, so every call raises
+        with pytest.raises(CodedError) as err:
+            change.container_key()
+        assert err.value.code == "BAD_PATH"
+        assert err.value.detail == path
 
 
 def test_change_path_splits_at_the_first_slash():
     assert ConfigChange(southbound.DELETE, "routing/*.org").container_key() == ("routing", "*.org")
     assert ConfigChange(southbound.DELETE, "peers/a/b").container_key() == ("peers", "a/b")
+
+
+def test_change_path_is_split_once_and_the_split_is_not_part_of_the_value():
+    change = ConfigChange(southbound.DELETE, "routing/*.org")
+    assert change.container_key() is change.container_key()
+    fresh = ConfigChange(southbound.DELETE, "routing/*.org")
+    assert change == fresh and hash(change) == hash(fresh)
+    assert repr(change) == repr(fresh)
+
+
+@pytest.mark.parametrize("path", ["peers", "peers/", "rooting/realm.org", "/aj"],
+                         ids=["no-separator", "no-key", "unknown-container", "no-container"])
+def test_frame_with_a_bad_path_changes_nothing_each_time_it_is_sent(rig, path):
+    loop, _network, node = rig
+    session = open_session("controller", node, loop)
+    good = [merge_peer(peer("aj")), merge_route("realm.org", "aj")]
+    batch = [good[0], ConfigChange(southbound.DELETE, path), good[1]]
+    before = model.encode_document(node.running)
+    for _attempt in range(2):  # the same change objects both times
+        reply = session.edit_config(batch)
+        drain(loop)
+        assert reply.value.type == southbound.ERROR
+        assert reply.value.error == {"code": "BAD_PATH", "detail": [f"BAD_PATH: {path}"]}
+        assert model.encode_document(node.running) == before
+    reply = session.edit_config(good)
+    drain(loop)
+    assert reply.value.type == southbound.OK
+    assert node.running.route("realm.org").next_hop == "aj"
 
 
 # ---------------------------------------------------------------------------
