@@ -31,18 +31,29 @@ def _setup_logging() -> None:
 
 
 def _read(path: str) -> str:
+    """The text at ``path``; a file that cannot be read is one stderr line and
+    exit 2. Bytes that are not UTF-8 raise ``json.JSONDecodeError`` at the
+    first bad byte, as any other text that is not JSON does."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as err:
         click.echo(f"cannot read {path}: {err}", err=True)
         sys.exit(2)
+    except UnicodeDecodeError as err:
+        good = err.object[:err.start].decode("utf-8")
+        raise json.JSONDecodeError(
+            f"Invalid UTF-8 byte 0x{err.object[err.start]:02x}", good, len(good)
+        ) from None
 
 
 def _load(path: str) -> simnet.Scenario:
     """The scenario at ``path``, or its coded error on one stderr line and exit 2."""
     try:
         return simnet.load_scenario(_read(path))
+    except json.JSONDecodeError as err:  # raised by _read, as load_scenario would code it
+        click.echo(str(model.CodedError("PARSE_ERROR", str(err))), err=True)
+        sys.exit(2)
     except model.CodedError as err:
         click.echo(str(err), err=True)
         sys.exit(2)

@@ -183,12 +183,13 @@ class _Paths(NamedTuple):
 
 
 class _Route(NamedTuple):
-    """A route to send to a node: its policy, its MERGE change, its report
-    entry (filled when the frame is answered) and the ledger entry for its
-    pattern at the node when it was planned."""
+    """A route to send to a node: its policy, its next hop (None for the
+    home's LOCAL route), its report entry (filled when the frame is
+    answered) and the ledger entry for its pattern at the node when it was
+    planned. Its change is built when its frame is sent."""
 
     policy: Policy
-    change: ConfigChange
+    next_hop: Optional[str]
     report: dict
     over: Optional[dict]
 
@@ -205,11 +206,11 @@ class _RouteBatch:
         self.routes.setdefault(n, []).append(item)
         self._latest[(n, item.policy.realm_pattern.text)] = item
 
-    def planned(self, n: str, pattern_text: str, ledgered: Optional[dict]) -> Optional[RealmEntry]:
+    def planned(self, n: str, pattern_text: str, ledgered: Optional[dict]) -> Optional[_Route]:
         """The latest route collected for the pattern at ``n``, unless the
         ledger entry has changed since (``ledgered`` is the current one)."""
         item = self._latest.get((n, pattern_text))
-        return item.change.value if item is not None and item.over is ledgered else None
+        return item if item is not None and item.over is ledgered else None
 
 
 class Controller:
@@ -325,12 +326,21 @@ class Controller:
 
     def _adjacency_changes(self, a: str, b: str, security: str):
         """Fabricate one credential pair; the raw material lives only in the
-        returned changes, the controller keeps the fingerprint."""
-        def side(other: str, identity: str, transport: Transport, credential, *material) -> list:
-            """The credential material, then the peer entry for ``other``."""
-            entry = PeerEntry(other, identity, self._address(other),
-                              model.TRANSPORT_PORTS[transport], transport, credential)
-            return [*material, ConfigChange(southbound.MERGE, f"peers/{other}", entry)]
+        changes, the controller keeps the fingerprint. Each side is a
+        function of the expiration that builds the side's changes when its
+        frame is sent."""
+        def side(other: str, identity: str, transport: Transport, credential, profile=None):
+            """Builds the TLS profile (``profile`` is its fields), if any, then
+            the peer entry for ``other``."""
+            fields = (other, identity, self._address(other), model.TRANSPORT_PORTS[transport],
+                      transport, credential)
+
+            def changes(exp: Optional[int]) -> list[ConfigChange]:
+                peer = ConfigChange(southbound.MERGE, f"peers/{other}", PeerEntry(*fields, exp))
+                if profile is None:
+                    return [peer]
+                return [ConfigChange(southbound.MERGE, f"tls/{profile[0]}", TlsProfile(*profile)), peer]
+            return changes
 
         if security == PSK:
             secret = self.rng.randbytes(32)
@@ -342,29 +352,31 @@ class Controller:
         key_b = self.rng.randbytes(32)
         sides = []
         for own, other, key in ((a, b, key_a), (b, a, key_b)):
-            profile = TlsProfile(f"tls-{own}-{other}", f"{own}-cert", key, frozenset({f"{other}-cert"}))
-            sides.append(side(other, f"{other}-cert", Transport.RADIUS_TLS, TlsRef(profile.name),
-                              ConfigChange(southbound.MERGE, f"tls/{profile.name}", profile)))
+            name = f"tls-{own}-{other}"
+            sides.append(side(other, f"{other}-cert", Transport.RADIUS_TLS, TlsRef(name),
+                              (name, f"{own}-cert", key, frozenset({f"{other}-cert"}))))
         return sides[0], sides[1], hashlib.sha256(key_a + key_b).hexdigest()
 
-    def _stamp(self, changes, ttl: Optional[int]) -> list[ConfigChange]:
-        return [self._stamped(ch, ttl) for ch in changes]
+    def _expiration(self, ttl: Optional[int]) -> Optional[int]:
+        """The absolute expiration of an entry sent now: its lifetime measured
+        from node-side creation equals ttl (send time + channel latency +
+        ttl). None without a ttl."""
+        return None if ttl is None else self.loop.now + southbound.LATENCY + ttl
 
-    def _stamped(self, change: ConfigChange, ttl: Optional[int]) -> ConfigChange:
-        """Fix an absolute expiration so the entry's lifetime measured from
-        node-side creation equals ttl (send time + channel latency + ttl);
-        ``change`` itself when ttl is None or it merges no peer or route."""
-        if ttl is None or change.op != southbound.MERGE:
-            return change
-        exp = self.loop.now + southbound.LATENCY + ttl
-        v = change.value
-        if isinstance(v, PeerEntry):
-            v = PeerEntry(v.peer_id, v.identity, v.host, v.port, v.transport, v.credential, exp)
-        elif isinstance(v, RealmEntry):
-            v = RealmEntry(v.pattern, v.next_hop, v.action, v.rule_refs, exp)
-        else:
-            return change
-        return ConfigChange(change.op, change.path, v)
+    @staticmethod
+    def _route_change(policy: Policy, hop: Optional[str], exp: Optional[int]) -> ConfigChange:
+        """The MERGE of the policy's route: RELAY via ``hop``, or LOCAL when
+        ``hop`` is None."""
+        pattern = policy.realm_pattern
+        action = Action.LOCAL if hop is None else Action.RELAY
+        return ConfigChange(southbound.MERGE, f"routing/{pattern.text}",
+                            RealmEntry(pattern, hop, action, (), exp))
+
+    def _frame_changes(self, side, policy: Optional[Policy], hops, ttl: Optional[int]):
+        """An adjacency frame's changes, built at its send time: the side's
+        peer (after its TLS profile), then the policy's routes via ``hops``."""
+        exp = self._expiration(ttl)
+        return side(exp) + [self._route_change(policy, hop, exp) for hop in hops]
 
     # ------------------------------------------------------------------
     # ledger bookkeeping
@@ -421,25 +433,23 @@ class Controller:
     # ------------------------------------------------------------------
     # jobs
 
-    def _adjacency_job(
-        self, a, b, security, ttl, extra_a=(), extra_b=(), policy_id=None
-    ):
+    def _adjacency_job(self, a, b, security, ttl, policy=None, hops_a=(), hops_b=()):
         """Two-step exchange: configure a, await OK, configure b, await OK;
-        roll back a when the second step fails. ``extra_*`` are freshly
-        needed changes (routes) combined into the same frames."""
+        roll back a when the second step fails. ``hops_*`` are the next hops
+        of the policy's routes missing at each side (None for the home's
+        LOCAL route), sent in the same frames."""
         session_a = self.sessions.get(a)
         session_b = self.sessions.get(b)
         if session_a is None:
             return EstablishResult("FAILED", 1, "NO_SESSION")
         if session_b is None:
             return EstablishResult("FAILED", 3, "NO_SESSION")
-        changes_a, changes_b, fingerprint = self._adjacency_changes(a, b, security)
-        changes_a = self._stamp(changes_a + list(extra_a), ttl)
-        changes_b = changes_b + list(extra_b)
+        side_a, side_b, fingerprint = self._adjacency_changes(a, b, security)
+        changes_a = self._frame_changes(side_a, policy, hops_a, ttl)
         pair = frozenset((a, b))
 
         if self.parallel_adjacency:
-            changes_b = self._stamp(changes_b, ttl)
+            changes_b = self._frame_changes(side_b, policy, hops_b, ttl)
             reply_a = session_a.edit_config(changes_a)
             reply_b = session_b.edit_config(changes_b)
             frame_a = yield reply_a
@@ -449,8 +459,8 @@ class Controller:
             frame_b = None
             if frame_a.type == southbound.OK:
                 self.adjacencies[pair] = AdjacencyRecord(pair, "HALF", security)
-                # stamped at its own send time so ttl counts from node-side creation
-                changes_b = self._stamp(changes_b, ttl)
+                # built at its own send time so ttl counts from node-side creation
+                changes_b = self._frame_changes(side_b, policy, hops_b, ttl)
                 frame_b = yield session_b.edit_config(changes_b)
 
         ok_a = frame_a.type == southbound.OK
@@ -467,6 +477,7 @@ class Controller:
             return EstablishResult("FAILED", 1, frame_a.error["code"])
 
         self.adjacencies[pair] = AdjacencyRecord(pair, "ESTABLISHED", security, fingerprint)
+        policy_id = None if policy is None else policy.policy_id
         self._ledger_changes(a, changes_a, policy_id)
         self._ledger_changes(b, changes_b, policy_id)
         log.info("adjacency %s-%s established (%s)", a, b, security)
@@ -515,22 +526,19 @@ class Controller:
         return tuple(order), tuple(unreachable)
 
     def _missing_route(self, policy: Policy, node: str, hop: Optional[str], batch=None):
-        """(the MERGE of the policy's route at ``node``, the ledger entry for
-        its pattern there). The route is RELAY via ``hop``, or LOCAL when
-        ``hop`` is None; it is None when the ledger already holds it, or
-        when the latest route ``batch`` collected there over that ledger
-        entry does."""
-        pattern = policy.realm_pattern
-        text = pattern.text
+        """(whether the policy's route at ``node`` is missing, the ledger
+        entry for its pattern there). The route is RELAY via ``hop``, or
+        LOCAL when ``hop`` is None; it is not missing when the ledger
+        already holds it, or when the latest route ``batch`` collected there
+        over that ledger entry does."""
+        text = policy.realm_pattern.text
         action = Action.LOCAL if hop is None else Action.RELAY
         have = self._ledgered_route(node, text)
         held = have is not None and have["next_hop"] == hop and have["action"] == action.value
         planned = batch.planned(node, text, have) if batch is not None else None
         if planned is not None:
-            held = planned.next_hop == hop and planned.action is action
-        if held:
-            return None, have
-        return ConfigChange(southbound.MERGE, f"routing/{text}", RealmEntry(pattern, hop, action)), have
+            held = planned.next_hop == hop  # the action follows from the next hop
+        return not held, have
 
     def _ensure_hop(self, policy: Policy, n: str, next_hop: Optional[str], batch=None):
         """Give ``n`` the policy's route: RELAY via ``next_hop``, or LOCAL
@@ -543,24 +551,23 @@ class Controller:
         Returns the adjacency's EstablishResult, the route's report entry
         (filled once its frame is answered), or None when nothing was
         missing."""
-        route, have = self._missing_route(policy, n, next_hop, batch)
+        missing, have = self._missing_route(policy, n, next_hop, batch)
         if next_hop is not None:
             record = self.adjacencies.get(frozenset((n, next_hop)))
             if record is None or record.status != "ESTABLISHED":
                 # Mirror side first: if n holds parked traffic, its lazy
                 # handshake must find the counterpart entry already in place.
-                mirror = (self._missing_route(policy, next_hop, None, batch)[0]
-                          if next_hop == policy.home_node else None)
+                mirror = (next_hop == policy.home_node
+                          and self._missing_route(policy, next_hop, None, batch)[0])
                 return (yield from self._adjacency_job(
-                    next_hop, n, policy.security, policy.default_entry_ttl,
-                    () if mirror is None else (mirror,), () if route is None else (route,),
-                    policy.policy_id,
+                    next_hop, n, policy.security, policy.default_entry_ttl, policy,
+                    (None,) if mirror else (), (next_hop,) if missing else (),
                 ))
-        if route is None:
+        if not missing:
             return None
         if n not in self.sessions:
             return {"op": "route", "node": n, "outcome": "FAILED", "error": "NO_SESSION"}
-        item = _Route(policy, route, {"op": "route", "node": n}, have)
+        item = _Route(policy, next_hop, {"op": "route", "node": n}, have)
         if batch is not None:
             batch.add(n, item)
         else:
@@ -569,9 +576,11 @@ class Controller:
         return item.report
 
     def _send_routes(self, n: str, items) -> tuple[list[ConfigChange], Reply]:
-        """One edit-config to ``n`` carrying each item's route, stamped with
+        """One edit-config to ``n`` carrying each item's route, built now with
         its own policy's ttl."""
-        changes = [self._stamped(item.change, item.policy.default_entry_ttl) for item in items]
+        changes = [self._route_change(item.policy, item.next_hop,
+                                      self._expiration(item.policy.default_entry_ttl))
+                   for item in items]
         return changes, self.sessions[n].edit_config(changes)
 
     def _settle_routes(self, n: str, items, changes, frame) -> None:

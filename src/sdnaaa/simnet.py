@@ -12,6 +12,7 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import methodcaller
 from typing import Optional
@@ -88,34 +89,34 @@ class _Texts(dict):
 
 
 def _message_text(msg: AaaMessage, texts: _Texts, memo: dict) -> str:
-    """The JSON text of ``msg.to_json()``, built from cached parts: the
-    attribute map is encoded once per map object (``copy`` shares it). A
-    field added to ``to_json`` must be written here too."""
-    fields = msg.to_json()
-    attributes = fields["attributes"]
-    attributes_text = memo.get(id(attributes))
+    """The JSON text of ``msg.to_json()`` (its specification: a field added
+    there must be written here too), read from the slots; the kind by its
+    ``_value_``. An attribute map is encoded once per object, an empty one is ``{}``."""
+    attributes = msg.attributes
+    attributes_text = memo.get(id(attributes)) if attributes else "{}"
     if attributes_text is None:
         attributes_text = memo[id(attributes)] = _ENCODER.encode(attributes)
-    error = f',"error":{texts[fields["error"]]}' if "error" in fields else ""
+    error = "" if msg.error is None else f',"error":{texts[msg.error]}'
     return (
-        f'{{"kind":{texts[fields["kind"]]},"msg_id":{texts[fields["msg_id"]]},'
-        f'"nai":{texts[fields["nai"]]},"dest_realm":{texts[fields["dest_realm"]]},'
-        f'"attributes":{attributes_text},"trace":{texts[fields["trace"]]},'
-        f'"status":{texts[fields["status"]]}{error}}}'
+        f'{{"kind":{texts[msg.kind._value_]},"msg_id":{texts[msg.msg_id]},'
+        f'"nai":{texts[msg.nai.text]},"dest_realm":{texts[msg.dest_realm.text]},'
+        f'"attributes":{attributes_text},"trace":{texts[msg.hop_trace]},'
+        f'"status":{texts[msg.status]}{error}}}'
     )
 
 
 def _write_batch(records: list[dict]) -> str:
-    """NDJSON lines of ``records``, byte for byte what ``_ENCODER`` writes
-    for each record dict. A message's text is built once per object and
-    placed in the output by reference, not copied into its line."""
+    """NDJSON lines of ``records``, byte for byte what ``_ENCODER`` writes for
+    each record dict: one format for the head (its first three keys), then the
+    payload. A message's text is built once per object and joined by reference."""
     texts = _Texts()
     memo: dict[int, str] = {}  # id of a message, attribute map or payload -> text
     pieces: list[str] = []
     append = pieces.append
     for record in records:
-        line = "{"
-        for key, value in record.items():
+        line = (f'{{"time":{record["time"]},"actor":{texts[record["actor"]]},'
+                f'"direction":{texts[record["direction"]]}')
+        for key, value in islice(record.items(), 3, None):
             cls = type(value)
             if cls is str:
                 text = texts[value]
@@ -131,12 +132,12 @@ def _write_batch(records: list[dict]) -> str:
                         else _ENCODER.encode(value)
                     )
                 if cls is AaaMessage:
-                    append(f"{line}{texts[key]}:")
+                    append(f"{line},{texts[key]}:")
                     append(text)
-                    line = ","
+                    line = ""
                     continue
-            line = f"{line}{texts[key]}:{text},"
-        append(line[:-1] + "}\n")
+            line = f"{line},{texts[key]}:{text}"
+        append(line + "}\n")
     return "".join(pieces)
 
 
@@ -146,14 +147,15 @@ class Transcript:
 
     A payload is kept as the value observed (a message, a frame, a redirect
     record or plain JSON) and encoded only by ``to_ndjson``. The writer
-    frames each line itself: it formats a message's ``to_json`` fields
-    (``_message_text``) and encodes every other payload with one ``json``
-    encoder, which calls the payload's ``to_json``. Within a batch of
-    records each distinct string and hop trace is encoded once and found
-    again by value, and each message, attribute map and other payload
-    object once and found again by identity. The identity memo is sound
-    only because a recorded value never changes: messages, frames, config
-    changes, entities, notifications and redirect records are frozen,
+    frames each line itself: it formats the head, writes a message from its
+    slots in its ``to_json`` form (``_message_text``) and encodes every
+    other payload with one ``json`` encoder, which calls the payload's
+    ``to_json``. Within a batch of records each distinct string and hop
+    trace is encoded once and found again by value, and each message,
+    attribute map and other payload object once and found again by
+    identity. The identity memo is sound only because a recorded value
+    never changes: messages, frames, config changes, entities,
+    notifications and redirect records are frozen,
     ``apply_attribute_rules`` copies ``attributes`` first, ``Frame.error``
     is built fresh for each reply and document containers are never changed
     in place. A new payload type must be immutable too and have a

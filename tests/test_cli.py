@@ -61,6 +61,19 @@ def test_validate_invalid_json_is_one_line(runner, tmp_path):
     assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("invalid JSON: ")
 
 
+def test_file_that_is_not_utf8_is_invalid_json_on_one_line(runner, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"a":\n "x\xffy"}')
+    detail = "Invalid UTF-8 byte 0xff: line 2 column 4 (char 9)"
+    validated = invoke(runner, "validate", str(path))
+    assert validated.exit_code == 1
+    assert validated.stderr.splitlines() == [f"invalid JSON: {detail}"]
+    for args in (["run", str(path)], ["inspect", str(path), "ai", "--at", "0"]):
+        result = invoke(runner, *args)
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [f"PARSE_ERROR: {detail}"]
+
+
 def test_validate_unrecognized_kind(runner, tmp_path):
     path = tmp_path / "odd.json"
     path.write_text('{"something": 1}')

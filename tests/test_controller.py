@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import (
+    FIXTURES,
     build,
     chain_nodes,
     frames,
@@ -626,6 +627,26 @@ def test_provisioning_200_realms_probes_the_ledger_once_per_hop_and_route(monkey
     assert len(probes) <= len(hops) + len(collected)
     # the client->home path order is walked once per home tree
     assert sorted(args[1] for args, _result in walks) == ["g04", "g14", "g24", "g34"]
+
+
+@pytest.mark.parametrize("mode", ["PROACTIVE", "REACTIVE"])
+def test_ttl_fixture_builds_each_sent_change_once(monkeypatch, mode):
+    # a ttl policy's peers and routes are built at send time, with their
+    # expiration, not built bare and then rebuilt stamped
+    built = []
+    init = southbound.ConfigChange.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(southbound.ConfigChange, "__init__", counted)
+    scenario = simnet.load_scenario((FIXTURES / "ttl.json").read_text())
+    scenario.mode = mode
+    _metrics, transcript = simnet.run(scenario)
+    carried = [change for r in edit_frames(transcript) for change in r["frame"]["changes"]]
+    assert any(change.get("value", {}).get("expiration") is not None for change in carried)
+    assert len(built) == len(carried)
 
 
 # ---------------------------------------------------------------------------

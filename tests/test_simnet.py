@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    FIXTURES,
     GOLDEN,
     build,
     chain_nodes,
@@ -251,6 +252,30 @@ def test_transcript_refuses_a_self_referencing_payload():
             transcript.to_ndjson()
 
 
+# Every record opens with its head: the writer formats ``time``, ``actor``
+# and ``direction`` once per line and loops only over the keys after them.
+HEAD_SCENARIOS = sorted({name for name, _mode in GOLDEN} | {p.stem for p in FIXTURES.glob("*.json")})
+
+
+@pytest.mark.parametrize("mode", [simnet.PROACTIVE, simnet.REACTIVE])
+@pytest.mark.parametrize("name", HEAD_SCENARIOS)
+def test_every_record_opens_with_time_actor_direction(monkeypatch, name, mode):
+    added = []
+    add = simnet.Transcript.add
+
+    def recorded(self, record):
+        added.append(record)
+        add(self, record)
+
+    monkeypatch.setattr(simnet.Transcript, "add", recorded)
+    simnet.run(build(name, mode))
+    assert added
+    for record in added:
+        (time_key, time), (actor_key, actor), (direction_key, direction) = list(record.items())[:3]
+        assert (time_key, actor_key, direction_key) == ("time", "actor", "direction"), record
+        assert type(time) is int and type(actor) is str and type(direction) is str, record
+
+
 # The transcript's bytes are json's: the oracle is the per-record encoder
 # the writer replaced, json.dumps of each record dict with each payload's
 # to_json as the default.
@@ -292,8 +317,8 @@ FRAMES = st.one_of(
 
 @st.composite
 def messages(draw):
-    """A request and its forward copies, which share its attribute map,
-    and a response built from the last copy."""
+    """A request and its forward copies, which share its attribute map, a
+    response built from the last copy, and a request with an empty map."""
     nai = model.Nai(draw(TEXT), draw(REALMS))
     request = AaaMessage(draw(TEXT), model.MsgKind.REQUEST, nai, nai.realm,
                          draw(st.dictionaries(TEXT, TEXT, max_size=3)))
@@ -305,6 +330,7 @@ def messages(draw):
         status=draw(st.sampled_from(["accept", "reject", "error"]) | TEXT),
         error=draw(st.none() | TEXT),
     ))
+    family.append(AaaMessage(draw(TEXT), model.MsgKind.REQUEST, nai, nai.realm, {}))
     return family
 
 
@@ -315,6 +341,7 @@ def transcripts(draw):
     payloads = st.one_of(
         st.fixed_dictionaries({"to": st.none() | TEXT, "message": message}),
         st.fixed_dictionaries({"message": message}),
+        st.fixed_dictionaries({"message": message, "peer": TEXT}),
         st.fixed_dictionaries({"peer": TEXT, "reason": TEXT, "message": message}),
         st.fixed_dictionaries({"frame": FRAMES}),
         st.fixed_dictionaries({"error": st.none() | TEXT, "detail": PLAIN}),
