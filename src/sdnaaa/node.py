@@ -252,8 +252,8 @@ class Node:
         if ok:
             self.channels[peer_id] = peer_node
             peer_node.channels[mirror.peer_id] = self
-            self.network.transcript.add({"time": self.loop.now, "actor": self.node_id,
-                                         "direction": "channel-up", "peer": peer_node.node_id})
+            self.network.transcript.add((self.loop.now, self.node_id, "channel-up",
+                                         peer_node.node_id))
         else:
             self.channels.pop(peer_id, None)
         for cb in waiters:
@@ -401,9 +401,8 @@ class Node:
             return
         else:
             realm = record.dest_realm
-            self.network.transcript.add({"time": self.loop.now, "actor": self.node_id,
-                                         "direction": "channel-failed", "peer": peer_id,
-                                         "reason": reason, "message": record})
+            self.network.transcript.add((self.loop.now, self.node_id, "channel-failed",
+                                         peer_id, reason, record))
             queue = self._park(record, self.loop.now, acquire=False)
         if peer_id not in queue.failures_reported:
             queue.failures_reported.add(peer_id)

@@ -12,7 +12,6 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import methodcaller
 from typing import Optional
@@ -76,6 +75,21 @@ _ENCODER = json.JSONEncoder(
 
 _BATCH = 2000  # records written per memo; the memo is dropped after each batch
 
+#: the payload keys of each transcript record by its direction: a record is
+#: the tuple ``(time, actor, direction, *payload)``, one value per key
+RECORD_KEYS = {
+    "fwd": ("to", "message"), "inject": ("message",), "done": ("message",), "c2n": ("frame",),
+    "n2c": ("frame",), "channel-up": ("peer",), "channel-failed": ("peer", "reason", "message"),
+    "snapshot": ("snapshot",), "node-down": (), "node-up": (),
+}
+
+# each direction's line texts, encoded once: its member, then the text before each value
+_LINES = {
+    direction: (f',"direction":{encode_basestring_ascii(direction)}',
+                *[f",{encode_basestring_ascii(key)}:" for key in keys])
+    for direction, keys in RECORD_KEYS.items()
+}
+
 
 class _Texts(dict):
     """JSON text of each string and each hop trace (a tuple of strings),
@@ -83,19 +97,40 @@ class _Texts(dict):
 
     def __missing__(self, value):
         text = self[value] = (
-            encode_basestring_ascii(value) if type(value) is str else _ENCODER.encode(value)
+            encode_basestring_ascii(value) if type(value) is str
+            else f"[{','.join([self[item] for item in value])}]"
         )
         return text
+
+
+def _json_text(value, texts: _Texts) -> str:
+    """The JSON text of a value made of strings, ints, None, lists and string-keyed
+    dicts, its strings from ``texts``; any other value by the encoder."""
+    cls = type(value)
+    if cls is str:
+        return texts[value]
+    if cls is int:
+        return str(value)
+    if value is None:
+        return "null"
+    if cls is list:
+        return f"[{','.join([_json_text(v, texts) for v in value])}]"
+    if cls is dict:
+        items = [f"{texts[k]}:{texts[v] if type(v) is str else _json_text(v, texts)}"
+                 for k, v in value.items() if type(k) is str]
+        if len(items) == len(value):
+            return f"{{{','.join(items)}}}"
+    return _ENCODER.encode(value)
 
 
 def _message_text(msg: AaaMessage, texts: _Texts, memo: dict) -> str:
     """The JSON text of ``msg.to_json()`` (its specification: a field added
     there must be written here too), read from the slots; the kind by its
-    ``_value_``. An attribute map is encoded once per object, an empty one is ``{}``."""
+    ``_value_``. An attribute map is written once per object."""
     attributes = msg.attributes
-    attributes_text = memo.get(id(attributes)) if attributes else "{}"
+    attributes_text = memo.get(id(attributes))
     if attributes_text is None:
-        attributes_text = memo[id(attributes)] = _ENCODER.encode(attributes)
+        attributes_text = memo[id(attributes)] = _json_text(attributes, texts)
     error = "" if msg.error is None else f',"error":{texts[msg.error]}'
     return (
         f'{{"kind":{texts[msg.kind._value_]},"msg_id":{texts[msg.msg_id]},'
@@ -105,68 +140,77 @@ def _message_text(msg: AaaMessage, texts: _Texts, memo: dict) -> str:
     )
 
 
-def _write_batch(records: list[dict]) -> str:
-    """NDJSON lines of ``records``, byte for byte what ``_ENCODER`` writes for
-    each record dict: one format for the head (its first three keys), then the
-    payload. A message's text is built once per object and joined by reference."""
+def _frame_text(frame: southbound.Frame, texts: _Texts) -> str:
+    """The JSON text of ``frame.to_json()`` (its specification), written from
+    the fields; an edit-config entity by its leaf encoders in ``model.SCHEMAS``."""
+    kind = frame.type
+    text = f'{{"txn":{frame.txn},"type":{texts[kind]}'
+    if kind == southbound.EDIT_CONFIG:
+        changes = [
+            f'{{"op":{texts[c.op]},"path":{texts[c.path]}}}' if c.value is None else
+            f'{{"op":{texts[c.op]},"path":{texts[c.path]},"value":'
+            f'{_json_text(model.entity_to_json(c.container_key()[0], c.value), texts)}}}'
+            for c in frame.changes
+        ]
+        return f'{text},"changes":[{",".join(changes)}]}}'
+    if kind == southbound.CONFIG:
+        return f'{text},"doc":{_json_text(model.document_to_json(frame.doc), texts)}}}'
+    if kind == southbound.ERROR:
+        detail = _json_text(frame.error.get("detail", []), texts)
+        return f'{text},"code":{_json_text(frame.error["code"], texts)},"detail":{detail}}}'
+    if kind == southbound.NOTIFICATION:
+        return f'{text},"note":{_json_text(frame.note.to_json(), texts)}}}'
+    return text + "}"
+
+
+def _write_batch(records: list[tuple]) -> str:
+    """NDJSON lines of ``records``, byte for byte what ``json.dumps`` writes
+    for each record's dict: the head, then the direction's line texts around
+    the payload values' texts, in one format for one or two values."""
     texts = _Texts()
-    memo: dict[int, str] = {}  # id of a message, attribute map or payload -> text
-    pieces: list[str] = []
-    append = pieces.append
+    memo: dict[int, str] = {}  # id of a message or attribute map -> text
+
+    def value_text(value) -> str:
+        if type(value) is AaaMessage:
+            text = memo.get(id(value))
+            if text is None:
+                text = memo[id(value)] = _message_text(value, texts, memo)
+            return text
+        return (_frame_text if type(value) is southbound.Frame else _json_text)(value, texts)
+
+    lines: list[str] = []
+    append = lines.append
     for record in records:
-        line = (f'{{"time":{record["time"]},"actor":{texts[record["actor"]]},'
-                f'"direction":{texts[record["direction"]]}')
-        for key, value in islice(record.items(), 3, None):
-            cls = type(value)
-            if cls is str:
-                text = texts[value]
-            elif cls is int:
-                text = str(value)
-            elif value is None:
-                text = "null"
-            else:
-                text = memo.get(id(value))
-                if text is None:
-                    text = memo[id(value)] = (
-                        _message_text(value, texts, memo) if cls is AaaMessage
-                        else _ENCODER.encode(value)
-                    )
-                if cls is AaaMessage:
-                    append(f"{line},{texts[key]}:")
-                    append(text)
-                    line = ""
-                    continue
-            line = f"{line},{texts[key]}:{text}"
-        append(line + "}\n")
-    return "".join(pieces)
+        head = f'{{"time":{record[0]},"actor":{texts[record[1]]}'
+        line = _LINES[record[2]]
+        size = len(record)
+        if size == 4:
+            append(f"{head}{line[0]}{line[1]}{value_text(record[3])}}}\n")
+        elif size == 5:
+            append(f"{head}{line[0]}{line[1]}{value_text(record[3])}{line[2]}{value_text(record[4])}}}\n")
+        else:
+            payload = "".join([key + value_text(v) for key, v in zip(line[1:], record[3:])])
+            append(f"{head}{line[0]}{payload}}}\n")
+    return "".join(lines)
 
 
 class Transcript:
     """Ordered record of everything observable: southbound frames, AAA
     transfers, terminal outcomes, liveness events, snapshots.
 
-    A payload is kept as the value observed (a message, a frame, a redirect
-    record or plain JSON) and encoded only by ``to_ndjson``. The writer
-    frames each line itself: it formats the head, writes a message from its
-    slots in its ``to_json`` form (``_message_text``) and encodes every
-    other payload with one ``json`` encoder, which calls the payload's
-    ``to_json``. Within a batch of records each distinct string and hop
-    trace is encoded once and found again by value, and each message,
-    attribute map and other payload object once and found again by
-    identity. The identity memo is sound only because a recorded value
-    never changes: messages, frames, config changes, entities,
-    notifications and redirect records are frozen,
-    ``apply_attribute_rules`` copies ``attributes`` first, ``Frame.error``
-    is built fresh for each reply and document containers are never changed
-    in place. A new payload type must be immutable too and have a
-    ``to_json`` method. The encoder skips the circular-reference check: a
-    cycle raises ``RecursionError``."""
+    A record is a tuple ``(time, actor, direction, *payload)``, its payload keys
+    named by ``RECORD_KEYS``. Values are kept as observed and written only by
+    ``to_ndjson``, each message and attribute map once per batch, found again by
+    identity: sound only because a recorded value never changes, so a new
+    payload type must be immutable too. The encoder behind ``_json_text`` calls
+    ``to_json`` and skips the circular-reference check: a cycle raises
+    ``RecursionError``."""
 
     def __init__(self):
-        self._entries: list[dict] = []
+        self._entries: list[tuple] = []
 
-    def add(self, record: dict) -> None:
-        """Append ``record``: ``time``, ``actor``, ``direction``, then its payload."""
+    def add(self, record: tuple) -> None:
+        """Append ``record``: ``(time, actor, direction, *payload)``."""
         self._entries.append(record)
 
     def to_ndjson(self) -> str:
@@ -235,8 +279,7 @@ class Network:
     def send_record(self, src, dst, record) -> None:
         """Record the transfer; ``dst.receive`` gets ``record`` one tick later."""
         loop = self.loop
-        self.transcript.add({"time": loop.now, "actor": src.node_id, "direction": "fwd",
-                             "to": dst.node_id, "message": record})
+        self.transcript.add((loop.now, src.node_id, "fwd", dst.node_id, record))
         loop.call_at(loop.now + 1, partial(dst.receive, record))
 
     def finalize_message(self, node_id: str, msg: AaaMessage) -> None:
@@ -244,8 +287,7 @@ class Network:
         if entry is not None and entry["status"] != "pending":
             return
         self.registry[msg.msg_id] = {"status": msg.status, "error": msg.error}
-        self.transcript.add({"time": self.loop.now, "actor": node_id, "direction": "done",
-                             "message": msg})
+        self.transcript.add((self.loop.now, node_id, "done", msg))
         if msg.status == "accept":
             self.metrics.delivered += 1
         elif msg.status == "reject":
@@ -537,8 +579,7 @@ class Simulation:
         self.controller.attach_session(nid, session)
 
     def _record_frame(self, time: int, node_id: str, direction: str, frame) -> None:
-        self.transcript.add({"time": time, "actor": node_id, "direction": direction,
-                             "frame": frame})
+        self.transcript.add((time, node_id, direction, frame))
         if direction == "c2n":
             self.metrics.controller_frames += 1
 
@@ -553,19 +594,18 @@ class Simulation:
             n = self.nodes[ev.node]
             n.set_down()
             self.network.invalidate_channels_to(n)
-            self.transcript.add({"time": self.loop.now, "actor": ev.node, "direction": "node-down"})
+            self.transcript.add((self.loop.now, ev.node, "node-down"))
         elif ev.kind == "node-up":
             n = self.nodes[ev.node]
             n.set_up()
             if n.session is None:
                 self._open_session(ev.node)
             self.controller.node_registered(ev.node)
-            self.transcript.add({"time": self.loop.now, "actor": ev.node, "direction": "node-up"})
+            self.transcript.add((self.loop.now, ev.node, "node-up"))
         else:  # snapshot
             snap = self.controller.snapshot_json()
             self.snapshots.append(snap)
-            self.transcript.add({"time": self.loop.now, "actor": "controller",
-                                 "direction": "snapshot", "snapshot": json.loads(snap)})
+            self.transcript.add((self.loop.now, "controller", "snapshot", json.loads(snap)))
 
     def _inject(self, ev: Event) -> None:
         self._msg_seq += 1
@@ -585,8 +625,7 @@ class Simulation:
         )
         self.metrics.injected += 1
         self.network.registry[msg.msg_id] = {"status": "pending", "error": None}
-        self.transcript.add({"time": self.loop.now, "actor": ev.node, "direction": "inject",
-                             "message": msg})
+        self.transcript.add((self.loop.now, ev.node, "inject", msg))
         target = self.nodes[ev.node]
         if target.is_up():
             target.handle_message(msg, self.loop.now)

@@ -20,7 +20,18 @@ from conftest import (
 )
 from sdnaaa import model, node as node_mod, simnet
 from sdnaaa.model import AaaMessage, CodedError
-from sdnaaa.southbound import ERROR, NOTIFICATION, OK, Frame
+from sdnaaa.southbound import (
+    CONFIG,
+    DELETE,
+    EDIT_CONFIG,
+    ERROR,
+    GET_CONFIG,
+    MERGE,
+    NOTIFICATION,
+    OK,
+    ConfigChange,
+    Frame,
+)
 from sdnaaa.simnet import EventLoop, Simulation, load_scenario
 
 
@@ -226,7 +237,7 @@ def test_run_encodes_nothing_until_the_transcript_is_written(chain_text, monkeyp
         return wrapper
 
     monkeypatch.setattr(simnet, "_message_text", counted("message", simnet._message_text))
-    monkeypatch.setattr(Frame, "to_json", counted("frame", Frame.to_json))
+    monkeypatch.setattr(simnet, "_frame_text", counted("frame", simnet._frame_text))
     sim = Simulation(load_scenario(chain_text))
     sim.run()
     assert calls == {"message": 0, "frame": 0}
@@ -245,15 +256,16 @@ def test_transcript_refuses_a_self_referencing_payload():
     cycle["self"] = cycle
     nai = model.parse_nai("alice@realm.org")
     message = AaaMessage("m1", model.MsgKind.REQUEST, nai, nai.realm, cycle)
-    for payload in ({"detail": cycle}, {"message": message}):
+    for record in ((0, "x", "snapshot", cycle), (0, "x", "inject", message),
+                   (0, "x", "fwd", "y", message)):
         transcript = simnet.Transcript()
-        transcript.add({"time": 0, "actor": "x", "direction": "in", **payload})
+        transcript.add(record)
         with pytest.raises((ValueError, RecursionError)):
             transcript.to_ndjson()
 
 
-# Every record opens with its head: the writer formats ``time``, ``actor``
-# and ``direction`` once per line and loops only over the keys after them.
+# Every record is a tuple of the time, the actor, the direction and one value
+# per payload key that RECORD_KEYS names for the direction.
 HEAD_SCENARIOS = sorted({name for name, _mode in GOLDEN} | {p.stem for p in FIXTURES.glob("*.json")})
 
 
@@ -271,29 +283,31 @@ def test_every_record_opens_with_time_actor_direction(monkeypatch, name, mode):
     simnet.run(build(name, mode))
     assert added
     for record in added:
-        (time_key, time), (actor_key, actor), (direction_key, direction) = list(record.items())[:3]
-        assert (time_key, actor_key, direction_key) == ("time", "actor", "direction"), record
+        assert type(record) is tuple, record
+        time, actor, direction = record[:3]
         assert type(time) is int and type(actor) is str and type(direction) is str, record
+        assert direction in simnet.RECORD_KEYS, record
+        assert len(record) == 3 + len(simnet.RECORD_KEYS[direction]), record
 
 
-# The transcript's bytes are json's: the oracle is the per-record encoder
-# the writer replaced, json.dumps of each record dict with each payload's
+# The transcript's bytes are json's: the oracle is json.dumps of each
+# record's dict, its payload keys from RECORD_KEYS, with each payload's
 # to_json as the default.
 
 
 def _oracle_ndjson(records) -> str:
     return "".join(
-        json.dumps(record, separators=(",", ":"), default=methodcaller("to_json")) + "\n"
-        for record in records
+        json.dumps({"time": time, "actor": actor, "direction": direction,
+                    **dict(zip(simnet.RECORD_KEYS[direction], payload, strict=True))},
+                   separators=(",", ":"), default=methodcaller("to_json")) + "\n"
+        for time, actor, direction, *payload in records
     )
 
 
 def _written(records) -> str:
     transcript = simnet.Transcript()
     for record in records:
-        payload = dict(record)
-        transcript.add({"time": payload.pop("time"), "actor": payload.pop("actor"),
-                        "direction": payload.pop("direction"), **payload})
+        transcript.add(record)
     return transcript.to_ndjson()
 
 
@@ -301,18 +315,59 @@ TEXT = st.text()  # non-ASCII, astral, control characters, quotes, backslashes
 BIG_INTS = st.integers(-(2**70), 2**70)
 PLAIN = st.recursive(
     st.none() | st.booleans() | BIG_INTS | st.floats() | TEXT,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT | BIG_INTS, inner, max_size=3),
     max_leaves=8,
 )
 REALMS = st.lists(TEXT, min_size=1, max_size=3).map(lambda labels: model.Realm(tuple(labels)))
-FRAMES = st.one_of(
-    st.builds(Frame, BIG_INTS, st.just(OK)),
-    st.builds(lambda txn, code, detail: Frame(txn, ERROR, error={"code": code, "detail": detail}),
-              BIG_INTS, TEXT, st.lists(TEXT, max_size=2)),
-    st.builds(lambda txn, node, peer, realm: Frame(
-        txn, NOTIFICATION, note=model.Notification.forward_failure(node, peer, realm)),
-        BIG_INTS, TEXT, TEXT, REALMS),
+PATTERNS = st.one_of(
+    st.just(model.RealmPattern(model.PatternKind.DEFAULT)),
+    st.builds(model.RealmPattern, st.sampled_from([model.PatternKind.EXACT, model.PatternKind.WILDCARD]),
+              REALMS),
 )
+KEY_BYTES = st.binary(max_size=64) | st.just(model.REDACTED)
+EXPIRATIONS = st.none() | BIG_INTS
+ENTITIES = {
+    "peers": st.builds(
+        model.PeerEntry, TEXT, TEXT, TEXT, BIG_INTS, st.sampled_from(model.Transport),
+        st.builds(model.SharedSecret, KEY_BYTES) | st.builds(model.TlsRef, TEXT), EXPIRATIONS),
+    "routing": st.builds(
+        model.RealmEntry, PATTERNS, st.none() | TEXT, st.sampled_from(model.Action),
+        st.lists(TEXT, max_size=3).map(tuple), EXPIRATIONS),
+    "tls": st.builds(model.TlsProfile, TEXT, TEXT, KEY_BYTES, st.frozensets(TEXT, max_size=3)),
+    "attributes": st.builds(
+        model.AttributeRule, TEXT, st.sampled_from(model.Direction), st.sampled_from(model.RuleOp),
+        TEXT, st.none() | TEXT),
+}
+CHANGES = st.one_of(*[
+    st.builds(lambda container, entity: ConfigChange(MERGE, f"{container}/x", entity),
+              st.just(container), entity) | st.builds(ConfigChange, st.just(DELETE), TEXT.map(
+                  lambda key, container=container: f"{container}/x{key}"))
+    for container, entity in ENTITIES.items()
+])
+DOCUMENTS = st.builds(model.ConfigDocument, **{
+    container: st.lists(entity, max_size=2).map(
+        lambda entities, container=container: {
+            model.entry_key(container, e): e for e in entities})
+    for container, entity in ENTITIES.items()
+})
+NOTES = st.builds(model.Notification, TEXT, TEXT, st.none() | REALMS, st.none() | TEXT,
+                  st.none() | PATTERNS)
+FRAMES = st.one_of(
+    st.builds(Frame, BIG_INTS, st.sampled_from([OK, GET_CONFIG]) | TEXT),
+    st.builds(lambda txn, code, detail: Frame(txn, ERROR, error={"code": code, "detail": detail}),
+              BIG_INTS, TEXT, st.lists(TEXT, max_size=2) | PLAIN),
+    st.builds(lambda txn, code: Frame(txn, ERROR, error={"code": code}), BIG_INTS, TEXT),
+    st.builds(lambda txn, note: Frame(txn, NOTIFICATION, note=note), BIG_INTS, NOTES),
+    st.builds(lambda txn, changes: Frame(txn, EDIT_CONFIG, changes=tuple(changes)),
+              BIG_INTS, st.lists(CHANGES, max_size=4)),
+    st.builds(lambda txn, doc: Frame(txn, CONFIG, doc=doc), BIG_INTS, DOCUMENTS),
+)
+
+
+@given(FRAMES)
+def test_frame_text_equals_json_of_the_frame(frame):
+    expected = json.dumps(frame.to_json(), separators=(",", ":"))
+    assert simnet._frame_text(frame, simnet._Texts()) == expected
 
 
 @st.composite
@@ -336,22 +391,15 @@ def messages(draw):
 
 @st.composite
 def transcripts(draw):
+    """Records of every direction; each payload value a message (for the
+    ``message`` key), a frame (for ``frame``) or any plain value."""
     pool = draw(st.lists(messages(), min_size=1, max_size=2).map(lambda fs: sum(fs, [])))
-    message = st.sampled_from(pool)
-    payloads = st.one_of(
-        st.fixed_dictionaries({"to": st.none() | TEXT, "message": message}),
-        st.fixed_dictionaries({"message": message}),
-        st.fixed_dictionaries({"message": message, "peer": TEXT}),
-        st.fixed_dictionaries({"peer": TEXT, "reason": TEXT, "message": message}),
-        st.fixed_dictionaries({"frame": FRAMES}),
-        st.fixed_dictionaries({"error": st.none() | TEXT, "detail": PLAIN}),
-        st.dictionaries(TEXT.filter(lambda k: k not in ("time", "actor", "direction")),
-                        PLAIN, max_size=3),
-    )
+    values = {"message": st.sampled_from(pool) | PLAIN, "frame": FRAMES | PLAIN}
     records = []
-    for payload in draw(st.lists(payloads, min_size=1, max_size=12)):
-        head = {"time": draw(BIG_INTS), "actor": draw(TEXT), "direction": draw(TEXT)}
-        records.append({**head, **payload})
+    for direction in draw(st.lists(st.sampled_from(list(simnet.RECORD_KEYS)), min_size=1,
+                                   max_size=12)):
+        payload = [draw(values.get(key, PLAIN)) for key in simnet.RECORD_KEYS[direction]]
+        records.append((draw(BIG_INTS), draw(TEXT), direction, *payload))
     return records
 
 
@@ -361,7 +409,7 @@ def test_transcript_bytes_equal_json_of_each_record(records):
 
 
 def test_transcript_bytes_equal_json_when_a_message_recurs_batches_later():
-    # 4500 records span three of the writer's 2000-record batches, so each
+    # 7500 records span four of the writer's 2000-record batches, so each
     # message recurs after the memo that held its text was dropped
     nai = model.parse_nai("\u00e9l\U0001f600se@realm.org")
     request = AaaMessage("m1", model.MsgKind.REQUEST, nai, nai.realm, {"pass\"word": "p\\w"})
@@ -370,11 +418,11 @@ def test_transcript_bytes_equal_json_when_a_message_recurs_batches_later():
                             error="CHANNEL_FAILED")
     records = []
     for i in range(1500):
-        records.append({"time": i, "actor": "a", "direction": "fwd", "to": "b",
-                        "message": (request, forwarded, answer)[i % 3]})
-        records.append({"time": i, "actor": "b", "direction": "n2c", "frame": Frame(i, OK)})
-        records.append({"time": 2**64 + i, "actor": "\n", "direction": "done", "message": answer,
-                        "ok": i % 2 == 0, "ratio": i / 7, "peer": None})
+        records.append((i, "a", "fwd", "b", (request, forwarded, answer)[i % 3]))
+        records.append((i, "b", "n2c", Frame(i, OK)))
+        records.append((2**64 + i, "\n", "done", answer))
+        records.append((i, "b", "channel-failed", None, i / 7, forwarded))
+        records.append((i, "controller", "snapshot", {"ok": i % 2 == 0, "ratio": i / 7}))
     assert _written(records) == _oracle_ndjson(records)
 
 
