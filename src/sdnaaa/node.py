@@ -252,8 +252,7 @@ class Node:
         if ok:
             self.channels[peer_id] = peer_node
             peer_node.channels[mirror.peer_id] = self
-            self.network.transcript.add((self.loop.now, self.node_id, "channel-up",
-                                         peer_node.node_id))
+            self.network.transcript.add((self.loop.now, self.node_id, "channel-up", peer_node.node_id))
         else:
             self.channels.pop(peer_id, None)
         for cb in waiters:

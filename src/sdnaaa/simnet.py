@@ -74,6 +74,7 @@ _ENCODER = json.JSONEncoder(
 )
 
 _BATCH = 2000  # records written per memo; the memo is dropped after each batch
+_PRIVATE = frozenset({"secret", "local_key"})  # the entity leaves of key material
 
 #: the payload keys of each transcript record by its direction: a record is
 #: the tuple ``(time, actor, direction, *payload)``, one value per key
@@ -103,9 +104,9 @@ class _Texts(dict):
         return text
 
 
-def _json_text(value, texts: _Texts) -> str:
-    """The JSON text of a value made of strings, ints, None, lists and string-keyed
-    dicts, its strings from ``texts``; any other value by the encoder."""
+def _json_text(value, texts: _Texts, private=frozenset()) -> str:
+    """The JSON text of strings, ints, None, lists and string-keyed dicts from ``texts``,
+    a member named in ``private`` as REDACTED; any other value by the encoder."""
     cls = type(value)
     if cls is str:
         return texts[value]
@@ -114,9 +115,11 @@ def _json_text(value, texts: _Texts) -> str:
     if value is None:
         return "null"
     if cls is list:
-        return f"[{','.join([_json_text(v, texts) for v in value])}]"
+        return f"[{','.join([_json_text(v, texts, private) for v in value])}]"
     if cls is dict:
-        items = [f"{texts[k]}:{texts[v] if type(v) is str else _json_text(v, texts)}"
+        if not private.isdisjoint(value):
+            value = {k: model.REDACTED if k in private else v for k, v in value.items()}
+        items = [f"{texts[k]}:{texts[v] if type(v) is str else _json_text(v, texts, private)}"
                  for k, v in value.items() if type(k) is str]
         if len(items) == len(value):
             return f"{{{','.join(items)}}}"
@@ -141,20 +144,21 @@ def _message_text(msg: AaaMessage, texts: _Texts, memo: dict) -> str:
 
 
 def _frame_text(frame: southbound.Frame, texts: _Texts) -> str:
-    """The JSON text of ``frame.to_json()`` (its specification), written from
-    the fields; an edit-config entity by its leaf encoders in ``model.SCHEMAS``."""
+    """The JSON text of ``frame.to_json()`` (its specification), written from the
+    fields; an entity by its leaf encoders in ``model.SCHEMAS``, its key material
+    (``_PRIVATE``) as REDACTED, while the frame in memory keeps it."""
     kind = frame.type
     text = f'{{"txn":{frame.txn},"type":{texts[kind]}'
     if kind == southbound.EDIT_CONFIG:
         changes = [
             f'{{"op":{texts[c.op]},"path":{texts[c.path]}}}' if c.value is None else
             f'{{"op":{texts[c.op]},"path":{texts[c.path]},"value":'
-            f'{_json_text(model.entity_to_json(c.container_key()[0], c.value), texts)}}}'
+            f'{_json_text(model.entity_to_json(c.container_key()[0], c.value), texts, _PRIVATE)}}}'
             for c in frame.changes
         ]
         return f'{text},"changes":[{",".join(changes)}]}}'
     if kind == southbound.CONFIG:
-        return f'{text},"doc":{_json_text(model.document_to_json(frame.doc), texts)}}}'
+        return f'{text},"doc":{_json_text(model.document_to_json(frame.doc), texts, _PRIVATE)}}}'
     if kind == southbound.ERROR:
         detail = _json_text(frame.error.get("detail", []), texts)
         return f'{text},"code":{_json_text(frame.error["code"], texts)},"detail":{detail}}}'
@@ -164,13 +168,12 @@ def _frame_text(frame: southbound.Frame, texts: _Texts) -> str:
 
 
 def _write_batch(records: list[tuple]) -> str:
-    """NDJSON lines of ``records``, byte for byte what ``json.dumps`` writes
-    for each record's dict: the head, then the direction's line texts around
-    the payload values' texts, in one format for one or two values."""
+    """NDJSON lines of ``records``, as ``json.dumps`` writes each record's dict: the head,
+    then the direction's line texts around the values' texts, one format for one or two."""
     texts = _Texts()
     memo: dict[int, str] = {}  # id of a message or attribute map -> text
 
-    def value_text(value) -> str:
+    def text_of(value) -> str:
         if type(value) is AaaMessage:
             text = memo.get(id(value))
             if text is None:
@@ -185,11 +188,11 @@ def _write_batch(records: list[tuple]) -> str:
         line = _LINES[record[2]]
         size = len(record)
         if size == 4:
-            append(f"{head}{line[0]}{line[1]}{value_text(record[3])}}}\n")
+            append(f"{head}{line[0]}{line[1]}{text_of(record[3])}}}\n")
         elif size == 5:
-            append(f"{head}{line[0]}{line[1]}{value_text(record[3])}{line[2]}{value_text(record[4])}}}\n")
+            append(f"{head}{line[0]}{line[1]}{text_of(record[3])}{line[2]}{text_of(record[4])}}}\n")
         else:
-            payload = "".join([key + value_text(v) for key, v in zip(line[1:], record[3:])])
+            payload = "".join([key + text_of(v) for key, v in zip(line[1:], record[3:])])
             append(f"{head}{line[0]}{payload}}}\n")
     return "".join(lines)
 

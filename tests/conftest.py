@@ -493,31 +493,31 @@ STATIC = {
 
 GOLDEN = {
     ("chain", "PROACTIVE"):
-        "7a9eae7dba18b83964d948ef2b5943eda9d5c878b56f59610f36012fc011e3b5",
+        "38de282b46c63a4a7b5e5a19f2241e9de6af0c29e1bfbb78c045f80ed8e1e3c8",
     ("chain", "REACTIVE"):
-        "600f51a6c090cc4f1ed569f34d728e0d589c693b3b2f42863da75552d35db0c5",
+        "18ca7e700dc8efa4df4bf8062c2104dfa723029243b61b9ca760951a32959346",
     ("diamond", "PROACTIVE"):
-        "2b4af1a5b19489de2f50be3413e03a14e6650eef33dbeb14fa6b9a7d5e3db753",
+        "7e09ab690b2b0feb8cb1f7aa0e824f9588efdd9cc13967b14a534a3ae5c5c42a",
     ("diamond", "REACTIVE"):
-        "849c5f30b6c71fe39cc049dfb75ac35b5562f32ed65db8617f19651cceaafea3",
+        "a77388e67253b60b9ea5000129751ed0df6fd0ac3557cd6b1817680c699594ed",
     ("loop", "PROACTIVE"):
-        "4b486c0e1f1509124523b1be6347e052ea015165a1723a932101c044946ff307",
+        "c8cb789c665eee851d4918899719b005da70472b1c43364b394c41fe3518fcd3",
     ("loop", "REACTIVE"):
-        "4b486c0e1f1509124523b1be6347e052ea015165a1723a932101c044946ff307",
+        "c8cb789c665eee851d4918899719b005da70472b1c43364b394c41fe3518fcd3",
     ("random-4", "PROACTIVE"):
-        "20bc4726d3ef7bc2b70352f03c3926f6535d7aaeb3e1471dde3392584e007d5d",
+        "6b82f74b775f1efe428a79be4cfbcd2aaac19bdbf6fafe2ec10f752b1c89d1ed",
     ("random-4", "REACTIVE"):
-        "65b6153bc9f9fe157a4cbf5654978c378b33ce828ff9fc5017c626f25d9d3ffd",
+        "57176ce1ec86e9331904338cf0adba11d5a611d339e4a3f082f964c6737f370e",
     ("random-9", "PROACTIVE"):
-        "1f988c31a747f2121848265935ba5cb64a5e37e331f7e9d16aa807150861dce8",
+        "dac3feddad83daaa6616595a18cc73df0592cb276f8d152a177711a22a77b7a1",
     ("random-9", "REACTIVE"):
-        "a75d90d744e8c0120e790f2277dc257303de6aa0ec253db69208bd90faa5d153",
+        "43d8111b406b190e2fb41f2babacf5f3b740ec5ef59418d22fdcd1bed03b1fba",
     ("redirect-fabric", "PROACTIVE"):
-        "bc1a1d635a9b1961a57b5c88a70020403bed42a0d72f935589486646c82464ed",
+        "4c6f919d76d5216b4cdd73cd50637740cd7e400436b7cd5caa7bee0194cf015c",
     ("proxy-chain", "PROACTIVE"):
-        "258a40fef884a211e018275290e299168efc53de1741528ecd2b95c50435ec40",
+        "6e091f54b22704b13059328c1f1fa425ef96e67c3b609277130dfddbff194496",
     ("broken-return", "PROACTIVE"):
-        "7c95328859ad577556329eedad7e138fff441611c8c3e678d3a5324117a8a8cb",
+        "0a0cfb4cb5ef6a16acb84daf49b444caae019f435e76d50d9cd31267694f6325",
 }
 
 

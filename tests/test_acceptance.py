@@ -4,12 +4,19 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every expectation and tolerance is pinned in the assertions.
 """
 
+import io
 import json
+import logging
 import random
 import time
 
+import pytest
+from click.testing import CliRunner
+
 from conftest import (
     FIXTURES,
+    GOLDEN,
+    build,
     chain_nodes,
     frames,
     fw_distances,
@@ -20,7 +27,8 @@ from conftest import (
     wait,
 )
 from sdnaaa import model, simnet, southbound
-from sdnaaa.model import PeerEntry, RealmEntry, RealmPattern, SharedSecret, Transport
+from sdnaaa.cli import main
+from sdnaaa.model import PeerEntry, RealmEntry, RealmPattern, SharedSecret, TlsProfile, Transport
 from sdnaaa.node import Node
 from sdnaaa.southbound import ConfigChange, open_session
 
@@ -194,6 +202,62 @@ def test_criterion_07_no_secret_bytes_in_reads_or_snapshots():
             for secret in secrets:
                 assert secret not in snap
     print(f"ACCEPTANCE C7 PASS: {scanned_frames} config frames and all snapshots free of secret bytes")
+
+
+def _sent_secrets(frames) -> set[str]:
+    """Hex of every secret and TLS key the controller's edit-config frames carry."""
+    out = set()
+    for frame in frames:
+        for change in frame.changes:
+            value = change.value
+            if isinstance(value, PeerEntry) and isinstance(value.credential, SharedSecret):
+                out.add(value.credential.secret.hex())
+            elif isinstance(value, TlsProfile):
+                out.add(value.local_key.hex())
+    return out
+
+
+SCAN_SCENARIOS = sorted({name for name, _mode in GOLDEN} | {p.stem for p in FIXTURES.glob("*.json")})
+
+
+@pytest.mark.parametrize("mode", [simnet.PROACTIVE, simnet.REACTIVE])
+@pytest.mark.parametrize("name", SCAN_SCENARIOS)
+def test_criterion_07_no_sent_secret_in_transcript_or_debug_log(monkeypatch, tmp_path, name, mode):
+    sent = []
+    add = simnet.Transcript.add
+
+    def recorded(self, record):
+        if record[2] == "c2n":
+            sent.append(record[3])
+        add(self, record)
+
+    monkeypatch.setattr(simnet.Transcript, "add", recorded)
+    logger = logging.getLogger("sdnaaa")
+    log = io.StringIO()
+    monkeypatch.setattr(logger, "handlers", [logging.StreamHandler(log)])
+    level = logger.level
+    logger.setLevel(logging.DEBUG)
+    try:
+        _metrics, transcript = simnet.run(build(name, mode))
+    finally:
+        logger.setLevel(level)
+    outputs = {"transcript": transcript.to_ndjson(), "debug log": log.getvalue()}
+    secrets = _sent_secrets(f for f in sent if f.type == southbound.EDIT_CONFIG)
+    assert secrets, "expected credential material in the controller's frames"
+    path = FIXTURES / f"{name}.json"
+    if path.exists():
+        out = tmp_path / "t.ndjson"
+        result = CliRunner().invoke(
+            main, ["run", str(path), "--mode", mode.lower(), "--transcript", str(out)],
+            env={"SDN_AAA_LOG": "debug"},
+        )
+        logger.setLevel(level)
+        assert result.exit_code == (1 if name == "loop" else 0), result.stderr
+        outputs.update({"sdn-aaa run --transcript": out.read_text(), "stderr": result.stderr})
+    for where, text in outputs.items():
+        leaked = [secret for secret in secrets if secret in text]
+        assert not leaked, f"{len(leaked)} of {len(secrets)} secrets in the {where}"
+    print(f"ACCEPTANCE C7 PASS: {len(secrets)} sent secrets absent from {', '.join(outputs)}")
 
 
 def test_criterion_08_route_expiry_and_reprovisioning():

@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from conftest import FIXTURES
+from conftest import FIXTURES, secret_hexes
 from sdnaaa import model, simnet
 from sdnaaa.cli import main
 
@@ -218,7 +218,17 @@ def test_run_seed_override_changes_credentials_not_outcome(runner, tmp_path):
         assert result.exit_code == 0
         out.append((json.loads(result.stdout), t.read_text()))
     assert out[0][0] == out[1][0]  # same metrics
-    assert out[0][1] != out[1][1]  # different credential material
+    # the transcript holds no credential material, so the seeds write the same bytes,
+    # while the credentials the nodes hold differ
+    assert out[0][1] == out[1][1]
+    held = []
+    for seed in (1, 2):
+        scenario = simnet.load_scenario((FIXTURES / "chain.json").read_text())
+        scenario.seed = seed
+        sim = simnet.Simulation(scenario)
+        sim.run()
+        held.append(set().union(*(secret_hexes(n.running) for n in sim.nodes.values())))
+    assert held[0] and held[1] and held[0].isdisjoint(held[1])
 
 
 # ---------------------------------------------------------------------------
