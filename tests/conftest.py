@@ -521,6 +521,10 @@ GOLDEN = {
 }
 
 
+#: every golden scenario and fixture by name, each buildable in both modes
+SCENARIOS = sorted({name for name, _mode in GOLDEN} | {p.stem for p in FIXTURES.glob("*.json")})
+
+
 def build(name: str, mode: str) -> simnet.Scenario:
     if name in STATIC:
         scenario = STATIC[name]()

@@ -15,7 +15,7 @@ from click.testing import CliRunner
 
 from conftest import (
     FIXTURES,
-    GOLDEN,
+    SCENARIOS,
     build,
     chain_nodes,
     frames,
@@ -217,11 +217,8 @@ def _sent_secrets(frames) -> set[str]:
     return out
 
 
-SCAN_SCENARIOS = sorted({name for name, _mode in GOLDEN} | {p.stem for p in FIXTURES.glob("*.json")})
-
-
 @pytest.mark.parametrize("mode", [simnet.PROACTIVE, simnet.REACTIVE])
-@pytest.mark.parametrize("name", SCAN_SCENARIOS)
+@pytest.mark.parametrize("name", SCENARIOS)
 def test_criterion_07_no_sent_secret_in_transcript_or_debug_log(monkeypatch, tmp_path, name, mode):
     sent = []
     add = simnet.Transcript.add
