@@ -90,9 +90,11 @@ def load_policy(text: str, topology: Topology) -> list[Policy]:
 
         route <pattern> via <node_id> security <psk|tls> [ttl <ms>]
 
-    '#' starts a comment. Errors: PARSE_ERROR, UNKNOWN_HOME_NODE.
+    '#' starts a comment. Errors: PARSE_ERROR, UNKNOWN_HOME_NODE, and
+    DUPLICATE_PATTERN for a pattern an earlier line gave (a node's routing
+    list is keyed by pattern).
     """
-    policies: list[Policy] = []
+    policies: dict[str, Policy] = {}  # by pattern text
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -121,8 +123,10 @@ def load_policy(text: str, topology: Topology) -> list[Policy]:
             if not digits.isdigit() or int(digits) <= 0:
                 raise CodedError("PARSE_ERROR", f"line {lineno}: bad ttl")
             ttl = int(digits)
-        policies.append(Policy(f"p{len(policies) + 1}", pattern, home, security, ttl))
-    return policies
+        if pattern.text in policies:
+            raise CodedError("DUPLICATE_PATTERN", f"line {lineno}: {pattern.text}")
+        policies[pattern.text] = Policy(f"p{len(policies) + 1}", pattern, home, security, ttl)
+    return list(policies.values())
 
 
 def compute_next_hops(
@@ -183,34 +187,13 @@ class _Paths(NamedTuple):
 
 
 class _Route(NamedTuple):
-    """A route to send to a node: its policy, its next hop (None for the
-    home's LOCAL route), its report entry (filled when the frame is
-    answered) and the ledger entry for its pattern at the node when it was
-    planned. Its change is built when its frame is sent."""
+    """A route collected for ``_flush``: its policy, its next hop (None for
+    the home's LOCAL route) and its report entry (filled when the frame is
+    answered). Its change is built when its frame is sent."""
 
     policy: Policy
     next_hop: Optional[str]
     report: dict
-    over: Optional[dict]
-
-
-class _RouteBatch:
-    """The routes the bulk provisioning pass collects, per node in
-    first-touch order."""
-
-    def __init__(self):
-        self.routes: dict[str, list[_Route]] = {}
-        self._latest: dict[tuple[str, str], _Route] = {}
-
-    def add(self, n: str, item: _Route) -> None:
-        self.routes.setdefault(n, []).append(item)
-        self._latest[(n, item.policy.realm_pattern.text)] = item
-
-    def planned(self, n: str, pattern_text: str, ledgered: Optional[dict]) -> Optional[_Route]:
-        """The latest route collected for the pattern at ``n``, unless the
-        ledger entry has changed since (``ledgered`` is the current one)."""
-        item = self._latest.get((n, pattern_text))
-        return item if item is not None and item.over is ledgered else None
 
 
 class Controller:
@@ -228,8 +211,7 @@ class Controller:
         self.parallel_adjacency = parallel_adjacency
         self.sessions: dict[str, southbound.Session] = {}
         self.policies: tuple[Policy, ...] = tuple(policies)
-        # built in reverse, so a repeated pattern keeps its first policy
-        self._policy_for_pattern = {p.realm_pattern.text: p for p in reversed(self.policies)}
+        self._policy_for_pattern = {p.realm_pattern.text: p for p in self.policies}
         self._policy_for_id = {p.policy_id: p for p in self.policies}
         self.adjacencies: dict[frozenset, AdjacencyRecord] = {}
         # desired state confirmed by OK replies; holds no credential bytes
@@ -525,40 +507,31 @@ class Controller:
                 n = next_hops[n]
         return tuple(order), tuple(unreachable)
 
-    def _missing_route(self, policy: Policy, node: str, hop: Optional[str], batch=None):
-        """(whether the policy's route at ``node`` is missing, the ledger
-        entry for its pattern there). The route is RELAY via ``hop``, or
-        LOCAL when ``hop`` is None; it is not missing when the ledger
-        already holds it, or when the latest route ``batch`` collected there
-        over that ledger entry does."""
-        text = policy.realm_pattern.text
+    def _missing_route(self, policy: Policy, node: str, hop: Optional[str]) -> bool:
+        """Whether the ledger lacks the policy's route at ``node``: RELAY via
+        ``hop``, or LOCAL when ``hop`` is None."""
+        have = self._ledgered_route(node, policy.realm_pattern.text)
         action = Action.LOCAL if hop is None else Action.RELAY
-        have = self._ledgered_route(node, text)
-        held = have is not None and have["next_hop"] == hop and have["action"] == action.value
-        planned = batch.planned(node, text, have) if batch is not None else None
-        if planned is not None:
-            held = planned.next_hop == hop  # the action follows from the next hop
-        return not held, have
+        return have is None or have["next_hop"] != hop or have["action"] != action.value
 
-    def _ensure_hop(self, policy: Policy, n: str, next_hop: Optional[str], batch=None):
+    def _ensure_hop(self, policy: Policy, n: str, next_hop: Optional[str], routes: dict):
         """Give ``n`` the policy's route: RELAY via ``next_hop``, or LOCAL
         when ``next_hop`` is None (``n`` is the home). A missing adjacency
         is established with n's route in n's frame and, when the next hop
         is the home, the home's LOCAL route in the mirror frame; with the
-        adjacency in place a missing route goes alone in one frame, or into
-        ``batch`` when one is given.
+        adjacency in place a missing route is collected into ``routes``, per
+        node, for the caller's ``_flush``.
 
         Returns the adjacency's EstablishResult, the route's report entry
         (filled once its frame is answered), or None when nothing was
         missing."""
-        missing, have = self._missing_route(policy, n, next_hop, batch)
+        missing = self._missing_route(policy, n, next_hop)
         if next_hop is not None:
             record = self.adjacencies.get(frozenset((n, next_hop)))
             if record is None or record.status != "ESTABLISHED":
                 # Mirror side first: if n holds parked traffic, its lazy
                 # handshake must find the counterpart entry already in place.
-                mirror = (next_hop == policy.home_node
-                          and self._missing_route(policy, next_hop, None, batch)[0])
+                mirror = next_hop == policy.home_node and self._missing_route(policy, next_hop, None)
                 return (yield from self._adjacency_job(
                     next_hop, n, policy.security, policy.default_entry_ttl, policy,
                     (None,) if mirror else (), (next_hop,) if missing else (),
@@ -567,49 +540,57 @@ class Controller:
             return None
         if n not in self.sessions:
             return {"op": "route", "node": n, "outcome": "FAILED", "error": "NO_SESSION"}
-        item = _Route(policy, next_hop, {"op": "route", "node": n}, have)
-        if batch is not None:
-            batch.add(n, item)
-        else:
-            changes, reply = self._send_routes(n, [item])
-            self._settle_routes(n, [item], changes, (yield reply))
+        item = _Route(policy, next_hop, {"op": "route", "node": n})
+        routes.setdefault(n, []).append(item)
         return item.report
 
-    def _send_routes(self, n: str, items) -> tuple[list[ConfigChange], Reply]:
-        """One edit-config to ``n`` carrying each item's route, built now with
-        its own policy's ttl."""
-        changes = [self._route_change(item.policy, item.next_hop,
-                                      self._expiration(item.policy.default_entry_ttl))
-                   for item in items]
-        return changes, self.sessions[n].edit_config(changes)
+    def _flush(self, routes: dict[str, list[_Route]]):
+        """Send each node its collected routes in one edit-config, every
+        node's frame in flight at once, each route built now with its own
+        policy's ttl. The routes of an OK frame are ledgered and reported
+        OK; a merged frame that fails is resent one route per frame, so each
+        route gets the outcome it would get alone. The only code that sends
+        route-only frames."""
+        flights = []
+        for n, items in routes.items():
+            changes = [self._route_change(item.policy, item.next_hop,
+                                          self._expiration(item.policy.default_entry_ttl))
+                       for item in items]
+            flights.append((n, items, changes, self.sessions[n].edit_config(changes)))
+        for n, items, changes, reply in flights:
+            frame = yield reply
+            if frame.type == southbound.OK:
+                for item, change in zip(items, changes):
+                    self._ledger_changes(n, (change,), item.policy.policy_id)
+                    item.report.update(pattern=item.policy.realm_pattern.text, outcome="OK")
+            elif len(items) == 1:
+                items[0].report.update(outcome="FAILED", error=frame.error["code"])
+            else:
+                for item in items:
+                    yield from self._flush({n: [item]})
 
-    def _settle_routes(self, n: str, items, changes, frame) -> None:
-        """Ledger the routes of an answered route frame in order, so a later
-        route to the same pattern wins, and fill their report entries."""
-        if frame.type != southbound.OK:
-            for item in items:
-                item.report.update(outcome="FAILED", error=frame.error["code"])
-            return
-        for item, change in zip(items, changes):
-            self._ledger_changes(n, (change,), item.policy.policy_id)
-            item.report.update(pattern=change.value.pattern.text, outcome="OK")
-
-    def _provision_job(self, policy: Policy, batch=None):
-        """Install peers and routes along every client->home path, pairing
-        each new adjacency with the new route in one edit-config frame; with
-        a ``batch``, the routes that need no new adjacency are collected in it."""
+    def _provision_job(self, policy: Policy, routes=None):
+        """Install peers and routes along every client->home path, then the
+        home's LOCAL route, pairing each new adjacency with the new route in
+        one edit-config frame. The routes that need no new adjacency are
+        collected into ``routes`` for the caller to flush; without it, each
+        hop's route is flushed before the next hop."""
         report: list[dict] = []
         home = policy.home_node
         next_hops, order, unreachable = self._paths_to(home)
         for client in unreachable:
             report.append({"op": "path", "node": client, "outcome": "UNREACHABLE"})
         failed: set[str] = set()
-        for n in order:
-            next_hop = next_hops[n]
+        for n in (*order, home):
+            next_hop = next_hops.get(n)  # None at the home
             if n in failed or next_hop in failed:
-                report.append({"op": "route", "node": n, "outcome": "SKIPPED"})
+                if n != home:
+                    report.append({"op": "route", "node": n, "outcome": "SKIPPED"})
                 continue
-            result = yield from self._ensure_hop(policy, n, next_hop, batch)
+            hop_routes = {} if routes is None else routes
+            result = yield from self._ensure_hop(policy, n, next_hop, hop_routes)
+            if routes is None:
+                yield from self._flush(hop_routes)
             if isinstance(result, EstablishResult):
                 report.append({"op": "adjacency", "node": n, "next_hop": next_hop,
                                "outcome": result.status, "error": result.error})
@@ -617,44 +598,18 @@ class Controller:
                     failed.add(next_hop if result.failed_step == 1 else n)
             elif result is not None:
                 report.append(result)
-        if home not in failed:
-            result = yield from self._ensure_hop(policy, home, None, batch)
-            if result is not None:
-                report.append(result)
         self.reports.append({"event": "provision", "policy": policy.policy_id, "report": report})
         return report
 
     def _provision_all_job(self):
         """Every policy's walk in order, with its missing adjacencies
-        established on the way as in ``_provision_job``; the routes that
-        need no new adjacency are collected per node, and each node then
-        gets all of its routes in one edit-config, every node's frame in
-        flight at once. A merged frame that fails is resent one route per
-        frame, so each route gets the outcome it would get alone. A route
-        that a later policy's adjacency exchange replaced before the flush
-        is not sent and is reported SUPERSEDED."""
-        batch = _RouteBatch()
+        established on the way; the routes that need no new adjacency go
+        out in one flush after the last walk."""
+        routes: dict[str, list[_Route]] = {}
         reports = []
         for policy in self.policies:
-            reports.append((yield from self._provision_job(policy, batch)))
-        flights = []
-        for n, items in batch.routes.items():
-            live = []
-            for item in items:
-                if self._ledgered_route(n, item.policy.realm_pattern.text) is item.over:
-                    live.append(item)
-                else:
-                    item.report["outcome"] = "SUPERSEDED"
-            if live:
-                flights.append((n, live, *self._send_routes(n, live)))
-        for n, items, changes, reply in flights:
-            frame = yield reply
-            if frame.type == southbound.OK or len(items) == 1:
-                self._settle_routes(n, items, changes, frame)
-                continue
-            for item in items:
-                changes, reply = self._send_routes(n, [item])
-                self._settle_routes(n, [item], changes, (yield reply))
+            reports.append((yield from self._provision_job(policy, routes)))
+        yield from self._flush(routes)
         return reports
 
     def _acquire_job(self, note: Notification):
@@ -676,7 +631,10 @@ class Controller:
                     {"event": "unroutable", "node": n, "realm": realm.text, "reason": "no path"}
                 )
                 return None
-        return (yield from self._ensure_hop(policy, n, next_hop))
+        routes: dict[str, list[_Route]] = {}
+        result = yield from self._ensure_hop(policy, n, next_hop, routes)
+        yield from self._flush(routes)
+        return result
 
     def _expired_job(self, note: Notification):
         """Re-provision an expired entry when its policy is still active."""

@@ -160,6 +160,9 @@ MALFORMED_SCENARIOS = {
     "policy-bad-pattern": (
         lambda o: o.update(policies=["route realm..org via ah security tls"]), "PARSE_ERROR",
     ),
+    "policy-dup-pattern": (
+        lambda o: o["policies"].append("route realm.org via ai security psk"), "DUPLICATE_PATTERN",
+    ),
     "node-realm-bad": (lambda o: o["topology"]["nodes"]["ai"].update(realms=["a..b"]), "BAD_REALM"),
     "node-realm-newline": (
         lambda o: o["topology"]["nodes"]["ai"].update(realms=["realm.org\n"]), "BAD_REALM",

@@ -203,6 +203,7 @@ def test_bad_json_is_parse_error():
         (lambda o: o["topology"]["links"].append(["ac", "zz"]), "UNKNOWN_NODE"),
         (lambda o: o["topology"]["homes"].update({"realm.org": "ai"}), "PARSE_ERROR"),
         (lambda o: o["policies"].append("route realm.org via ghost security tls"), "UNKNOWN_HOME_NODE"),
+        (lambda o: o["policies"].append("route realm.org via ai security psk"), "DUPLICATE_PATTERN"),
         (lambda o: o["events"].append({"time": 999, "kind": "mystery"}), "PARSE_ERROR"),
     ],
 )
