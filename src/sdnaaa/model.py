@@ -307,6 +307,19 @@ class AaaMessage:
         _SET_ERROR(new, self.error if error is _SAME else error)
         return new
 
+    def hop(self, node_id: str) -> "AaaMessage":
+        """``copy(hop_trace=self.hop_trace + (node_id,))`` for the request hop."""
+        new = _new_object(AaaMessage)
+        _SET_MSG_ID(new, self.msg_id)
+        _SET_KIND(new, self.kind)
+        _SET_NAI(new, self.nai)
+        _SET_DEST_REALM(new, self.dest_realm)
+        _SET_ATTRIBUTES(new, self.attributes)
+        _SET_HOP_TRACE(new, self.hop_trace + (node_id,))
+        _SET_STATUS(new, self.status)
+        _SET_ERROR(new, self.error)
+        return new
+
     def to_json(self) -> dict:
         """The transcript form. It shares ``attributes`` and ``hop_trace``
         (a tuple, written as a JSON list) with the message, so it must not be
@@ -387,7 +400,7 @@ class ConfigDocument:
     order carries no meaning; the canonical encoding sorts by key. A
     container given as a sequence is keyed on construction, and a repeated
     key raises CodedError with the container's DUPLICATE_* code. Containers
-    are never changed in place; with_entries and without_entry copy them.
+    are never changed in place; with_entries copies them.
     """
 
     peers: dict[str, PeerEntry] = field(default_factory=dict)
@@ -448,12 +461,6 @@ def with_entries(doc: ConfigDocument, edits) -> ConfigDocument:
         elif entries.pop(key, None) is None:
             raise CodedError("BAD_PATH", f"{container}/{key}: no such entry")
     return replace(doc, **copies) if copies else doc
-
-
-def without_entry(doc: ConfigDocument, container: str, key: str) -> ConfigDocument:
-    entries = dict(getattr(doc, container))
-    entries.pop(key, None)
-    return replace(doc, **{container: entries})
 
 
 # ---------------------------------------------------------------------------

@@ -311,7 +311,7 @@ class Node:
         if len(msg.hop_trace) >= HOP_LIMIT:
             self._fail(msg, "HOP_LIMIT")
             return
-        msg = msg.copy(hop_trace=msg.hop_trace + (self.node_id,))
+        msg = msg.hop(self.node_id)
         entry = self._select(msg.dest_realm, now)
         if entry is None:
             self._park(msg, now, acquire=True)
@@ -324,16 +324,18 @@ class Node:
         # hints are keyed by exact realm text, so the realm's own hint is
         # the only one on the lookup walk, and it is dropped here once
         # expired, before it could shadow anything
-        cached = self.route_cache.get(realm.text)
-        if cached is not None and now >= cached.expiration:
-            del self.route_cache[realm.text]
-        return model.select_route((self.route_cache, self.running.routing), realm, now)
+        if self.route_cache:
+            cached = self.route_cache.get(realm.text)
+            if cached is not None and now >= cached.expiration:
+                del self.route_cache[realm.text]
+            return model.select_route((self.route_cache, self.running.routing), realm, now)
+        return model.select_route((self.running.routing,), realm, now)
 
     def _dispatch(self, msg: AaaMessage, entry: RealmEntry, now: int) -> None:
-        if entry.action is Action.LOCAL:
-            self.authenticate_local(msg)
-        elif entry.action is Action.RELAY:
+        if entry.action is Action.RELAY:
             self._forward(msg, entry.next_hop)
+        elif entry.action is Action.LOCAL:
+            self.authenticate_local(msg)
         elif entry.action is Action.PROXY:
             rules = [self.running.rule(ref) for ref in entry.rule_refs]
             try:
@@ -346,41 +348,37 @@ class Node:
             self.query_redirect(msg, entry.next_hop, now)
 
     def _forward(self, msg: AaaMessage, peer_id: str) -> None:
+        peer = self.channels.get(peer_id)
         if msg.dest_realm.text in self.pending:
             # a backlog means the last dispatch round could not get through;
             # join it to keep per-realm FIFO, and keep probing the channel so
             # a recovery flushes the whole queue
             self._park(msg, self.loop.now, acquire=False)
-            if peer_id not in self.channels:
+            if peer is None:
                 self.establish_channel(peer_id, lambda ok, reason: None)
-        elif peer_id in self.channels:
-            self._transmit(peer_id, msg)
-        else:
+        elif peer is None:
             self._send(peer_id, msg)
+        else:
+            self.forwards += 1
+            self.network.send_record(self, peer, msg)
 
     def _send(self, peer_id: str, record) -> None:
         """Transmit ``record`` to ``peer_id`` over an established channel,
         else after a handshake; a record that cannot go out goes to _unsent."""
-        if peer_id in self.channels:
-            self._transmit(peer_id, record)
+        peer = self.channels.get(peer_id)
+        if peer is None:
+            def done(ok: bool, reason: Optional[str]) -> None:
+                if ok:
+                    self._send(peer_id, record)
+                else:
+                    self._unsent(record, peer_id, reason)
+            self.establish_channel(peer_id, done)
             return
-
-        def done(ok: bool, reason: Optional[str]) -> None:
-            if ok:
-                self._transmit(peer_id, record)
-            else:
-                self._unsent(record, peer_id, reason)
-
-        self.establish_channel(peer_id, done)
-
-    def _transmit(self, peer_id: str, record) -> None:
-        """Send over the established channel to ``peer_id``; changing, deleting
-        or expiring its peer entry, or a node going down, drops a channel."""
-        if isinstance(record, RedirectQuery):
+        if type(record) is RedirectQuery:
             self.redirect_queries_sent += 1
         else:
             self.forwards += 1
-        self.network.send_record(self, self.channels[peer_id], record)
+        self.network.send_record(self, peer, record)
 
     def _unsent(self, record, peer_id: str, reason: Optional[str]) -> None:
         """A request is recorded and parked for a retry after a reroute, a
@@ -453,8 +451,10 @@ class Node:
             self.network.finalize_message(self.node_id, resp)
             return
         prev = resp.hop_trace[idx - 1]
-        if prev in self.channels:  # the channel the request came in on
-            self._transmit(prev, resp)
+        peer = self.channels.get(prev)
+        if peer is not None:  # the channel the request came in on
+            self.forwards += 1
+            self.network.send_record(self, peer, resp)
             return
         entry = self._peer_for_node(prev)
         if entry is None:
@@ -493,11 +493,7 @@ class Node:
             reply: object = RedirectMiss(query.realm)
         elif entry.next_hop is not None:
             hop = self.running.peer(entry.next_hop)
-            ttl = (
-                entry.expiration - now
-                if entry.expiration is not None
-                else REDIRECT_HINT_TTL_MS
-            )
+            ttl = REDIRECT_HINT_TTL_MS if entry.expiration is None else entry.expiration - now
             reply = RedirectHint(query.realm, hop.host, ttl)
         else:
             reply = RedirectHint(query.realm, self.address, REDIRECT_HINT_TTL_MS)
@@ -537,7 +533,7 @@ class Node:
         """A record sent one tick earlier; lost in flight if this node is DOWN."""
         if self.state != UP:
             self.network.metrics.lost_in_flight += 1
-        elif isinstance(record, AaaMessage):
+        elif type(record) is AaaMessage:
             self.handle_message(record, self.loop.now)
         elif isinstance(record, RedirectQuery):
             self._handle_redirect_query(record)
@@ -556,7 +552,6 @@ class Node:
         """Remove entries whose expiration has passed, cascade routes whose
         next hop vanished, and time out stale pending messages. Emits one
         notification per removed entry; idempotent across repeated calls."""
-        notes: list[Notification] = []
         # notifications go out in key order, peers before routes
         expired_peers = sorted(
             (key, p) for key, p in self.running.peers.items()
@@ -568,16 +563,14 @@ class Node:
             if (r.expiration is not None and r.expiration <= now)
             or (r.next_hop is not None and r.next_hop in gone)
         )
-        if expired_peers or expired_routes:
-            doc = self.running
-            for key, p in expired_peers:
-                doc = model.without_entry(doc, "peers", key)
+        notes = [Notification.peer_expired(self.node_id, key) for key, _p in expired_peers]
+        notes += [Notification.route_expired(self.node_id, r.pattern) for _key, r in expired_routes]
+        if notes:
+            self.running = model.with_entries(self.running, [
+                *(("peers", key, None) for key, _p in expired_peers),
+                *(("routing", key, None) for key, _r in expired_routes)])
+            for _key, p in expired_peers:
                 self._drop_channel_pair(p)
-                notes.append(Notification.peer_expired(self.node_id, key))
-            for key, r in expired_routes:
-                doc = model.without_entry(doc, "routing", key)
-                notes.append(Notification.route_expired(self.node_id, r.pattern))
-            self.running = doc
 
         for realm_text in list(self.pending):
             queue = self.pending[realm_text]

@@ -280,10 +280,10 @@ class Network:
         self.by_address[node.address] = node
 
     def send_record(self, src, dst, record) -> None:
-        """Record the transfer; ``dst.receive`` gets ``record`` one tick later."""
+        """Record the transfer; ``dst`` receives ``record`` one tick later."""
         loop = self.loop
         self.transcript.add((loop.now, src.node_id, "fwd", dst.node_id, record))
-        loop.call_at(loop.now + 1, partial(dst.receive, record))
+        loop.call_at(loop.now + 1, partial(node_mod.Node.receive, dst, record))
 
     def finalize_message(self, node_id: str, msg: AaaMessage) -> None:
         entry = self.registry.get(msg.msg_id)

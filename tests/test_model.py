@@ -428,6 +428,14 @@ def with_entry(doc: ConfigDocument, container: str, key: str, entity) -> ConfigD
     return dataclasses.replace(doc, **{container: entries})
 
 
+def without_entry(doc: ConfigDocument, container: str, key: str) -> ConfigDocument:
+    """One-removal oracle for ``model.with_entries``: ``doc`` without ``key``,
+    one container copy per removal."""
+    entries = dict(getattr(doc, container))
+    entries.pop(key, None)
+    return dataclasses.replace(doc, **{container: entries})
+
+
 def _random_batch(rng: random.Random, doc: ConfigDocument) -> list[tuple]:
     """A mixed edit batch as (container, key, entity or None for delete)."""
     donor = make_random_valid_doc(rng, max_entities=6)
@@ -489,7 +497,7 @@ def test_validate_changes_agrees_with_validate_document(seed):
     batch = _random_batch(rng, doc)
     for container, key, entity in batch:
         if entity is None:
-            doc = model.without_entry(doc, container, key)
+            doc = without_entry(doc, container, key)
         else:
             doc = with_entry(doc, container, key, entity)
     touched = [(container, key) for container, key, _entity in batch]
@@ -507,7 +515,7 @@ def test_with_entries_equals_one_copy_per_change(seed):
         if entity is not None:
             expected = with_entry(expected, container, key, entity)
         elif key in getattr(expected, container):
-            expected = model.without_entry(expected, container, key)
+            expected = without_entry(expected, container, key)
         else:
             missing = f"{container}/{key}"
             break
