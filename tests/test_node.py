@@ -564,18 +564,24 @@ def _hash_or_error(msg: AaaMessage):
         return type(err)
 
 
-@given(st.builds(AaaMessage, **MESSAGE_FIELDS), st.fixed_dictionaries({}, optional=MESSAGE_FIELDS))
-def test_message_copy_matches_replace_for_any_subset_and_stays_frozen(msg, subset):
+@given(st.builds(AaaMessage, **MESSAGE_FIELDS), st.fixed_dictionaries({}, optional=MESSAGE_FIELDS),
+       st.text(max_size=3))
+def test_message_copy_matches_replace_for_any_subset_and_stays_frozen(msg, subset, node_id):
     assert list(MESSAGE_FIELDS) == [f.name for f in dataclasses.fields(AaaMessage)]
-    copied, replaced = msg.copy(**subset), dataclasses.replace(msg, **subset)
-    assert type(copied) is AaaMessage
-    for name in MESSAGE_FIELDS:
-        assert getattr(copied, name) is getattr(replaced, name), name
-    assert copied == replaced
-    assert _hash_or_error(copied) == _hash_or_error(replaced)
-    for name in MESSAGE_FIELDS:
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(copied, name, getattr(msg, name))
+    # hop is copy(hop_trace=...) with the trace extended by one node id
+    hopped = msg.hop(node_id)
+    assert hopped.hop_trace == msg.hop_trace + (node_id,)
+    cases = [(msg.copy(**subset), dataclasses.replace(msg, **subset)),
+             (hopped, msg.copy(hop_trace=hopped.hop_trace))]
+    for copied, replaced in cases:
+        assert type(copied) is AaaMessage
+        for name in MESSAGE_FIELDS:
+            assert getattr(copied, name) is getattr(replaced, name), name
+        assert copied == replaced
+        assert _hash_or_error(copied) == _hash_or_error(replaced)
+        for name in MESSAGE_FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(copied, name, getattr(msg, name))
 
 
 def proxy_scenario(rules, refs):

@@ -619,6 +619,22 @@ def test_each_channel_maps_its_peer_entry_to_the_hosts_node_after_every_tick(nam
     assert channels_seen > 0
 
 
+@pytest.mark.parametrize("mode", [simnet.PROACTIVE, simnet.REACTIVE])
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_forward_counters_equal_the_fwd_records_they_count(name, mode):
+    # node.forwards_per_answered in the benchmark's traced run reads Node.forwards
+    sim = Simulation(build(name, mode))
+    sim.run()
+    sent = Counter(
+        "message" if "msg_id" in r["message"] else r["message"]["kind"]
+        for r in sim.transcript.records if r["direction"] == "fwd"
+    )
+    nodes = sim.nodes.values()
+    assert sum(n.forwards for n in nodes) == sent["message"] > 0
+    assert sum(n.redirect_queries_sent for n in nodes) == sent["redirect-query"]
+    assert sent["redirect-query"] > 0 or name != "redirect-fabric"
+
+
 # ---------------------------------------------------------------------------
 # inspect-style replay
 
