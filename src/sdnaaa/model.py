@@ -291,11 +291,8 @@ class AaaMessage:
 
     def copy(self, *, msg_id=_SAME, kind=_SAME, nai=_SAME, dest_realm=_SAME,
              attributes=_SAME, hop_trace=_SAME, status=_SAME, error=_SAME) -> "AaaMessage":
-        """This message with the named fields replaced: what
-        ``dataclasses.replace`` returns. It runs on every hop, so it writes
-        the slots through their descriptors, not through the frozen
-        ``__init__`` (one ``object.__setattr__`` per field); the copy is as
-        frozen as any other message."""
+        """This message with the named fields replaced: what ``dataclasses.replace``
+        returns, written through the slot descriptors, not the frozen ``__init__``."""
         new = _new_object(AaaMessage)
         _SET_MSG_ID(new, self.msg_id if msg_id is _SAME else msg_id)
         _SET_KIND(new, self.kind if kind is _SAME else kind)
@@ -308,7 +305,8 @@ class AaaMessage:
         return new
 
     def hop(self, node_id: str) -> "AaaMessage":
-        """``copy(hop_trace=self.hop_trace + (node_id,))`` for the request hop."""
+        """``copy(hop_trace=self.hop_trace + (node_id,))`` for every request hop, without
+        copy's per-field choices; the result is as frozen as any other message."""
         new = _new_object(AaaMessage)
         _SET_MSG_ID(new, self.msg_id)
         _SET_KIND(new, self.kind)
@@ -339,7 +337,7 @@ class AaaMessage:
         return out
 
 
-# AaaMessage.copy: the slot setters, bound once, in field order
+# AaaMessage.copy and hop: the slot setters, bound once, in field order
 _new_object = object.__new__
 (_SET_MSG_ID, _SET_KIND, _SET_NAI, _SET_DEST_REALM, _SET_ATTRIBUTES, _SET_HOP_TRACE, _SET_STATUS,
  _SET_ERROR) = (AaaMessage.__dict__[f].__set__ for f in AaaMessage.__slots__)

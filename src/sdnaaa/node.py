@@ -455,12 +455,10 @@ class Node:
         if peer is not None:  # the channel the request came in on
             self.forwards += 1
             self.network.send_record(self, peer, resp)
-            return
-        entry = self._peer_for_node(prev)
-        if entry is None:
+        elif (entry := self._peer_for_node(prev)) is None:
             self._fail(resp, "CHANNEL_FAILED")
-            return
-        self._send(entry.peer_id, resp)
+        else:
+            self._send(entry.peer_id, resp)
 
     def _peer_for_node(self, node_id: str) -> Optional[model.PeerEntry]:
         entry = self.running.peer(node_id)
@@ -493,7 +491,11 @@ class Node:
             reply: object = RedirectMiss(query.realm)
         elif entry.next_hop is not None:
             hop = self.running.peer(entry.next_hop)
-            ttl = REDIRECT_HINT_TTL_MS if entry.expiration is None else entry.expiration - now
+            ttl = (
+                entry.expiration - now
+                if entry.expiration is not None
+                else REDIRECT_HINT_TTL_MS
+            )
             reply = RedirectHint(query.realm, hop.host, ttl)
         else:
             reply = RedirectHint(query.realm, self.address, REDIRECT_HINT_TTL_MS)
