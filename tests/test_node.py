@@ -568,7 +568,6 @@ def _hash_or_error(msg: AaaMessage):
        st.text(max_size=3))
 def test_message_copy_matches_replace_for_any_subset_and_stays_frozen(msg, subset, node_id):
     assert list(MESSAGE_FIELDS) == [f.name for f in dataclasses.fields(AaaMessage)]
-    # hop is copy(hop_trace=...) with the trace extended by one node id
     hopped = msg.hop(node_id)
     assert hopped.hop_trace == msg.hop_trace + (node_id,)
     cases = [(msg.copy(**subset), dataclasses.replace(msg, **subset)),
