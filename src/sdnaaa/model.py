@@ -857,8 +857,12 @@ REFERENTS_FIRST = ("tls", "attributes", "peers", "routing")
 _VALIDATION_RANK = {container: rank for rank, container in enumerate(REFERENTS_FIRST)}
 
 
-def entity_to_json(container: str, entity) -> dict:
-    return SCHEMAS[container].to_json(entity)
+_SCHEMA_OF_CLASS = {schema.cls: schema for schema in SCHEMAS.values()}
+
+
+def entity_to_json(entity) -> dict:
+    """The JSON form of a keyed-list entry, by the schema of its class."""
+    return _SCHEMA_OF_CLASS[type(entity)].to_json(entity)
 
 
 def document_to_json(doc: ConfigDocument) -> dict:

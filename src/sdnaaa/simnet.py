@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from json.encoder import encode_basestring_ascii
 from operator import methodcaller
-from typing import Optional
+from typing import NoReturn, Optional
 
 from . import model, node as node_mod, southbound
 from .controller import (
@@ -34,7 +34,22 @@ REACTIVE = "REACTIVE"
 
 ROLES = (CLIENT, SERVER, AGENT)
 
-EVENT_KINDS = ("inject", "node-down", "node-up", "snapshot")
+#: the members of each object of a scenario file: (required, optional)
+OBJECT_MEMBERS = {
+    "scenario": (frozenset({"seed", "topology", "policies", "mode", "events", "stop_time"}),
+                 frozenset({"options", "static_config"})),
+    "topology": (frozenset({"nodes"}), frozenset({"links", "homes"})),
+    "node": (frozenset(), frozenset({"address", "role", "realms", "users", "state"})),
+    "options": (frozenset(), frozenset({"parallel_adjacency"})),
+}
+
+#: each event kind's members besides ``time`` and ``kind``, all strings; the
+#: first, if any, names a node
+EVENT_FIELDS = {"inject": ("at", "nai", "password"), "node-down": ("node",), "node-up": ("node",),
+                "snapshot": ()}
+EVENT_KINDS = tuple(EVENT_FIELDS)
+_EVENT_MEMBERS = {kind: frozenset(("time", "kind", *fields))
+                  for kind, fields in EVENT_FIELDS.items()}
 
 
 class EventLoop:
@@ -153,7 +168,7 @@ def _frame_text(frame: southbound.Frame, texts: _Texts) -> str:
         changes = [
             f'{{"op":{texts[c.op]},"path":{texts[c.path]}}}' if c.value is None else
             f'{{"op":{texts[c.op]},"path":{texts[c.path]},"value":'
-            f'{_json_text(model.entity_to_json(c.container_key()[0], c.value), texts, _PRIVATE)}}}'
+            f'{_json_text(model.entity_to_json(c.value), texts, _PRIVATE)}}}'
             for c in frame.changes
         ]
         return f'{text},"changes":[{",".join(changes)}]}}'
@@ -315,7 +330,7 @@ class Event:
     time: int
     kind: str
     node: Optional[str] = None
-    nai: Optional[str] = None
+    nai: Optional[model.Nai] = None
     password: Optional[str] = None
 
 
@@ -341,164 +356,133 @@ def _is_str_map(obj) -> bool:
     return isinstance(obj, dict) and all(isinstance(x, str) for kv in obj.items() for x in kv)
 
 
-def scenario_from_dict(obj: dict) -> Scenario:
-    _require(isinstance(obj, dict), "PARSE_ERROR", "top level must be an object")
-    required = {"seed", "topology", "policies", "mode", "events", "stop_time"}
-    allowed = required | {"options", "static_config"}
-    _require(required <= set(obj), "PARSE_ERROR", f"missing keys {sorted(required - set(obj))}")
-    _require(set(obj) <= allowed, "PARSE_ERROR", f"unknown keys {sorted(set(obj) - allowed)}")
+def _check_members(obj, shape: str, name: str = "") -> None:
+    """PARSE_ERROR unless ``obj`` is an object with every required member of
+    ``OBJECT_MEMBERS[shape]`` and none outside its two sets."""
+    required, optional = OBJECT_MEMBERS[shape]
+    if isinstance(obj, dict) and required <= obj.keys() <= required | optional:
+        return
+    where = f"{shape} {name}" if name else shape
+    _require(isinstance(obj, dict), "PARSE_ERROR", f"{where} is not an object")
+    raise CodedError("PARSE_ERROR", f"{where} members: missing {sorted(required.difference(obj))}, "
+                                    f"unknown {sorted(obj.keys() - required - optional)}")
 
-    seed = obj["seed"]
-    _require(isinstance(seed, int) and not isinstance(seed, bool), "PARSE_ERROR", "seed")
-    stop_time = obj["stop_time"]
-    _require(
-        isinstance(stop_time, int) and not isinstance(stop_time, bool) and stop_time > 0,
-        "PARSE_ERROR", "stop_time",
-    )
-    mode = obj["mode"]
+
+def _event_fault(raw, last: int, infos: dict) -> NoReturn:
+    """Raise the first fault of an event after one at ``last``: of its kind, time,
+    order, members, the node its first field names, its other fields' types."""
+    _require(isinstance(raw, dict), "PARSE_ERROR", "event")
+    kind = raw.get("kind")
+    _require(kind in EVENT_KINDS, "PARSE_ERROR", f"event kind {kind!r}")
+    time = raw.get("time")
+    _require(type(time) is int and time >= 0, "PARSE_ERROR", "event time")
+    _require(time >= last, "UNSORTED_EVENTS", f"t={time} after t={last}")
+    _require(raw.keys() == _EVENT_MEMBERS[kind], "PARSE_ERROR", f"{kind} event fields")
+    node, *others = EVENT_FIELDS[kind]
+    _require(type(raw[node]) is str and raw[node] in infos, "UNKNOWN_NODE", str(raw[node]))
+    raise CodedError("PARSE_ERROR", f"{kind} {' and '.join(others)} must be strings")
+
+
+def scenario_from_dict(obj: dict) -> Scenario:
+    """The scenario ``obj`` declares. An inject event carries its ``Nai``, one per
+    distinct text; each realm is one ``Realm``, where a node serves it the served one."""
+    _check_members(obj, "scenario")
+    seed, stop_time, mode = obj["seed"], obj["stop_time"], obj["mode"]
+    _require(type(seed) is int, "PARSE_ERROR", "seed")
+    _require(type(stop_time) is int and stop_time > 0, "PARSE_ERROR", "stop_time")
     _require(mode in (PROACTIVE, REACTIVE), "PARSE_ERROR", f"mode {mode!r}")
 
     topo_obj = obj["topology"]
-    _require(isinstance(topo_obj, dict), "PARSE_ERROR", "topology")
-    _require(
-        set(topo_obj) <= {"nodes", "links", "homes"} and "nodes" in topo_obj,
-        "PARSE_ERROR", "topology keys",
-    )
+    _check_members(topo_obj, "topology")
     specs = topo_obj["nodes"]
     _require(isinstance(specs, dict) and specs, "PARSE_ERROR", "topology.nodes")
-    realms_by_text: dict[str, Realm] = {}
+    # the first Realm parsed of each realm, keyed by its value: the lower-cased text
+    realms: dict[str, Realm] = {}
 
     def realm_of(text: str) -> Realm:
-        if text not in realms_by_text:
-            realms_by_text[text] = Realm.parse(text)
-        return realms_by_text[text]
+        return realms.get(text.lower()) or realms.setdefault(text.lower(), Realm.parse(text))
 
     users_of: dict[str, dict[str, str]] = {}
     infos: dict[str, NodeInfo] = {}
     addresses: set[str] = set()
     for nid, raw in specs.items():
-        _require(isinstance(raw, dict), "PARSE_ERROR", f"node {nid}")
-        _require(
-            set(raw) <= {"address", "role", "realms", "users", "state"},
-            "PARSE_ERROR", f"node {nid} keys",
-        )
-        role = raw.get("role", AGENT)
+        _require(nid != "", "PARSE_ERROR", "node id ''")
+        _check_members(raw, "node", nid)
+        role, state = raw.get("role", AGENT), raw.get("state", "UP")
         _require(role in ROLES, "PARSE_ERROR", f"node {nid} role {role!r}")
-        state = raw.get("state", "UP")
         _require(state in ("UP", "DOWN"), "PARSE_ERROR", f"node {nid} state")
         realm_texts = raw.get("realms", [])
-        _require(
-            isinstance(realm_texts, list) and all(isinstance(r, str) for r in realm_texts),
-            "PARSE_ERROR", f"node {nid} realms",
-        )
-        realms = tuple(realm_of(r) for r in realm_texts)
+        _require(isinstance(realm_texts, list) and all(isinstance(r, str) for r in realm_texts),
+                 "PARSE_ERROR", f"node {nid} realms")
+        served = tuple(realm_of(r) for r in realm_texts)
         users = raw.get("users", {})
         _require(_is_str_map(users), "PARSE_ERROR", f"node {nid} users")
         address = raw.get("address", f"{nid}.sim")
-        _require(isinstance(address, str), "PARSE_ERROR", f"node {nid} address")
+        _require(isinstance(address, str) and address != "",
+                 "PARSE_ERROR", f"node {nid} address {address!r}")
         _require(address not in addresses, "PARSE_ERROR", f"node {nid} repeats address {address!r}")
         addresses.add(address)
         users_of[nid] = dict(users)
-        infos[nid] = NodeInfo(address, role, realms, state)
+        infos[nid] = NodeInfo(address, role, served, state)
 
     links: set[frozenset] = set()
     links_obj = topo_obj.get("links", [])
     _require(isinstance(links_obj, list), "PARSE_ERROR", "topology.links")
     for pair in links_obj:
-        _require(
-            isinstance(pair, list) and len(pair) == 2 and pair[0] != pair[1],
-            "PARSE_ERROR", f"link {pair}",
-        )
+        _require(isinstance(pair, list) and len(pair) == 2 and pair[0] != pair[1],
+                 "PARSE_ERROR", f"link {pair}")
         for end in pair:
             _require(isinstance(end, str) and end in infos, "UNKNOWN_NODE", str(end))
         links.add(frozenset(pair))
-
     home_of: dict[str, str] = {}
     homes = topo_obj.get("homes", {})
     _require(_is_str_map(homes), "PARSE_ERROR", "topology.homes")
-    served = {(nid, realm) for nid, info in infos.items() for realm in info.served_realms}
+    serving = {(nid, realm) for nid, info in infos.items() for realm in info.served_realms}
     for realm_text, home in homes.items():
         realm = realm_of(realm_text)
         _require(home in infos, "UNKNOWN_NODE", home)
-        _require(
-            infos[home].role == SERVER and (home, realm) in served,
-            "PARSE_ERROR", f"home {home} does not serve {realm_text}",
-        )
+        _require(infos[home].role == SERVER and (home, realm) in serving,
+                 "PARSE_ERROR", f"home {home} does not serve {realm_text}")
         home_of[realm.text] = home
-
     topology = Topology(infos, links, home_of)
 
     policies_obj = obj["policies"]
-    _require(
-        isinstance(policies_obj, list)
-        and all(isinstance(p, str) for p in policies_obj),
-        "PARSE_ERROR", "policies",
-    )
+    _require(isinstance(policies_obj, list) and all(isinstance(p, str) for p in policies_obj),
+             "PARSE_ERROR", "policies")
     policies = load_policy("\n".join(policies_obj), topology)
-
     _require(isinstance(obj["events"], list), "PARSE_ERROR", "events")
-    valid_nais: set[str] = set()
+    nais: dict[str, model.Nai] = {}
     events: list[Event] = []
-    last_time = None
+    last = 0
     for raw in obj["events"]:
-        _require(isinstance(raw, dict), "PARSE_ERROR", "event")
-        kind = raw.get("kind")
-        _require(kind in EVENT_KINDS, "PARSE_ERROR", f"event kind {kind!r}")
-        time = raw.get("time")
-        _require(isinstance(time, int) and not isinstance(time, bool) and time >= 0,
-                 "PARSE_ERROR", "event time")
-        if last_time is not None and time < last_time:
-            raise CodedError("UNSORTED_EVENTS", f"t={time} after t={last_time}")
-        last_time = time
-        if kind == "inject":
-            _require(
-                set(raw) == {"time", "kind", "at", "nai", "password"},
-                "PARSE_ERROR", "inject event fields",
-            )
-            _require(isinstance(raw["at"], str) and raw["at"] in infos,
-                     "UNKNOWN_NODE", str(raw["at"]))
-            _require(
-                isinstance(raw["nai"], str) and isinstance(raw["password"], str),
-                "PARSE_ERROR", "inject nai and password must be strings",
-            )
-            if raw["nai"] not in valid_nais:
-                realm_of(model.split_nai(raw["nai"])[1])
-                valid_nais.add(raw["nai"])
-            events.append(Event(time, kind, node=raw["at"], nai=raw["nai"],
-                                password=raw["password"]))
-        elif kind in ("node-down", "node-up"):
-            _require(set(raw) == {"time", "kind", "node"}, "PARSE_ERROR", "event fields")
-            _require(isinstance(raw["node"], str) and raw["node"] in infos,
-                     "UNKNOWN_NODE", str(raw["node"]))
-            events.append(Event(time, kind, node=raw["node"]))
-        else:  # snapshot
-            _require(set(raw) == {"time", "kind"}, "PARSE_ERROR", "event fields")
-            events.append(Event(time, kind))
+        kind = raw.get("kind") if type(raw) is dict else None
+        if kind not in EVENT_KINDS or raw.keys() != _EVENT_MEMBERS[kind]:
+            _event_fault(raw, last, infos)
+        time, node = raw["time"], raw.get("at", raw.get("node"))
+        text, password = raw.get("nai"), raw.get("password")
+        if not (type(time) is int and time >= last
+                and (kind == "snapshot" or type(node) is str and node in infos)
+                and (kind != "inject" or type(text) is str and type(password) is str)):
+            _event_fault(raw, last, infos)
+        last = time
+        nai = nais.get(text)
+        if nai is None and text is not None:
+            user, realm_text = model.split_nai(text)
+            nai = nais[text] = model.Nai(user, realm_of(realm_text))
+        events.append(Event(time, kind, node, nai, password))
 
     options = obj.get("options", {})
-    _require(isinstance(options, dict) and set(options) <= {"parallel_adjacency"},
-             "PARSE_ERROR", "options")
-    _require(isinstance(options.get("parallel_adjacency", False), bool),
+    _check_members(options, "options")
+    _require(type(options.get("parallel_adjacency", False)) is bool,
              "PARSE_ERROR", "options.parallel_adjacency")
-
     static_obj = obj.get("static_config", {})
     _require(isinstance(static_obj, dict), "PARSE_ERROR", "static_config")
     static_config: dict[str, model.ConfigDocument] = {}
     for nid, doc_obj in static_obj.items():
         _require(nid in infos, "UNKNOWN_NODE", nid)
         static_config[nid] = model.document_from_json(doc_obj)
-
-    return Scenario(
-        seed=seed,
-        topology=topology,
-        users=users_of,
-        policies=policies,
-        mode=mode,
-        events=events,
-        stop_time=stop_time,
-        options=dict(options),
-        static_config=static_config,
-    )
+    return Scenario(seed, topology, users_of, policies, mode, events, stop_time,
+                    dict(options), static_config)
 
 
 def load_scenario(text: str) -> Scenario:
@@ -531,13 +515,6 @@ class Simulation:
         self.nodes = self.network.nodes
         self.snapshots: list[str] = []
         self._msg_seq = 0
-        # one Nai per distinct NAI text: same-NAI requests share it; and one
-        # Realm per realm, the served one where a node serves it
-        self._nais: dict[str, model.Nai] = {}
-        self._realms: dict[Realm, Realm] = {
-            realm: realm for info in scenario.topology.nodes.values()
-            for realm in info.served_realms
-        }
 
         for nid, info in scenario.topology.nodes.items():
             self.network.register(node_mod.Node(
@@ -612,20 +589,8 @@ class Simulation:
 
     def _inject(self, ev: Event) -> None:
         self._msg_seq += 1
-        nai = self._nais.get(ev.nai)
-        if nai is None:
-            nai = model.parse_nai(ev.nai)
-            realm = self._realms.setdefault(nai.realm, nai.realm)
-            if realm is not nai.realm:
-                nai = model.Nai(nai.user, realm)
-            self._nais[ev.nai] = nai
-        msg = AaaMessage(
-            msg_id=f"m{self._msg_seq:06d}",
-            kind=MsgKind.REQUEST,
-            nai=nai,
-            dest_realm=nai.realm,
-            attributes={"password": ev.password},
-        )
+        msg = AaaMessage(f"m{self._msg_seq:06d}", MsgKind.REQUEST, ev.nai, ev.nai.realm,
+                         {"password": ev.password})
         self.metrics.injected += 1
         self.network.registry[msg.msg_id] = {"status": "pending", "error": None}
         self.transcript.add((self.loop.now, ev.node, "inject", msg))

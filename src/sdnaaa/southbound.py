@@ -105,8 +105,7 @@ class ConfigChange:
     def to_json(self) -> dict:
         out = {"op": self.op, "path": self.path}
         if self.value is not None:
-            container, _ = self.container_key()
-            out["value"] = model.entity_to_json(container, self.value)
+            out["value"] = model.entity_to_json(self.value)
         return out
 
 

@@ -358,7 +358,7 @@ def random_scenario(seed: int, mode: str) -> simnet.Scenario:
         realm = REALMS[i % 3]
         password = "bad" if i % 7 == 3 else "pw"
         events.append(simnet.Event(100 + 150 * i, "inject", node=client,
-                                   nai=f"u@{realm}", password=password))
+                                   nai=model.parse_nai(f"u@{realm}"), password=password))
     events += [
         simnet.Event(1000, "node-down", node=agents[0]),
         simnet.Event(2500, "node-up", node=agents[0]),

@@ -148,7 +148,8 @@ def test_criterion_05_hop_counts_match_bfs_oracle():
             mode="PROACTIVE",
             policy_lines=f"route realm.org via {home} security psk",
             users={home: {"u": "pw"}},
-            events=[simnet.Event(300, "inject", node=client, nai="u@realm.org", password="pw")],
+            events=[simnet.Event(300, "inject", node=client, nai=model.parse_nai("u@realm.org"),
+                                 password="pw")],
             stop_time=600,
         )
         metrics, _ = simnet.run(scenario)
@@ -288,7 +289,8 @@ def test_criterion_08_route_expiry_and_reprovisioning():
     )
     assert expiration == creation + 500
     sim.loop.call_at(expiration + 10, lambda: sim._inject(
-        simnet.Event(expiration + 10, "inject", node="cl", nai="u@realm.org", password="pw")
+        simnet.Event(expiration + 10, "inject", node="cl", nai=model.parse_nai("u@realm.org"),
+                     password="pw")
     ))
     metrics, transcript = sim.run()
     expired = [
@@ -383,7 +385,7 @@ def test_criterion_11_throughput_guard():
     home = topology.home_of["realm.org"]
     client = next(n for n, i in topology.nodes.items() if i.role == "CLIENT")
     events = [
-        simnet.Event(100 + i, "inject", node=client, nai="u@realm.org", password="pw")
+        simnet.Event(100 + i, "inject", node=client, nai=model.parse_nai("u@realm.org"), password="pw")
         for i in range(10_000)
     ]
     scenario = scenario_for_topology(

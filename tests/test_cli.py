@@ -137,6 +137,14 @@ _PEER = {
 }
 _EMPTY_DOC = {"peers": [], "routing": [], "tls": [], "attributes": []}
 
+
+def _rename_aj_to_empty(obj: dict) -> None:
+    """Node aj gets the id "", in the nodes and in the links."""
+    topology = obj["topology"]
+    topology["nodes"] = {("" if nid == "aj" else nid): node for nid, node in topology["nodes"].items()}
+    topology["links"] = [["" if end == "aj" else end for end in pair] for pair in topology["links"]]
+
+
 MALFORMED_SCENARIOS = {
     "static_config-list": (lambda o: o.update(static_config=[]), "PARSE_ERROR"),
     "homes-list": (lambda o: o["topology"].update(homes=[["realm.org", "ah"]]), "PARSE_ERROR"),
@@ -174,6 +182,8 @@ MALFORMED_SCENARIOS = {
     "policy-ttl-arabic-indic": (
         lambda o: o.update(policies=["route realm.org via ah security tls ttl \u0663"]), "PARSE_ERROR",
     ),
+    "node-id-empty": (_rename_aj_to_empty, "PARSE_ERROR"),
+    "node-address-empty": (lambda o: o["topology"]["nodes"]["aj"].update(address=""), "PARSE_ERROR"),
     "duplicate-address": (
         lambda o: o["topology"]["nodes"]["aj"].update(address="ai.sim"), "PARSE_ERROR",
     ),

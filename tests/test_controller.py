@@ -231,7 +231,8 @@ def test_links_are_read_only_when_the_topology_is_built():
         topology, seed=1, mode="PROACTIVE",
         policy_lines="route realm.org via ah security tls",
         users={"ah": nodes["ah"]["users"]},
-        events=[simnet.Event(10, "inject", node="ac", nai="alice@realm.org", password="alice-pw")],
+        events=[simnet.Event(10, "inject", node="ac", nai=model.parse_nai("alice@realm.org"),
+                             password="alice-pw")],
         stop_time=500,
     )
     metrics, _ = simnet.Simulation(scenario).run()
@@ -446,7 +447,8 @@ def sweep_scenario(seed: int) -> simnet.Scenario:
     ]
     rng.shuffle(lines)
     events = [
-        simnet.Event(300 + 10 * i, "inject", node=client, nai=f"u@{realm}", password="pw")
+        simnet.Event(300 + 10 * i, "inject", node=client, nai=model.parse_nai(f"u@{realm}"),
+                     password="pw")
         for i, (client, realm) in enumerate(
             (c, r) for c in topology.clients for r in SWEEP_REALMS
         )

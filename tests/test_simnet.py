@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    FIXTURES,
     GOLDEN,
     SCENARIOS,
     build,
@@ -188,6 +189,80 @@ def test_events_out_of_order(chain_text):
     assert err.value.code == "UNSORTED_EVENTS"
 
 
+# A load mutant is a fixture with one member or list item replaced by each
+# of these JSON values, deleted, or (an object member) renamed to "".
+_MUTANT_VALUES = ("null", "true", "1.5", "-1", "0", '""', "[]", "{}", '["x"]')
+
+
+def _member_paths(value, path=()):
+    items = value.items() if type(value) is dict else enumerate(value) if type(value) is list else ()
+    for key, item in items:
+        yield path + (key,)
+        yield from _member_paths(item, path + (key,))
+
+
+def _load_mutants(text: str):
+    """(path, mutation, mutated scenario object) for each load mutant of ``text``."""
+    for path in _member_paths(json.loads(text)):
+        for mutation in (*_MUTANT_VALUES, "delete", "rename"):
+            obj = json.loads(text)
+            *head, key = path
+            parent = obj
+            for step in head:
+                parent = parent[step]
+            if mutation == "rename":
+                if type(key) is int:
+                    continue
+                members = {("" if k == key else k): v for k, v in parent.items()}
+                parent.clear()
+                parent.update(members)
+            elif mutation == "delete":
+                del parent[key]
+            else:
+                parent[key] = json.loads(mutation)
+            yield path, mutation, obj
+
+
+def _load_and_run(obj) -> str:
+    """Load ``obj``: "coded" when that raises a CodedError, "ran" when the run
+    and its transcript then complete."""
+    try:
+        scenario = simnet.scenario_from_dict(obj)
+    except CodedError:
+        return "coded"
+    sim = Simulation(scenario)
+    sim.run()
+    sim.transcript.to_ndjson()
+    return "ran"
+
+
+@pytest.mark.parametrize("name,mutants", [("chain", 524), ("loop", 729)])
+def test_every_load_mutant_is_a_coded_load_error_or_runs(name, mutants):
+    outcomes = Counter()
+    failed = []
+    for path, mutation, obj in _load_mutants((FIXTURES / f"{name}.json").read_text()):
+        try:
+            outcomes[_load_and_run(obj)] += 1
+        except Exception as err:  # collected, so the assert lists every failing mutant
+            failed.append((path, mutation, repr(err)))
+    assert failed == []
+    assert sum(outcomes.values()) == mutants and outcomes["coded"] and outcomes["ran"]
+
+
+def test_a_static_peer_with_an_empty_id_is_refused_by_the_node_and_written_redacted(loop_text):
+    obj = json.loads(loop_text)
+    obj["static_config"]["x"]["peers"][0]["peer_id"] = ""
+    sim = Simulation(simnet.scenario_from_dict(obj))
+    sim.run()
+    records = sim.transcript.records
+    [merge] = [c for r in records if r["direction"] == "c2n" and r["actor"] == "x"
+               for c in r["frame"].get("changes", []) if c["path"] == "peers/"]
+    assert merge["value"]["peer_id"] == ""
+    assert merge["value"]["credential"]["secret"] == model.REDACTED
+    replies = [r["frame"] for r in records if r["direction"] == "n2c" and r["actor"] == "x"]
+    assert {"code": "BAD_PATH", "detail": ["BAD_PATH: peers/"]}.items() <= replies[0].items()
+
+
 def test_bad_json_is_parse_error():
     with pytest.raises(CodedError) as err:
         load_scenario("{not json")
@@ -353,8 +428,10 @@ ENTITIES = {
         TEXT, st.none() | TEXT),
 }
 CHANGES = st.one_of(*[
-    st.builds(lambda container, entity: ConfigChange(MERGE, f"{container}/x", entity),
-              st.just(container), entity) | st.builds(ConfigChange, st.just(DELETE), TEXT.map(
+    # a merge's path may be one the node rejects ("peers/", "x"): its value is written by class
+    st.builds(lambda path, entity: ConfigChange(MERGE, path, entity),
+              st.just(f"{container}/x") | st.just(f"{container}/") | TEXT, entity)
+    | st.builds(ConfigChange, st.just(DELETE), TEXT.map(
                   lambda key, container=container: f"{container}/x{key}"))
     for container, entity in ENTITIES.items()
 ])
@@ -441,21 +518,21 @@ def test_transcript_bytes_equal_json_when_a_message_recurs_batches_later():
     assert _written(records) == _oracle_ndjson(records)
 
 
-def test_each_nai_is_parsed_once_per_run_and_shared(monkeypatch):
+def test_each_nai_is_parsed_once_per_load_and_shared(monkeypatch):
     parsed = []
     seen = []
-    parse_nai = model.parse_nai
+    split_nai = model.split_nai
     handle_message = node_mod.Node.handle_message
 
     def counted(text):
         parsed.append(text)
-        return parse_nai(text)
+        return split_nai(text)
 
     def recorded(self, msg, now):
         seen.append(msg)
         return handle_message(self, msg, now)
 
-    monkeypatch.setattr(model, "parse_nai", counted)
+    monkeypatch.setattr(model, "split_nai", counted)
     monkeypatch.setattr(node_mod.Node, "handle_message", recorded)
     nodes, links, homes = chain_nodes()
     nodes["ah"]["users"]["bob"] = "bob-pw"
@@ -464,22 +541,18 @@ def test_each_nai_is_parsed_once_per_run_and_shared(monkeypatch):
         nodes, links, homes, policies=["route realm.org via ah security tls"],
         events=[inject(50 + i, "ac", nai, pw) for i, (nai, pw) in enumerate(users)],
     )
+    assert sorted(parsed) == ["alice@realm.org", "bob@realm.org"]
+    loaded = {ev.nai.text: ev.nai for ev in scenario.events}
+    assert [ev.nai for ev in scenario.events] == [loaded[nai] for nai, _ in users]
+    assert all(ev.nai is loaded[ev.nai.text] for ev in scenario.events)
 
     metrics, _ = Simulation(scenario).run()
     assert metrics.delivered == 6
-    assert sorted(parsed) == ["alice@realm.org", "bob@realm.org"]
-    # every request, forwarded copy and response of one NAI holds one Nai
-    first = {}
+    assert len(parsed) == 2
+    # every request, forwarded copy and response of one NAI holds its events' Nai
+    assert {msg.nai.text for msg in seen} == set(loaded)
     for msg in seen:
-        nai = first.setdefault(msg.nai.text, msg.nai)
-        assert msg.nai is nai and msg.dest_realm is nai.realm
-    assert sorted(first) == ["alice@realm.org", "bob@realm.org"]
-
-    # a second run of the same scenario starts from nothing
-    seen.clear()
-    Simulation(scenario).run()
-    assert len(parsed) == 4
-    assert all(msg.nai is not first[msg.nai.text] for msg in seen)
+        assert msg.nai is loaded[msg.nai.text] and msg.dest_realm is msg.nai.realm
 
 
 def test_each_realm_is_one_realm_object_the_served_one_where_a_node_serves_it():
@@ -490,16 +563,14 @@ def test_each_realm_is_one_realm_object_the_served_one_where_a_node_serves_it():
         nodes, links, homes, policies=["route realm.org via ah security tls"],
         events=[inject(50 + i, "ac", nai, "pw") for i, nai in enumerate(nais)],
     )
-    sim = Simulation(scenario)
-    sim.run()
     [served] = scenario.topology.nodes["ah"].served_realms
-    assert sorted(sim._nais) == sorted(nais)
-    assert {nai: sim._nais[nai].realm is served for nai in nais} == {
+    loaded = {text: ev.nai for text, ev in zip(nais, scenario.events)}
+    assert {text: nai.realm is served for text, nai in loaded.items()} == {
         "alice@realm.org": True, "bob@realm.org": True, "bob@Realm.ORG": True,
         "u@none.org": False, "v@none.org": False,
     }
-    assert sim._nais["u@none.org"].realm is sim._nais["v@none.org"].realm
-    assert sim._nais["bob@Realm.ORG"].text == "bob@realm.org"
+    assert loaded["u@none.org"].realm is loaded["v@none.org"].realm
+    assert loaded["bob@Realm.ORG"].text == "bob@realm.org"
 
 
 def test_proactive_provisions_before_injection(chain_text):
@@ -721,7 +792,8 @@ def test_reactive_routes_converge_to_shortest_paths():
             topology, seed=seed, mode="REACTIVE",
             policy_lines=f"route realm.org via {home} security psk",
             users={home: {"u": "pw"}},
-            events=[simnet.Event(10, "inject", node=client, nai="u@realm.org", password="pw")],
+            events=[simnet.Event(10, "inject", node=client, nai=model.parse_nai("u@realm.org"),
+                                 password="pw")],
             stop_time=2000,
         )
         sim = Simulation(scenario)
