@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 REDACTED = "<redacted>"
 
@@ -269,12 +269,9 @@ class MsgKind(Enum):
     RESPONSE = "response"
 
 
-_SAME = object()  # AaaMessage.copy: keep this field
-
-
-@dataclass(frozen=True, slots=True)
-class AaaMessage:
-    """Protocol-independent AAA message with its accumulated hop trace.
+class AaaMessage(NamedTuple):
+    """Protocol-independent AAA message with its accumulated hop trace. A handler
+    changes a message by ``_replace``; assigning to a field raises ``AttributeError``.
 
     ``attributes`` is treated as a value: handlers copy it before changing
     anything. ``error`` carries the code when status is "error".
@@ -289,34 +286,12 @@ class AaaMessage:
     status: str = "pending"  # pending | accept | reject | error
     error: Optional[str] = None
 
-    def copy(self, *, msg_id=_SAME, kind=_SAME, nai=_SAME, dest_realm=_SAME,
-             attributes=_SAME, hop_trace=_SAME, status=_SAME, error=_SAME) -> "AaaMessage":
-        """This message with the named fields replaced: what ``dataclasses.replace``
-        returns, written through the slot descriptors, not the frozen ``__init__``."""
-        new = _new_object(AaaMessage)
-        _SET_MSG_ID(new, self.msg_id if msg_id is _SAME else msg_id)
-        _SET_KIND(new, self.kind if kind is _SAME else kind)
-        _SET_NAI(new, self.nai if nai is _SAME else nai)
-        _SET_DEST_REALM(new, self.dest_realm if dest_realm is _SAME else dest_realm)
-        _SET_ATTRIBUTES(new, self.attributes if attributes is _SAME else attributes)
-        _SET_HOP_TRACE(new, self.hop_trace if hop_trace is _SAME else hop_trace)
-        _SET_STATUS(new, self.status if status is _SAME else status)
-        _SET_ERROR(new, self.error if error is _SAME else error)
-        return new
-
     def hop(self, node_id: str) -> "AaaMessage":
-        """``copy(hop_trace=self.hop_trace + (node_id,))`` for every request hop, without
-        copy's per-field choices; the result is as frozen as any other message."""
-        new = _new_object(AaaMessage)
-        _SET_MSG_ID(new, self.msg_id)
-        _SET_KIND(new, self.kind)
-        _SET_NAI(new, self.nai)
-        _SET_DEST_REALM(new, self.dest_realm)
-        _SET_ATTRIBUTES(new, self.attributes)
-        _SET_HOP_TRACE(new, self.hop_trace + (node_id,))
-        _SET_STATUS(new, self.status)
-        _SET_ERROR(new, self.error)
-        return new
+        """``_replace(hop_trace=self.hop_trace + (node_id,))`` for every request hop,
+        without ``_replace``'s keyword handling."""
+        msg_id, kind, nai, dest_realm, attributes, hop_trace, status, error = self
+        return tuple.__new__(AaaMessage, (msg_id, kind, nai, dest_realm, attributes,
+                                          hop_trace + (node_id,), status, error))
 
     def to_json(self) -> dict:
         """The transcript form. It shares ``attributes`` and ``hop_trace``
@@ -335,12 +310,6 @@ class AaaMessage:
         if self.error is not None:
             out["error"] = self.error
         return out
-
-
-# AaaMessage.copy and hop: the slot setters, bound once, in field order
-_new_object = object.__new__
-(_SET_MSG_ID, _SET_KIND, _SET_NAI, _SET_DEST_REALM, _SET_ATTRIBUTES, _SET_HOP_TRACE, _SET_STATUS,
- _SET_ERROR) = (AaaMessage.__dict__[f].__set__ for f in AaaMessage.__slots__)
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ def apply_attribute_rules(msg: AaaMessage, rules, direction: Direction) -> AaaMe
             if rule.attribute not in attrs:
                 raise CodedError("REPLACE_MISSING", rule.attribute)
             attrs[rule.attribute] = rule.value
-    return msg.copy(attributes=attrs)
+    return msg._replace(attributes=attrs)
 
 
 # records exchanged between nodes besides AAA messages
@@ -442,8 +442,8 @@ class Node:
         expected = self.users.get(msg.nai.user)
         accepted = expected is not None and expected == msg.attributes.get("password")
         self.network.metrics.hops[msg.msg_id] = len(msg.hop_trace)
-        self._route_response(msg.copy(kind=MsgKind.RESPONSE, attributes={},
-                                      status="accept" if accepted else "reject"))
+        self._route_response(msg._replace(kind=MsgKind.RESPONSE, attributes={},
+                                          status="accept" if accepted else "reject"))
 
     def _route_response(self, resp: AaaMessage) -> None:
         idx = resp.hop_trace.index(self.node_id)
@@ -596,7 +596,7 @@ class Node:
         self.session.notify(note)
 
     def _fail(self, msg: AaaMessage, code: str) -> None:
-        failed = msg.copy(status="error", error=code)
+        failed = msg._replace(status="error", error=code)
         self.network.finalize_message(self.node_id, failed)
 
     def set_down(self) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from json.encoder import encode_basestring_ascii
 from operator import methodcaller
-from typing import NoReturn, Optional
+from typing import NamedTuple, NoReturn, Optional
 
 from . import model, node as node_mod, southbound
 from .controller import (
@@ -143,7 +143,7 @@ def _json_text(value, texts: _Texts, private=frozenset()) -> str:
 
 def _message_text(msg: AaaMessage, texts: _Texts, memo: dict) -> str:
     """The JSON text of ``msg.to_json()`` (its specification: a field added
-    there must be written here too), read from the slots; the kind by its
+    there must be written here too), read from its fields; the kind by its
     ``_value_``. An attribute map is written once per object."""
     attributes = msg.attributes
     attributes_text = memo.get(id(attributes))
@@ -222,7 +222,9 @@ class Transcript:
     identity: sound only because a recorded value never changes, so a new
     payload type must be immutable too. The encoder behind ``_json_text`` calls
     ``to_json`` and skips the circular-reference check: a cycle raises
-    ``RecursionError``."""
+    ``RecursionError``. A message is a tuple, which ``json`` writes as an array
+    without calling ``to_json``, so it may only be a payload value itself,
+    written by ``_message_text``, never nested inside one."""
 
     def __init__(self):
         self._entries: list[tuple] = []
@@ -325,8 +327,7 @@ class Network:
 # scenarios
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     time: int
     kind: str
     node: Optional[str] = None

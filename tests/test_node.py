@@ -511,35 +511,6 @@ def test_replace_missing_attribute_errors():
     assert err.value.code == "REPLACE_MISSING"
 
 
-def test_message_copy_equals_dataclasses_replace_for_every_field():
-    nai, other = parse_nai("alice@realm.org"), parse_nai("bob@other.org")
-    names = [f.name for f in dataclasses.fields(AaaMessage)]
-    # every field away from its default, so a field the copy drops shows
-    error = AaaMessage("m1", MsgKind.REQUEST, nai, nai.realm, {"password": "pw", "A": "1"},
-                       ("a", "b"), status="error", error="ROUTE_LOOP")
-    assert all(getattr(error, f.name) != f.default for f in dataclasses.fields(AaaMessage))
-    overrides = {
-        "msg_id": "m2", "kind": MsgKind.RESPONSE, "nai": other, "dest_realm": other.realm,
-        "attributes": {"B": "2"}, "hop_trace": ("c",), "status": "reject", "error": "HOP_LIMIT",
-    }
-    assert sorted(overrides) == sorted(names)
-    req = request("m1", "alice@realm.org", trace=["a"], attrs={"password": "pw", "A": "1"})
-    proxied = apply_attribute_rules(
-        req, [rule("r1", RuleOp.ADD, "C", "3"), rule("r2", RuleOp.REPLACE, "A", "9")],
-        Direction.OUTGOING,
-    )
-    assert proxied.attributes == {"password": "pw", "A": "9", "C": "3"}
-    response = AaaMessage("m1", MsgKind.RESPONSE, nai, nai.realm, {}, ("a", "b"), status="accept")
-    for msg in (req, proxied, response, error):
-        same = msg.copy()
-        assert same == msg and all(getattr(same, n) is getattr(msg, n) for n in names)
-        for name, value in overrides.items():
-            assert msg.copy(**{name: value}) == dataclasses.replace(msg, **{name: value})
-        assert msg.copy(**overrides) == dataclasses.replace(msg, **overrides)
-        assert msg.copy(status="pending", error=None) == dataclasses.replace(
-            msg, status="pending", error=None)
-
-
 # one strategy per AaaMessage field; attributes is sometimes a hashable
 # stand-in for the dict, so that hash() compares values and does not only
 # raise TypeError on both sides
@@ -564,23 +535,20 @@ def _hash_or_error(msg: AaaMessage):
         return type(err)
 
 
-@given(st.builds(AaaMessage, **MESSAGE_FIELDS), st.fixed_dictionaries({}, optional=MESSAGE_FIELDS),
-       st.text(max_size=3))
-def test_message_copy_matches_replace_for_any_subset_and_stays_frozen(msg, subset, node_id):
-    assert list(MESSAGE_FIELDS) == [f.name for f in dataclasses.fields(AaaMessage)]
+@given(st.builds(AaaMessage, **MESSAGE_FIELDS), st.text(max_size=3))
+def test_message_hop_matches_replace_and_stays_frozen(msg, node_id):
+    assert tuple(MESSAGE_FIELDS) == AaaMessage._fields
     hopped = msg.hop(node_id)
     assert hopped.hop_trace == msg.hop_trace + (node_id,)
-    cases = [(msg.copy(**subset), dataclasses.replace(msg, **subset)),
-             (hopped, msg.copy(hop_trace=hopped.hop_trace))]
-    for copied, replaced in cases:
-        assert type(copied) is AaaMessage
-        for name in MESSAGE_FIELDS:
-            assert getattr(copied, name) is getattr(replaced, name), name
-        assert copied == replaced
-        assert _hash_or_error(copied) == _hash_or_error(replaced)
-        for name in MESSAGE_FIELDS:
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(copied, name, getattr(msg, name))
+    replaced = msg._replace(hop_trace=hopped.hop_trace)
+    assert type(hopped) is AaaMessage
+    for name in MESSAGE_FIELDS:
+        assert getattr(hopped, name) is getattr(replaced, name), name
+    assert hopped == replaced
+    assert _hash_or_error(hopped) == _hash_or_error(replaced)
+    for name in MESSAGE_FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(hopped, name, getattr(msg, name))
 
 
 def proxy_scenario(rules, refs):
@@ -740,6 +708,34 @@ def test_expired_redirect_hint_is_dropped_and_the_running_route_is_selected():
 def test_redirect_without_matching_entry_errors():
     metrics, transcript = simnet.run(redirect_scenario(agent_has_route=False))
     assert metrics.error_codes == {"REDIRECT_NO_ROUTE": 1}
+
+
+def test_a_redirect_agent_that_is_the_home_hints_itself():
+    q_peer_ra, ra_peer_q = psk_pair("q", "ra", b"k1" * 8)
+    static = {
+        "q": ConfigDocument(
+            peers=(q_peer_ra,),
+            routing=(RealmEntry(RealmPattern.parse("realm.org"), "ra", Action.REDIRECT),),
+        ),
+        "ra": ConfigDocument(
+            peers=(ra_peer_q,),
+            routing=(RealmEntry(RealmPattern.parse("realm.org"), None, Action.LOCAL),),
+        ),
+    }
+    nodes = {
+        "q": {"role": "CLIENT"},
+        "ra": {"role": "SERVER", "realms": ["realm.org"], "users": {"eve": "pw"}},
+    }
+    metrics, transcript = simnet.run(make_scenario(
+        nodes, [("q", "ra")], homes={"realm.org": "ra"}, events=[inject(20, "q", "eve@realm.org", "pw")],
+        static_config=static, stop_time=1000,
+    ))
+    fwds = [(r["actor"], r["to"], r["message"]) for r in transcript.records if r["direction"] == "fwd"]
+    hints = [m for _a, _t, m in fwds if m["kind"] == "redirect-hint"]
+    assert [(h["next"], h["ttl"]) for h in hints] == [("ra.sim", 30000)]
+    assert [(a, t, m["kind"]) for a, t, m in fwds if m["kind"] in ("request", "response")] == [
+        ("q", "ra", "request"), ("ra", "q", "response")]
+    assert metrics.delivered == 1
 
 
 # ---------------------------------------------------------------------------

@@ -385,9 +385,12 @@ def _to_json(value):
 
 
 def _oracle_ndjson(records) -> str:
+    # json writes a message, a tuple, as an array without calling default:
+    # a message payload goes in as its to_json()
     return "".join(
         json.dumps({"time": time, "actor": actor, "direction": direction,
-                    **dict(zip(simnet.RECORD_KEYS[direction], payload, strict=True))},
+                    **{key: value.to_json() if type(value) is AaaMessage else value
+                       for key, value in zip(simnet.RECORD_KEYS[direction], payload, strict=True)}},
                    separators=(",", ":"), default=_to_json) + "\n"
         for time, actor, direction, *payload in records
     )
@@ -471,8 +474,8 @@ def messages(draw):
                          draw(st.dictionaries(TEXT, TEXT | PLAIN, max_size=3)))
     family = [request]
     for hop in draw(st.lists(TEXT, max_size=3)):
-        family.append(family[-1].copy(hop_trace=family[-1].hop_trace + (hop,)))
-    family.append(family[-1].copy(
+        family.append(family[-1]._replace(hop_trace=family[-1].hop_trace + (hop,)))
+    family.append(family[-1]._replace(
         kind=model.MsgKind.RESPONSE, attributes={},
         status=draw(st.sampled_from(["accept", "reject", "error"]) | TEXT),
         error=draw(st.none() | TEXT),
@@ -505,9 +508,9 @@ def test_transcript_bytes_equal_json_when_a_message_recurs_batches_later():
     # message recurs after the memo that held its text was dropped
     nai = model.parse_nai("\u00e9l\U0001f600se@realm.org")
     request = AaaMessage("m1", model.MsgKind.REQUEST, nai, nai.realm, {"pass\"word": "p\\w"})
-    forwarded = request.copy(hop_trace=("a", "b"))
-    answer = forwarded.copy(kind=model.MsgKind.RESPONSE, attributes={}, status="error",
-                            error="CHANNEL_FAILED")
+    forwarded = request._replace(hop_trace=("a", "b"))
+    answer = forwarded._replace(kind=model.MsgKind.RESPONSE, attributes={}, status="error",
+                                error="CHANNEL_FAILED")
     records = []
     for i in range(1500):
         records.append((i, "a", "fwd", "b", (request, forwarded, answer)[i % 3]))
@@ -653,6 +656,20 @@ def test_node_down_loses_in_flight_messages():
     )
     metrics, _ = simnet.run(scenario)
     assert conservation(metrics)
+
+
+@pytest.mark.parametrize("mode", [simnet.PROACTIVE, simnet.REACTIVE])
+def test_an_inject_at_a_down_client_is_lost_and_stays_pending(mode):
+    nodes, links, homes = chain_nodes()
+    nodes["ac"]["state"] = "DOWN"
+    scenario = make_scenario(
+        nodes, links, homes, policies=["route realm.org via ah security tls"], mode=mode,
+        events=[inject(50, "ac", "alice@realm.org", "alice-pw")], stop_time=300,
+    )
+    metrics, transcript = simnet.run(scenario)
+    assert (metrics.injected, metrics.lost_in_flight, metrics.still_pending,
+            metrics.delivered) == (1, 1, 1, 0)
+    assert [r["direction"] for r in transcript.records if r["actor"] == "ac"] == ["inject"]
 
 
 # ---------------------------------------------------------------------------
