@@ -532,9 +532,12 @@ class Node:
     # record delivery entry point
 
     def receive(self, record) -> None:
-        """A record sent one tick earlier; lost in flight if this node is DOWN."""
+        """A record sent one tick earlier, or a request injected here; lost in
+        flight if this node is DOWN, where a lost message ends its request."""
         if self.state != UP:
             self.network.metrics.lost_in_flight += 1
+            if type(record) is AaaMessage:
+                self._fail(record, "LOST_IN_FLIGHT")
         elif type(record) is AaaMessage:
             self.handle_message(record, self.loop.now)
         elif isinstance(record, RedirectQuery):

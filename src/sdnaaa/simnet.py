@@ -141,21 +141,24 @@ def _json_text(value, texts: _Texts, private=frozenset()) -> str:
     return _ENCODER.encode(value)
 
 
-def _message_text(msg: AaaMessage, texts: _Texts, memo: dict) -> str:
+def _message_text(msg: AaaMessage, texts: _Texts, prefixes: dict) -> str:
     """The JSON text of ``msg.to_json()`` (its specification: a field added
     there must be written here too), read from its fields; the kind by its
-    ``_value_``. An attribute map is written once per object."""
-    attributes = msg.attributes
-    attributes_text = memo.get(id(attributes))
-    if attributes_text is None:
-        attributes_text = memo[id(attributes)] = _json_text(attributes, texts)
-    error = "" if msg.error is None else f',"error":{texts[msg.error]}'
-    return (
-        f'{{"kind":{texts[msg.kind._value_]},"msg_id":{texts[msg.msg_id]},'
-        f'"nai":{texts[msg.nai.text]},"dest_realm":{texts[msg.dest_realm.text]},'
-        f'"attributes":{attributes_text},"trace":{texts[msg.hop_trace]},'
-        f'"status":{texts[msg.status]}{error}}}'
-    )
+    ``_value_``. The text up to ``"trace":`` is kept in ``prefixes`` by the
+    identity of the attribute map, and reused while the message's id, kind,
+    NAI and realm are the same objects, as in each hop's copy of a request."""
+    msg_id, kind, nai, dest_realm, attributes, hop_trace, status, error = msg
+    known = prefixes.get(id(attributes))
+    if (known is None or known[0] is not msg_id or known[1] is not kind
+            or known[2] is not nai or known[3] is not dest_realm):
+        known = prefixes[id(attributes)] = (
+            msg_id, kind, nai, dest_realm,
+            f'{{"kind":{texts[kind._value_]},"msg_id":{texts[msg_id]},'
+            f'"nai":{texts[nai.text]},"dest_realm":{texts[dest_realm.text]},'
+            f'"attributes":{_json_text(attributes, texts)},"trace":',
+        )
+    error = "" if error is None else f',"error":{texts[error]}'
+    return f'{known[4]}{texts[hop_trace]},"status":{texts[status]}{error}}}'
 
 
 def _frame_text(frame: southbound.Frame, texts: _Texts) -> str:
@@ -184,31 +187,39 @@ def _frame_text(frame: southbound.Frame, texts: _Texts) -> str:
 
 def _write_batch(records: list[tuple]) -> str:
     """NDJSON lines of ``records``, as ``json.dumps`` writes each record's dict: the head,
-    then the direction's line texts around the values' texts, one format for one or two."""
+    then the direction's line texts around the values' texts, one format for one or two.
+    A string value is found in ``texts``, a message already written in ``written``."""
     texts = _Texts()
-    memo: dict[int, str] = {}  # id of a message or attribute map -> text
+    written: dict[int, str] = {}  # id of a message -> its text
+    prefixes: dict[int, tuple] = {}  # id of an attribute map -> its message prefix
 
-    def text_of(value) -> str:
-        if type(value) is AaaMessage:
-            text = memo.get(id(value))
-            if text is None:
-                text = memo[id(value)] = _message_text(value, texts, memo)
+    def text_of(value) -> str:  # of a value that is not in ``written``
+        cls = type(value)
+        if cls is AaaMessage:
+            text = written[id(value)] = _message_text(value, texts, prefixes)
             return text
-        return (_frame_text if type(value) is southbound.Frame else _json_text)(value, texts)
+        return (_frame_text if cls is southbound.Frame else _json_text)(value, texts)
 
     lines: list[str] = []
     append = lines.append
     for record in records:
-        head = f'{{"time":{record[0]},"actor":{texts[record[1]]}'
-        line = _LINES[record[2]]
         size = len(record)
-        if size == 4:
-            append(f"{head}{line[0]}{line[1]}{text_of(record[3])}}}\n")
-        elif size == 5:
-            append(f"{head}{line[0]}{line[1]}{text_of(record[3])}{line[2]}{text_of(record[4])}}}\n")
+        if size == 5:
+            time, actor, direction, to, value = record
+            line = _LINES[direction]
+            append(f'{{"time":{time},"actor":{texts[actor]}{line[0]}{line[1]}'
+                   f'{texts[to] if type(to) is str else text_of(to)}'
+                   f'{line[2]}{written.get(id(value)) or text_of(value)}}}\n')
+        elif size == 4:
+            time, actor, direction, value = record
+            line = _LINES[direction]
+            append(f'{{"time":{time},"actor":{texts[actor]}{line[0]}{line[1]}'
+                   f'{written.get(id(value)) or text_of(value)}}}\n')
         else:
-            payload = "".join([key + text_of(v) for key, v in zip(line[1:], record[3:])])
-            append(f"{head}{line[0]}{payload}}}\n")
+            line = _LINES[record[2]]
+            payload = "".join([key + (written.get(id(v)) or text_of(v))
+                               for key, v in zip(line[1:], record[3:])])
+            append(f'{{"time":{record[0]},"actor":{texts[record[1]]}{line[0]}{payload}}}\n')
     return "".join(lines)
 
 
@@ -218,13 +229,16 @@ class Transcript:
 
     A record is a tuple ``(time, actor, direction, *payload)``, its payload keys
     named by ``RECORD_KEYS``. Values are kept as observed and written only by
-    ``to_ndjson``, each message and attribute map once per batch, found again by
-    identity: sound only because a recorded value never changes, so a new
-    payload type must be immutable too. The encoder behind ``_json_text`` calls
-    ``to_json`` and skips the circular-reference check: a cycle raises
-    ``RecursionError``. A message is a tuple, which ``json`` writes as an array
-    without calling ``to_json``, so it may only be a payload value itself,
-    written by ``_message_text``, never nested inside one."""
+    ``to_ndjson``, each message once per batch, found again by identity. A
+    message's text up to ``"trace":`` is kept by the identity of its attribute
+    map and reused only while the message's id, kind, NAI and realm are the
+    objects it was built from, as in every hop's copy of a request. Both memos
+    are sound only because a recorded value never changes and stays alive for
+    its batch, so a new payload type must be immutable too. The encoder behind
+    ``_json_text`` calls ``to_json`` and skips the circular-reference check: a
+    cycle raises ``RecursionError``. A message is a tuple, which ``json`` writes
+    as an array without calling ``to_json``, so it may only be a payload value
+    itself, written by ``_message_text``, never nested inside one."""
 
     def __init__(self):
         self._entries: list[tuple] = []
@@ -595,11 +609,7 @@ class Simulation:
         self.metrics.injected += 1
         self.network.registry[msg.msg_id] = {"status": "pending", "error": None}
         self.transcript.add((self.loop.now, ev.node, "inject", msg))
-        target = self.nodes[ev.node]
-        if target.is_up():
-            target.handle_message(msg, self.loop.now)
-        else:
-            self.metrics.lost_in_flight += 1
+        self.nodes[ev.node].receive(msg)
 
     def run_until(self, stop_time: int) -> None:
         self.loop.run_until(stop_time)

@@ -491,33 +491,95 @@ STATIC = {
 }
 
 
+#: each golden run's transcript sha256 and its outcome counts, as
+#: ``Metrics.to_json()`` writes them; the test compares the counts first, so a
+#: run that moved shows which outcomes moved
 GOLDEN = {
-    ("chain", "PROACTIVE"):
+    ("chain", "PROACTIVE"): (
         "38de282b46c63a4a7b5e5a19f2241e9de6af0c29e1bfbb78c045f80ed8e1e3c8",
-    ("chain", "REACTIVE"):
+        {"injected": 1, "delivered": 1, "rejected": 0, "errored": 0,
+         "still_pending": 0, "lost_in_flight": 0, "controller_frames": 6,
+         "error_codes": {}}),
+    ("chain", "REACTIVE"): (
         "18ca7e700dc8efa4df4bf8062c2104dfa723029243b61b9ca760951a32959346",
-    ("diamond", "PROACTIVE"):
+        {"injected": 1, "delivered": 1, "rejected": 0, "errored": 0,
+         "still_pending": 0, "lost_in_flight": 0, "controller_frames": 6,
+         "error_codes": {}}),
+    ("diamond", "PROACTIVE"): (
         "7e09ab690b2b0feb8cb1f7aa0e824f9588efdd9cc13967b14a534a3ae5c5c42a",
-    ("diamond", "REACTIVE"):
+        {"injected": 11, "delivered": 11, "rejected": 0, "errored": 0,
+         "still_pending": 0, "lost_in_flight": 0, "controller_frames": 8,
+         "error_codes": {}}),
+    ("diamond", "REACTIVE"): (
         "a77388e67253b60b9ea5000129751ed0df6fd0ac3557cd6b1817680c699594ed",
-    ("loop", "PROACTIVE"):
+        {"injected": 11, "delivered": 11, "rejected": 0, "errored": 0,
+         "still_pending": 0, "lost_in_flight": 0, "controller_frames": 8,
+         "error_codes": {}}),
+    ("loop", "PROACTIVE"): (
         "c8cb789c665eee851d4918899719b005da70472b1c43364b394c41fe3518fcd3",
-    ("loop", "REACTIVE"):
+        {"injected": 1, "delivered": 0, "rejected": 0, "errored": 1,
+         "still_pending": 0, "lost_in_flight": 0, "controller_frames": 2,
+         "error_codes": {"ROUTE_LOOP": 1}}),
+    ("loop", "REACTIVE"): (
         "c8cb789c665eee851d4918899719b005da70472b1c43364b394c41fe3518fcd3",
-    ("random-4", "PROACTIVE"):
+        {"injected": 1, "delivered": 0, "rejected": 0, "errored": 1,
+         "still_pending": 0, "lost_in_flight": 0, "controller_frames": 2,
+         "error_codes": {"ROUTE_LOOP": 1}}),
+    ("random-4", "PROACTIVE"): (
         "6b82f74b775f1efe428a79be4cfbcd2aaac19bdbf6fafe2ec10f752b1c89d1ed",
-    ("random-4", "REACTIVE"):
+        {"injected": 30, "delivered": 26, "rejected": 4, "errored": 0,
+         "still_pending": 0, "lost_in_flight": 0, "controller_frames": 66,
+         "error_codes": {}}),
+    ("random-4", "REACTIVE"): (
         "57176ce1ec86e9331904338cf0adba11d5a611d339e4a3f082f964c6737f370e",
-    ("random-9", "PROACTIVE"):
+        {"injected": 30, "delivered": 17, "rejected": 2, "errored": 11,
+         "still_pending": 0, "lost_in_flight": 0, "controller_frames": 61,
+         "error_codes": {"CHANNEL_FAILED": 1, "REALM_NOT_SERVED": 10}}),
+    ("random-9", "PROACTIVE"): (
         "dac3feddad83daaa6616595a18cc73df0592cb276f8d152a177711a22a77b7a1",
-    ("random-9", "REACTIVE"):
+        {"injected": 30, "delivered": 26, "rejected": 4, "errored": 0,
+         "still_pending": 0, "lost_in_flight": 0, "controller_frames": 42,
+         "error_codes": {}}),
+    ("random-9", "REACTIVE"): (
         "43d8111b406b190e2fb41f2babacf5f3b740ec5ef59418d22fdcd1bed03b1fba",
-    ("redirect-fabric", "PROACTIVE"):
+        {"injected": 30, "delivered": 17, "rejected": 3, "errored": 10,
+         "still_pending": 0, "lost_in_flight": 0, "controller_frames": 40,
+         "error_codes": {"REALM_NOT_SERVED": 10}}),
+    ("redirect-fabric", "PROACTIVE"): (
         "4c6f919d76d5216b4cdd73cd50637740cd7e400436b7cd5caa7bee0194cf015c",
-    ("proxy-chain", "PROACTIVE"):
+        {"injected": 6, "delivered": 4, "rejected": 1, "errored": 1,
+         "still_pending": 0, "lost_in_flight": 0, "controller_frames": 3,
+         "error_codes": {"REDIRECT_NO_ROUTE": 1}}),
+    ("proxy-chain", "PROACTIVE"): (
         "6e091f54b22704b13059328c1f1fa425ef96e67c3b609277130dfddbff194496",
-    ("broken-return", "PROACTIVE"):
+        {"injected": 3, "delivered": 2, "rejected": 1, "errored": 0,
+         "still_pending": 0, "lost_in_flight": 0, "controller_frames": 3,
+         "error_codes": {}}),
+    ("broken-return", "PROACTIVE"): (
         "0a0cfb4cb5ef6a16acb84daf49b444caae019f435e76d50d9cd31267694f6325",
+        {"injected": 1, "delivered": 0, "rejected": 0, "errored": 1,
+         "still_pending": 0, "lost_in_flight": 0, "controller_frames": 3,
+         "error_codes": {"CHANNEL_FAILED": 1}}),
+    ("grid", "PROACTIVE"): (
+        "f2aa59bd0875c1121b0b1de0e7e1caea69e81531440880849ae17206ca712c4f",
+        {"injected": 11, "delivered": 10, "rejected": 1, "errored": 0,
+         "still_pending": 0, "lost_in_flight": 0, "controller_frames": 24,
+         "error_codes": {}}),
+    ("grid", "REACTIVE"): (
+        "c4d9a8c116950e0fb486aab39ad2c78ebec54df1ece9948b32cee4475116e0c8",
+        {"injected": 11, "delivered": 10, "rejected": 1, "errored": 0,
+         "still_pending": 0, "lost_in_flight": 0, "controller_frames": 30,
+         "error_codes": {}}),
+    ("ttl", "PROACTIVE"): (
+        "eecfbfdd1534ff634a38a1d948454590c03e224aadf23f7716646a0a11d74c96",
+        {"injected": 9, "delivered": 8, "rejected": 1, "errored": 0,
+         "still_pending": 0, "lost_in_flight": 0, "controller_frames": 72,
+         "error_codes": {}}),
+    ("ttl", "REACTIVE"): (
+        "de61ad0a439d4549e80247bc4a965a67702420081dfd0ed067553f746a375924",
+        {"injected": 9, "delivered": 8, "rejected": 1, "errored": 0,
+         "still_pending": 0, "lost_in_flight": 0, "controller_frames": 67,
+         "error_codes": {}}),
 }
 
 

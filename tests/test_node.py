@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import inject, make_scenario, psk_pair
-from sdnaaa import model, simnet, southbound
+from sdnaaa import model, node as node_mod, simnet, southbound
 from sdnaaa.model import (
     AaaMessage,
     Action,
@@ -910,9 +910,19 @@ def test_record_to_a_node_that_goes_down_in_flight_is_lost(monkeypatch):
     loop.run_until(10)
     assert network.metrics.lost_in_flight == 1
     assert reached == []
+    # the lost message ends its request at b; a lost redirect record only counts
+    done = [r for r in network.transcript.records if r["direction"] == "done"]
+    assert [(r["actor"], r["message"]["msg_id"], r["message"]["error"]) for r in done] == [
+        ("b", "m1", "LOST_IN_FLIGHT")]
+    assert network.metrics.errored == 1
+    network.send_record(a, b, node_mod.RedirectQuery(Realm.parse("realm.org"), "a"))
+    loop.run_until(15)
+    assert network.metrics.lost_in_flight == 2
+    assert sum(r["direction"] == "done" for r in network.transcript.records) == 1
+    assert reached == []
     # liveness is checked at delivery: a node back UP by then gets the record
     network.send_record(a, b, request("m2", "alice@realm.org", trace=["a"]))
     b.set_up()
     loop.run_until(20)
-    assert network.metrics.lost_in_flight == 1
+    assert network.metrics.lost_in_flight == 2
     assert reached == ["m2"]

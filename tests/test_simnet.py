@@ -468,7 +468,8 @@ def test_frame_text_equals_json_of_the_redacted_frame(frame):
 def messages(draw):
     """A request and its forward copies, which share its attribute map (its
     values mostly strings, the others written by the encoder), a response
-    built from the last copy, and a request with an empty map."""
+    built from the last copy, a request with an empty map, and messages that
+    share the request's map but differ from it in id, kind, NAI or realm."""
     nai = model.Nai(draw(TEXT), draw(REALMS))
     request = AaaMessage(draw(TEXT), model.MsgKind.REQUEST, nai, nai.realm,
                          draw(st.dictionaries(TEXT, TEXT | PLAIN, max_size=3)))
@@ -481,6 +482,13 @@ def messages(draw):
         error=draw(st.none() | TEXT),
     ))
     family.append(AaaMessage(draw(TEXT), model.MsgKind.REQUEST, nai, nai.realm, {}))
+    other_nai = model.Nai(draw(TEXT), draw(REALMS))
+    family += [
+        request._replace(msg_id=draw(TEXT)),
+        request._replace(kind=model.MsgKind.RESPONSE),
+        request._replace(nai=other_nai),
+        request._replace(dest_realm=other_nai.realm),
+    ]
     return family
 
 
@@ -501,6 +509,21 @@ def transcripts(draw):
 @given(transcripts())
 def test_transcript_bytes_equal_json_of_each_record(records):
     assert _written(records) == _oracle_ndjson(records)
+
+
+@given(messages().flatmap(st.permutations))
+def test_message_texts_equal_json_in_any_order(family):
+    # every message of a family in one batch, so each shares its attribute map
+    # with messages written before it in any order
+    records = [(0, "a", "done", message) for message in family]
+    assert _written(records) == _oracle_ndjson(records)
+
+
+@pytest.mark.parametrize("mode", [simnet.PROACTIVE, simnet.REACTIVE])
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_transcript_bytes_equal_json_of_each_record_on_every_scenario(name, mode):
+    _metrics, transcript = simnet.run(build(name, mode))
+    assert transcript.to_ndjson() == _oracle_ndjson(transcript._entries)
 
 
 def test_transcript_bytes_equal_json_when_a_message_recurs_batches_later():
@@ -607,13 +630,17 @@ def conservation(metrics) -> bool:
     )
 
 
-def test_conservation_across_fixture_runs(chain_text, diamond_text, loop_text):
-    for text in (chain_text, diamond_text, loop_text):
-        for mode in ("PROACTIVE", "REACTIVE"):
-            scenario = load_scenario(text)
-            scenario.mode = mode
-            metrics, _ = simnet.run(scenario)
-            assert conservation(metrics), metrics.to_text()
+@pytest.mark.parametrize("mode", [simnet.PROACTIVE, simnet.REACTIVE])
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_every_request_ends_once_or_is_still_pending(name, mode):
+    metrics, transcript = simnet.run(build(name, mode))
+    records = transcript.records
+    injected = [r["message"]["msg_id"] for r in records if r["direction"] == "inject"]
+    ended = Counter(r["message"]["msg_id"] for r in records if r["direction"] == "done")
+    assert len(injected) == metrics.injected > 0
+    assert set(ended) <= set(injected) and max(ended.values(), default=1) == 1
+    assert sum(msg_id not in ended for msg_id in injected) == metrics.still_pending
+    assert conservation(metrics), metrics.to_text()
 
 
 def test_conservation_with_mid_run_failures():
@@ -654,12 +681,19 @@ def test_node_down_loses_in_flight_messages():
         nodes, links, homes, policies=["route realm.org via ah security psk"],
         events=events, stop_time=300,
     )
-    metrics, _ = simnet.run(scenario)
+    metrics, transcript = simnet.run(scenario)
     assert conservation(metrics)
+    # the request ends where it was lost, once, and is not left pending
+    assert (metrics.injected, metrics.lost_in_flight, metrics.errored, metrics.still_pending,
+            metrics.delivered) == (1, 1, 1, 0, 0)
+    assert metrics.error_codes == {"LOST_IN_FLIGHT": 1}
+    done = [r for r in transcript.records if r["direction"] == "done"]
+    assert [(r["actor"], r["message"]["status"], r["message"]["error"]) for r in done] == [
+        ("ai", "error", "LOST_IN_FLIGHT")]
 
 
 @pytest.mark.parametrize("mode", [simnet.PROACTIVE, simnet.REACTIVE])
-def test_an_inject_at_a_down_client_is_lost_and_stays_pending(mode):
+def test_an_inject_at_a_down_client_is_lost_and_ends_errored(mode):
     nodes, links, homes = chain_nodes()
     nodes["ac"]["state"] = "DOWN"
     scenario = make_scenario(
@@ -667,9 +701,14 @@ def test_an_inject_at_a_down_client_is_lost_and_stays_pending(mode):
         events=[inject(50, "ac", "alice@realm.org", "alice-pw")], stop_time=300,
     )
     metrics, transcript = simnet.run(scenario)
-    assert (metrics.injected, metrics.lost_in_flight, metrics.still_pending,
-            metrics.delivered) == (1, 1, 1, 0)
-    assert [r["direction"] for r in transcript.records if r["actor"] == "ac"] == ["inject"]
+    assert (metrics.injected, metrics.lost_in_flight, metrics.errored, metrics.still_pending,
+            metrics.delivered) == (1, 1, 1, 0, 0)
+    assert metrics.error_codes == {"LOST_IN_FLIGHT": 1}
+    records = [r for r in transcript.records if r["actor"] == "ac"]
+    assert [r["direction"] for r in records] == ["inject", "done"]
+    assert records[1]["time"] == 50
+    assert records[1]["message"] == {**records[0]["message"], "status": "error",
+                                     "error": "LOST_IN_FLIGHT"}
 
 
 # ---------------------------------------------------------------------------
