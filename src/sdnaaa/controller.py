@@ -26,7 +26,6 @@ from .model import (
     PeerEntry,
     Realm,
     RealmEntry,
-    RealmPattern,
     SharedSecret,
     TlsProfile,
     TlsRef,
@@ -58,8 +57,9 @@ class Topology:
 
     Links and roles are fixed for a run, so the sorted neighbour lists and
     the sorted client list are built once, here. A node's ``state`` is the
-    loaded one and stays fixed too; the controller caches each home's
-    shortest paths until its liveness view (``suspected``) changes."""
+    loaded one: the controller's liveness view (``suspected``) starts from
+    it, and the controller caches each home's shortest paths until that
+    view changes."""
 
     nodes: dict[str, NodeInfo]
     allowed_links: set[frozenset]
@@ -79,7 +79,7 @@ class Topology:
 @dataclass(frozen=True)
 class Policy:
     policy_id: str
-    realm_pattern: RealmPattern
+    realm_pattern: str  # as model.parse_pattern gives it
     home_node: str
     security: str  # psk | tls
     default_entry_ttl: Optional[int] = None
@@ -94,7 +94,7 @@ def load_policy(text: str, topology: Topology) -> list[Policy]:
     DUPLICATE_PATTERN for a pattern an earlier line gave (a node's routing
     list is keyed by pattern).
     """
-    policies: dict[str, Policy] = {}  # by pattern text
+    policies: dict[str, Policy] = {}  # by pattern
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -108,7 +108,7 @@ def load_policy(text: str, topology: Topology) -> list[Policy]:
         ):
             raise CodedError("PARSE_ERROR", f"line {lineno}: {line!r}")
         try:
-            pattern = RealmPattern.parse(tokens[1])
+            pattern = model.parse_pattern(tokens[1])
         except CodedError:
             raise CodedError("PARSE_ERROR", f"line {lineno}: bad pattern {tokens[1]!r}") from None
         home = tokens[3]
@@ -123,25 +123,22 @@ def load_policy(text: str, topology: Topology) -> list[Policy]:
             if not digits.isdigit() or int(digits) <= 0:
                 raise CodedError("PARSE_ERROR", f"line {lineno}: bad ttl")
             ttl = int(digits)
-        if pattern.text in policies:
-            raise CodedError("DUPLICATE_PATTERN", f"line {lineno}: {pattern.text}")
-        policies[pattern.text] = Policy(f"p{len(policies) + 1}", pattern, home, security, ttl)
+        if pattern in policies:
+            raise CodedError("DUPLICATE_PATTERN", f"line {lineno}: {pattern}")
+        policies[pattern] = Policy(f"p{len(policies) + 1}", pattern, home, security, ttl)
     return list(policies.values())
 
 
 def compute_next_hops(
     topology: Topology, target: str, exclude: frozenset = frozenset()
 ) -> dict[str, str]:
-    """BFS shortest-path next hops toward ``target`` over UP nodes.
+    """BFS shortest-path next hops toward ``target`` over the nodes not in
+    ``exclude``.
 
     Ties between equal-distance next hops break toward the
     lexicographically smallest node id; unreachable nodes are absent.
     """
-    up = {
-        n
-        for n, info in topology.nodes.items()
-        if info.state == "UP" and n not in exclude
-    }
+    up = topology.nodes.keys() - exclude
     if target not in up:
         return {}
     adjacent = topology.adjacent
@@ -211,18 +208,17 @@ class Controller:
         self.parallel_adjacency = parallel_adjacency
         self.sessions: dict[str, southbound.Session] = {}
         self.policies: tuple[Policy, ...] = tuple(policies)
-        self._policy_for_pattern = {p.realm_pattern.text: p for p in self.policies}
+        self._policy_for_pattern = {p.realm_pattern: p for p in self.policies}
         self._policy_for_id = {p.policy_id: p for p in self.policies}
         self.adjacencies: dict[frozenset, AdjacencyRecord] = {}
         # desired state confirmed by OK replies; holds no credential bytes
         self.ledger: dict[str, dict] = {}
-        self.suspected: set[str] = set()
+        # a node loaded DOWN is suspect until it registers
+        self.suspected = {n for n, info in topology.nodes.items() if info.state != "UP"}
         # shortest paths per home; dropped whenever ``suspected`` changes
         self._paths: dict[str, _Paths] = {}
         self.reports: list[dict] = []
         self._jobs: deque = deque()
-        self._active = False
-        self._pumping = False
 
     # ------------------------------------------------------------------
     # wiring
@@ -242,26 +238,18 @@ class Controller:
     def _submit(self, gen) -> Reply:
         done = Reply()
         self._jobs.append((gen, done))
-        self._pump()
+        if len(self._jobs) == 1:  # idle: the running job stays queued until it ends
+            southbound.run_workflow(self._drain())
         return done
 
-    def _pump(self) -> None:
-        if self._pumping:
-            return
-        self._pumping = True
-        try:
-            while not self._active and self._jobs:
-                gen, done = self._jobs.popleft()
-                self._active = True
-
-                def finish(result, done=done):
-                    self._active = False
-                    done.resolve(result)
-                    self._pump()
-
-                southbound.run_workflow(gen).add_done_callback(finish)
-        finally:
-            self._pumping = False
+    def _drain(self):
+        """Run the queued jobs in submission order, resolving each one's
+        Reply with its result."""
+        jobs = self._jobs
+        while jobs:
+            gen, done = jobs[0]
+            done.resolve((yield from gen))
+            jobs.popleft()
 
     # ------------------------------------------------------------------
     # public operations (each returns a Reply resolved when the job ends)
@@ -308,35 +296,27 @@ class Controller:
 
     def _adjacency_changes(self, a: str, b: str, security: str):
         """Fabricate one credential pair; the raw material lives only in the
-        changes, the controller keeps the fingerprint. Each side is a
-        function of the expiration that builds the side's changes when its
-        frame is sent."""
-        def side(other: str, identity: str, transport: Transport, credential, profile=None):
-            """Builds the TLS profile (``profile`` is its fields), if any, then
-            the peer entry for ``other``."""
-            fields = (other, identity, self._address(other), model.TRANSPORT_PORTS[transport],
-                      transport, credential)
-
-            def changes(exp: Optional[int]) -> list[ConfigChange]:
-                peer = ConfigChange(southbound.MERGE, f"peers/{other}", PeerEntry(*fields, exp))
-                if profile is None:
-                    return [peer]
-                return [ConfigChange(southbound.MERGE, f"tls/{profile[0]}", TlsProfile(*profile)), peer]
-            return changes
+        sides, the controller keeps the fingerprint. A side is its TLS
+        profile (None for psk) and the fields of its peer entry but the
+        expiration; ``_frame_changes`` builds its changes when its frame is
+        sent."""
+        def peer(other: str, identity: str, transport: Transport, credential) -> tuple:
+            return (other, identity, self._address(other), model.TRANSPORT_PORTS[transport],
+                    transport, credential)
 
         if security == PSK:
             secret = self.rng.randbytes(32)
             credential = SharedSecret(secret)
-            return (side(b, b, Transport.RADIUS_UDP, credential),
-                    side(a, a, Transport.RADIUS_UDP, credential),
+            return ((None, peer(b, b, Transport.RADIUS_UDP, credential)),
+                    (None, peer(a, a, Transport.RADIUS_UDP, credential)),
                     hashlib.sha256(secret).hexdigest())
         key_a = self.rng.randbytes(32)
         key_b = self.rng.randbytes(32)
         sides = []
         for own, other, key in ((a, b, key_a), (b, a, key_b)):
             name = f"tls-{own}-{other}"
-            sides.append(side(other, f"{other}-cert", Transport.RADIUS_TLS, TlsRef(name),
-                              (name, f"{own}-cert", key, frozenset({f"{other}-cert"}))))
+            sides.append((TlsProfile(name, f"{own}-cert", key, frozenset({f"{other}-cert"})),
+                          peer(other, f"{other}-cert", Transport.RADIUS_TLS, TlsRef(name))))
         return sides[0], sides[1], hashlib.sha256(key_a + key_b).hexdigest()
 
     def _expiration(self, ttl: Optional[int]) -> Optional[int]:
@@ -351,14 +331,18 @@ class Controller:
         ``hop`` is None."""
         pattern = policy.realm_pattern
         action = Action.LOCAL if hop is None else Action.RELAY
-        return ConfigChange(southbound.MERGE, f"routing/{pattern.text}",
+        return ConfigChange(southbound.MERGE, f"routing/{pattern}",
                             RealmEntry(pattern, hop, action, (), exp))
 
     def _frame_changes(self, side, policy: Optional[Policy], hops, ttl: Optional[int]):
         """An adjacency frame's changes, built at its send time: the side's
-        peer (after its TLS profile), then the policy's routes via ``hops``."""
+        TLS profile (if any), its peer, then the policy's routes via ``hops``."""
+        profile, peer = side
         exp = self._expiration(ttl)
-        return side(exp) + [self._route_change(policy, hop, exp) for hop in hops]
+        changes = [] if profile is None else [
+            ConfigChange(southbound.MERGE, f"tls/{profile.name}", profile)]
+        changes.append(ConfigChange(southbound.MERGE, f"peers/{peer[0]}", PeerEntry(*peer, exp)))
+        return changes + [self._route_change(policy, hop, exp) for hop in hops]
 
     # ------------------------------------------------------------------
     # ledger bookkeeping
@@ -391,9 +375,9 @@ class Controller:
                     "policy": policy_id,
                 }
 
-    def _ledgered_route(self, node_id: str, pattern_text: str) -> Optional[dict]:
+    def _ledgered_route(self, node_id: str, pattern: str) -> Optional[dict]:
         entry = self.ledger.get(node_id)
-        return None if entry is None else entry["routes"].get(pattern_text)
+        return None if entry is None else entry["routes"].get(pattern)
 
     def _paths_to(self, home: str) -> _Paths:
         """The shared, read-only shortest paths toward ``home`` for the
@@ -510,7 +494,7 @@ class Controller:
     def _missing_route(self, policy: Policy, node: str, hop: Optional[str]) -> bool:
         """Whether the ledger lacks the policy's route at ``node``: RELAY via
         ``hop``, or LOCAL when ``hop`` is None."""
-        have = self._ledgered_route(node, policy.realm_pattern.text)
+        have = self._ledgered_route(node, policy.realm_pattern)
         action = Action.LOCAL if hop is None else Action.RELAY
         return have is None or have["next_hop"] != hop or have["action"] != action.value
 
@@ -562,7 +546,7 @@ class Controller:
             if frame.type == southbound.OK:
                 for item, change in zip(items, changes):
                     self._ledger_changes(n, (change,), item.policy.policy_id)
-                    item.report.update(pattern=item.policy.realm_pattern.text, outcome="OK")
+                    item.report.update(pattern=item.policy.realm_pattern, outcome="OK")
             elif len(items) == 1:
                 items[0].report.update(outcome="FAILED", error=frame.error["code"])
             else:
@@ -645,7 +629,7 @@ class Controller:
             if record is not None:
                 record.status = "NONE"
         else:
-            gone = node_entry.get("routes", {}).pop(note.pattern.text, None)
+            gone = node_entry.get("routes", {}).pop(note.pattern, None)
         policy = self._policy_for_id.get(gone["policy"]) if gone else None
         return (yield from self._reprovision(policy, "expired", note, "REMOVAL_CONFIRMED"))
 
@@ -677,7 +661,7 @@ class Controller:
             "policies": [
                 {
                     "policy_id": p.policy_id,
-                    "pattern": p.realm_pattern.text,
+                    "pattern": p.realm_pattern,
                     "home": p.home_node,
                     "security": p.security,
                     "ttl": p.default_entry_ttl,

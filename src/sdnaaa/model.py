@@ -15,7 +15,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -44,7 +44,7 @@ class CodedError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# identities and realm patterns
+# identities and routing patterns
 
 
 @dataclass(frozen=True)
@@ -65,15 +65,6 @@ class Realm:
     @cached_property  # stored in the instance dict; eq and hash use the fields
     def text(self) -> str:
         return ".".join(self.labels)
-
-    @cached_property
-    def valid(self) -> bool:
-        """Whether the labels are what ``parse`` accepts, checked once per
-        realm: validation reads it for every route that names the realm."""
-        labels = self.labels
-        return 1 <= len(labels) <= _MAX_REALM_LABELS and all(
-            isinstance(label, str) and _LABEL_RE.fullmatch(label) for label in labels
-        )
 
     @cached_property
     def lookup_keys(self) -> tuple[str, ...]:
@@ -124,45 +115,27 @@ def parse_nai(text: str) -> Nai:
     return Nai(user, Realm.parse(realm_text))
 
 
-class PatternKind(Enum):
-    EXACT = "exact"
-    WILDCARD = "wildcard"
-    DEFAULT = "default"
+def parse_pattern(text: str) -> str:
+    """A routing pattern's key text: ``*``, a ``*.<realm>`` wildcard (at
+    least one extra label in front of the realm), or an exact ``<realm>``,
+    the realm lower-cased by ``Realm.parse``. The patterns that match a
+    realm are those in ``Realm.lookup_keys``. Errors: BAD_REALM."""
+    if text == "*":
+        return text
+    if text.startswith("*."):
+        return "*." + Realm.parse(text[2:]).text
+    return Realm.parse(text).text
 
 
-@dataclass(frozen=True)
-class RealmPattern:
-    """Routing pattern: an exact realm, a ``*.suffix`` wildcard, or ``*``.
-
-    A wildcard requires at least one extra label in front of its suffix;
-    the patterns that match a realm are those whose texts are in
-    ``Realm.lookup_keys``.
-    """
-
-    kind: PatternKind
-    suffix: Optional[Realm] = None
-    # the routing key, built once per pattern; eq and hash use the fields above
-    text: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.kind is PatternKind.DEFAULT:
-            text = "*"
-        elif self.kind is PatternKind.WILDCARD:
-            text = f"*.{self.suffix.text}"
-        else:
-            text = self.suffix.text
-        object.__setattr__(self, "text", text)
-
-    @classmethod
-    def parse(cls, text: str) -> "RealmPattern":
-        if text == "*":
-            return cls(PatternKind.DEFAULT)
-        if text.startswith("*."):
-            return cls(PatternKind.WILDCARD, Realm.parse(text[2:]))
-        return cls(PatternKind.EXACT, Realm.parse(text))
-
-    def __str__(self) -> str:
-        return self.text
+@lru_cache(maxsize=1024)
+def _canonical_pattern(text: str) -> bool:
+    """Whether ``text`` is a pattern's key text as ``parse_pattern`` gives it:
+    the one validity check, made once per text, of the YANG decoder and of
+    validation."""
+    try:
+        return parse_pattern(text) == text
+    except CodedError:  # BAD_REALM
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +226,7 @@ class AttributeRule:
 
 @dataclass(frozen=True)
 class RealmEntry:
-    pattern: RealmPattern
+    pattern: str  # as parse_pattern gives it
     next_hop: Optional[str]  # peer_id; None for LOCAL
     action: Action
     rule_refs: tuple[str, ...] = ()
@@ -320,7 +293,7 @@ class Notification:
     node_id: str
     realm: Optional[Realm] = None
     peer_id: Optional[str] = None
-    pattern: Optional[RealmPattern] = None
+    pattern: Optional[str] = None
 
     ACQUIRE_ROUTE = "acquire-route"
     PEER_EXPIRED = "peer-expired"
@@ -334,7 +307,7 @@ class Notification:
         if self.peer_id is not None:
             out["peer"] = self.peer_id
         if self.pattern is not None:
-            out["pattern"] = self.pattern.text
+            out["pattern"] = self.pattern
         return out
 
     @classmethod
@@ -346,7 +319,7 @@ class Notification:
         return cls(cls.PEER_EXPIRED, node_id, peer_id=peer_id)
 
     @classmethod
-    def route_expired(cls, node_id: str, pattern: RealmPattern) -> "Notification":
+    def route_expired(cls, node_id: str, pattern: str) -> "Notification":
         return cls(cls.ROUTE_EXPIRED, node_id, pattern=pattern)
 
     @classmethod
@@ -384,8 +357,8 @@ class ConfigDocument:
     def peer(self, peer_id: str) -> Optional[PeerEntry]:
         return self.peers.get(peer_id)
 
-    def route(self, pattern_text: str) -> Optional[RealmEntry]:
-        return self.routing.get(pattern_text)
+    def route(self, pattern: str) -> Optional[RealmEntry]:
+        return self.routing.get(pattern)
 
     def profile(self, name: str) -> Optional[TlsProfile]:
         return self.tls.get(name)
@@ -547,7 +520,7 @@ def _check_peer(doc: ConfigDocument, key: str, p: PeerEntry, out: list) -> None:
 
 def _check_route(doc: ConfigDocument, key: str, r: RealmEntry, out: list) -> None:
     where = f"routing/{key}"
-    if r.pattern.kind is not PatternKind.DEFAULT and not r.pattern.suffix.valid:
+    if not (isinstance(r.pattern, str) and _canonical_pattern(r.pattern)):
         out.append(Violation("BAD_REALM", where))
     if r.action is Action.LOCAL:
         if r.next_hop is not None:
@@ -755,14 +728,11 @@ def _enum(enum_cls) -> Callable:
     return decode
 
 
-def _pattern(value, where: str) -> RealmPattern:
+def _pattern(value, where: str) -> str:
     text = _string(value, where)
-    try:
-        if text == text.lower():  # upper case is rejected, not lower-cased, as in a hex leaf
-            return RealmPattern.parse(text)
-    except CodedError:  # BAD_REALM
-        pass
-    raise CodedError("SCHEMA_ERROR", f"{where}: bad pattern")
+    if not _canonical_pattern(text):  # upper case is rejected, not lower-cased, as in a hex leaf
+        raise CodedError("SCHEMA_ERROR", f"{where}: bad pattern")
+    return text
 
 
 def _key_bytes_to_json(value: Union[bytes, str]) -> str:
@@ -798,7 +768,7 @@ SCHEMAS = {
         Leaf("expiration", _same, _integer, None),
     ), duplicate="DUPLICATE_PEER_ID", check=_check_peer),
     "routing": Schema(RealmEntry, (
-        Leaf("pattern", attrgetter("text"), _pattern),
+        Leaf("pattern", _same, _pattern),
         Leaf("next_hop", _same, _string, None),
         Leaf("action", _VALUE, _enum(Action)),
         Leaf("rule_refs", list, _strings(tuple), ()),

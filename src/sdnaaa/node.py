@@ -25,7 +25,6 @@ from .model import (
     Notification,
     Realm,
     RealmEntry,
-    RealmPattern,
     RuleOp,
     SharedSecret,
     TlsRef,
@@ -510,7 +509,7 @@ class Node:
             self._fail_queue(realm_text, "CHANNEL_FAILED")
             return
         self.route_cache[realm_text] = RealmEntry(
-            pattern=RealmPattern(model.PatternKind.EXACT, hint.realm),
+            pattern=realm_text,
             next_hop=peer.peer_id,
             action=Action.RELAY,
             expiration=now + hint.ttl,

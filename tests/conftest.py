@@ -24,7 +24,6 @@ from sdnaaa.model import (
     PeerEntry,
     Realm,
     RealmEntry,
-    RealmPattern,
     RuleOp,
     SharedSecret,
     TlsProfile,
@@ -257,13 +256,13 @@ def make_random_valid_doc(rng: random.Random, max_entities: int = 4) -> ConfigDo
     for i in range(rng.randint(0, max_entities)):
         shape = rng.choice(("exact", "wild", "default"))
         if shape == "exact":
-            pattern = RealmPattern.parse(f"r{i}.example.org")
+            pattern = f"r{i}.example.org"
         elif shape == "wild":
-            pattern = RealmPattern.parse(f"*.w{i}.org")
+            pattern = f"*.w{i}.org"
         else:
-            pattern = RealmPattern.parse("*")
+            pattern = "*"
             shape = f"default{i}"
-        if any(r.pattern.text == pattern.text for r in routing):
+        if any(r.pattern == pattern for r in routing):
             continue
         expiration = None if rng.random() < 0.6 else rng.randint(1, 10**6)
         if not peers or rng.random() < 0.3:
@@ -378,7 +377,7 @@ def random_scenario(seed: int, mode: str) -> simnet.Scenario:
 
 
 def route(pattern: str, next_hop, action: Action, rule_refs=()) -> RealmEntry:
-    return RealmEntry(RealmPattern.parse(pattern), next_hop, action, rule_refs)
+    return RealmEntry(pattern, next_hop, action, rule_refs)
 
 
 def redirect_fabric() -> simnet.Scenario:

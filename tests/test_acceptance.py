@@ -28,7 +28,7 @@ from conftest import (
 )
 from sdnaaa import model, simnet, southbound
 from sdnaaa.cli import main
-from sdnaaa.model import PeerEntry, RealmEntry, RealmPattern, SharedSecret, TlsProfile, Transport
+from sdnaaa.model import PeerEntry, RealmEntry, SharedSecret, TlsProfile, Transport
 from sdnaaa.node import Node
 from sdnaaa.southbound import ConfigChange, open_session
 
@@ -320,17 +320,17 @@ def test_criterion_09_atomicity_fuzz_1000_batches():
         secret = rng.randbytes(32)
         peer = PeerEntry(f"p{tag}", f"p{tag}", f"p{tag}.sim", rng.randint(1, 65535),
                          Transport.RADIUS_UDP, SharedSecret(secret))
-        route = RealmEntry(RealmPattern.parse(f"r{tag}.org"), peer.peer_id, model.Action.RELAY)
+        route = RealmEntry(f"r{tag}.org", peer.peer_id, model.Action.RELAY)
         return [
             ConfigChange(southbound.MERGE, f"peers/{peer.peer_id}", peer),
-            ConfigChange(southbound.MERGE, f"routing/{route.pattern.text}", route),
+            ConfigChange(southbound.MERGE, f"routing/{route.pattern}", route),
         ]
 
     def invalid_change(tag: str):
         choice = rng.randrange(5)
         if choice == 0:
-            entry = RealmEntry(RealmPattern.parse(f"x{tag}.org"), "ghost", model.Action.RELAY)
-            return ConfigChange(southbound.MERGE, f"routing/{entry.pattern.text}", entry)
+            entry = RealmEntry(f"x{tag}.org", "ghost", model.Action.RELAY)
+            return ConfigChange(southbound.MERGE, f"routing/{entry.pattern}", entry)
         if choice == 1:
             return ConfigChange(southbound.DELETE, f"peers/never-{tag}")
         if choice == 2:

@@ -25,7 +25,7 @@ from sdnaaa.controller import (
     load_policy,
 )
 from sdnaaa.model import (
-    Action, CodedError, ConfigDocument, PatternKind, Realm, RealmEntry, RealmPattern,
+    Action, CodedError, ConfigDocument, Realm, RealmEntry,
 )
 from test_model import match_realm
 
@@ -72,7 +72,7 @@ def test_load_policy_parses_directives():
         t,
     )
     assert len(policies) == 2
-    assert policies[0].realm_pattern.text == "*.org"
+    assert policies[0].realm_pattern == "*.org"
     assert policies[0].security == "tls"
     assert policies[0].default_entry_ttl is None
     assert policies[1].default_entry_ttl == 5000
@@ -143,9 +143,10 @@ def test_next_hops_exclude_unreachable_nodes():
 
 
 def test_next_hops_skip_down_nodes():
+    # the controller passes its liveness view, which holds the DOWN nodes
     t = topo({"a": "CLIENT", "b": "AGENT", "c": "SERVER"}, [("a", "b"), ("b", "c")])
-    t.nodes["b"].state = "DOWN"
-    assert compute_next_hops(t, "c") == {}
+    assert compute_next_hops(t, "c", frozenset({"b"})) == {}
+    assert compute_next_hops(t, "b", frozenset({"b"})) == {}
 
 
 def all_shortest_next_hops(t: Topology, src: str, target: str) -> set[str]:
@@ -382,7 +383,7 @@ def test_desired_state_matches_node_configs_after_provision():
     for node_id, entry in sim.controller.ledger.items():
         doc = wait(sim, sim.controller.get_node_config(node_id))
         assert {p.peer_id for p in doc.peers.values()} == set(entry["peers"])
-        assert {r.pattern.text for r in doc.routing.values()} == set(entry["routes"])
+        assert {r.pattern for r in doc.routing.values()} == set(entry["routes"])
 
 
 # ---------------------------------------------------------------------------
@@ -580,9 +581,8 @@ def test_provisioning_200_realms_builds_each_pattern_text_once():
     patterns = {id(p.realm_pattern): p.realm_pattern for p in sim.controller.policies}
     routed = [entry.pattern for n in sim.nodes.values() for entry in n.running.routing.values()]
     assert len(routed) > 2 * len(patterns)
-    # every route names its policy's pattern, whose text is one kept string
+    # every route holds its policy's pattern, the one string load_policy built
     assert {id(pattern) for pattern in routed} <= set(patterns)
-    assert all(pattern.text is pattern.text for pattern in patterns.values())
 
 
 def test_provisioning_200_realms_probes_the_ledger_once_per_hop_and_route(monkeypatch):
@@ -683,8 +683,8 @@ def test_match_policy_equals_a_linear_scan_over_distinct_patterns():
         return Realm(tuple(rng.choice(("a", "b", "org")) for _ in range(rng.randint(1, 3))))
 
     def pattern():
-        kind = rng.choice(list(PatternKind))
-        return RealmPattern(kind, None if kind is PatternKind.DEFAULT else realm())
+        prefix = rng.choice(("", "*.", "*"))  # exact, wildcard, default
+        return prefix if prefix == "*" else prefix + realm().text
 
     matched = 0
     for _ in range(300):
@@ -821,7 +821,7 @@ def test_acquire_without_a_path_sends_nothing_and_the_request_times_out():
 def test_expiry_of_an_unowned_static_entry_sends_no_frame():
     nodes, links, homes = chain_nodes()
     static = ConfigDocument(
-        routing=(RealmEntry(RealmPattern.parse("realm.org"), None, Action.LOCAL, (), 100),)
+        routing=(RealmEntry("realm.org", None, Action.LOCAL, (), 100),)
     )
     scenario = make_scenario(nodes, links, homes, static_config={"ah": static}, stop_time=500)
     metrics, transcript = simnet.Simulation(scenario).run()
@@ -938,6 +938,26 @@ def test_next_hops_follow_suspicion_and_reregistration(diamond_text):
     assert sim.metrics.delivered == 2
     done = [r for r in sim.transcript.records if r["direction"] == "done"]
     assert [r["message"]["trace"] for r in done] == [["cl", "ab", "ha"], ["cl", "aa", "ha"]]
+
+
+@pytest.mark.parametrize("mode", ["PROACTIVE", "REACTIVE"])
+def test_a_node_loaded_down_is_used_once_it_registers(chain_text, mode):
+    # aj, the chain's one way to the home ah, is loaded DOWN and comes up at
+    # t=10; the request injected at t=500 must find the path through it
+    obj = json.loads(chain_text)
+    obj["topology"]["nodes"]["aj"]["state"] = "DOWN"
+    obj["mode"] = mode
+    obj["events"] = [{"time": 10, "kind": "node-up", "node": "aj"},
+                     inject(500, "ac", "alice@realm.org", "alice-pw")]
+    obj["stop_time"] = 3000
+    sim = simnet.Simulation(simnet.scenario_from_dict(obj))
+    assert sim.controller.suspected == {"aj"}
+    sim.run_until(100)
+    assert sim.controller.suspected == set()
+    metrics, transcript = sim.run()
+    assert (metrics.delivered, metrics.still_pending) == (1, 0)
+    done = [r for r in transcript.records if r["direction"] == "done"]
+    assert done[0]["message"]["trace"] == ["ac", "ai", "aj", "ah"]
 
 
 def test_snapshot_json_round_trips():

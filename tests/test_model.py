@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import string
 
 import pytest
 from hypothesis import given
@@ -8,17 +9,16 @@ from hypothesis import strategies as st
 
 from conftest import make_random_valid_doc, secret_hexes
 from sdnaaa import model
+from sdnaaa.controller import SERVER, NodeInfo, Topology, load_policy
 from sdnaaa.model import (
     Action,
     AttributeRule,
     CodedError,
     ConfigDocument,
     Direction,
-    PatternKind,
     PeerEntry,
     Realm,
     RealmEntry,
-    RealmPattern,
     RuleOp,
     SharedSecret,
     TlsProfile,
@@ -99,15 +99,16 @@ def test_parse_nai_inverts_for_valid_pairs(user, realm):
 # realm pattern matching
 
 
-def match_realm(pattern: RealmPattern, realm: Realm):
+def match_realm(pattern: str, realm: Realm):
     """Linear-scan oracle: the pattern's specificity if it matches
     ``realm``, else None. Specificity is 2n+1 for an exact pattern of n
     labels, 2n for a wildcard with an n-label suffix and 0 for the default;
     a wildcard requires at least one extra label in front of its suffix."""
-    if pattern.kind is PatternKind.DEFAULT:
+    if pattern == "*":
         return 0
-    suffix = pattern.suffix.labels
-    if pattern.kind is PatternKind.EXACT:
+    wildcard = pattern.startswith("*.")
+    suffix = tuple(pattern.removeprefix("*.").split("."))
+    if not wildcard:
         return 2 * len(suffix) + 1 if realm.labels == suffix else None
     if len(realm.labels) > len(suffix) and realm.labels[-len(suffix):] == suffix:
         return 2 * len(suffix)
@@ -116,31 +117,75 @@ def match_realm(pattern: RealmPattern, realm: Realm):
 
 def test_wildcard_matches_longer_realm():
     realm = Realm.parse("realm.org")
-    assert match_realm(RealmPattern.parse("*.org"), realm) == 2
+    assert match_realm("*.org", realm) == 2
     assert "*.org" in realm.lookup_keys
 
 
 def test_exact_match_specificity():
     realm = Realm.parse("realm.org")
-    assert match_realm(RealmPattern.parse("realm.org"), realm) == 5
+    assert match_realm("realm.org", realm) == 5
     assert realm.lookup_keys[0] == "realm.org"
 
 
 def test_wildcard_requires_extra_label():
     realm = Realm.parse("org")
-    assert match_realm(RealmPattern.parse("*.org"), realm) is None
+    assert match_realm("*.org", realm) is None
     assert "*.org" not in realm.lookup_keys
 
 
 def test_default_matches_everything():
     realm = Realm.parse("any.where.at.all")
-    assert match_realm(RealmPattern.parse("*"), realm) == 0
+    assert match_realm("*", realm) == 0
     assert realm.lookup_keys[-1] == "*"
 
 
-def test_pattern_text_round_trip():
-    for text in ("*", "*.org", "realm.org", "*.a.b.c"):
-        assert RealmPattern.parse(text).text == text
+# text over [A-Za-z0-9.*-], empty included, half of its characters ".*-"
+PATTERN_TEXTS = st.text(st.sampled_from(string.ascii_letters + string.digits) | st.sampled_from(".*-"),
+                        max_size=12) | st.from_regex(
+    r"\*|(\*\.)?[A-Za-z0-9-]{1,4}(\.[A-Za-z0-9-]{1,4}){0,2}", fullmatch=True)
+
+
+@given(PATTERN_TEXTS)
+def test_pattern_text_round_trip(text):
+    """The YANG decoder, validation and the policy loader all accept a
+    pattern exactly when ``parse_pattern`` gives it back unchanged."""
+    try:
+        parsed = model.parse_pattern(text)
+    except CodedError as e:
+        assert e.code == "BAD_REALM"
+        parsed = None
+    canonical = parsed == text
+    if parsed is not None:
+        assert model.parse_pattern(parsed) == parsed
+
+    entry = {"pattern": text, "action": "local"}
+    try:
+        doc = model.document_from_json({"peers": [], "routing": [entry], "tls": [], "attributes": []})
+    except CodedError as e:
+        assert e.code == "SCHEMA_ERROR"
+        doc = None
+    assert (doc is not None) == canonical
+    if doc is not None:
+        assert list(doc.routing) == [text]
+
+    violations = model.validate_document(ConfigDocument(routing=(RealmEntry(text, None, Action.LOCAL),)))
+    assert violations == ([] if canonical else [model.Violation("BAD_REALM", f"routing/{text}")])
+
+    topology = Topology({"h": NodeInfo("h.sim", SERVER)}, set())
+    try:
+        policies = load_policy(f"route {text} via h security psk", topology)
+    except CodedError as e:
+        assert e.code == "PARSE_ERROR"
+        policies = None
+    assert (policies is not None) == (parsed is not None)
+    if policies is not None:
+        assert [p.realm_pattern for p in policies] == [parsed]
+
+
+@pytest.mark.parametrize("value", [None, 7, ("realm", "org")])
+def test_a_pattern_that_is_not_a_string_is_a_bad_realm(value):
+    doc = ConfigDocument(routing={"x": RealmEntry(value, None, Action.LOCAL)})
+    assert model.validate_document(doc) == [model.Violation("BAD_REALM", "routing/x")]
 
 
 @pytest.mark.parametrize(
@@ -157,38 +202,38 @@ def test_lookup_keys_walk_from_the_realm_to_the_default(text, keys):
 @given(REALMS)
 def test_lookup_keys_are_the_matching_patterns_most_specific_first(realm):
     # every pattern that can match this realm, constructed exhaustively
-    patterns = [RealmPattern(PatternKind.DEFAULT), RealmPattern(PatternKind.EXACT, realm)]
+    patterns = ["*", realm.text]
     for cut in range(1, len(realm.labels)):
-        patterns.append(RealmPattern(PatternKind.WILDCARD, Realm(realm.labels[cut:])))
+        patterns.append("*." + ".".join(realm.labels[cut:]))
     specs = [match_realm(p, realm) for p in patterns]
     assert all(s is not None for s in specs)
     assert len(set(specs)) == len(specs)
     ranked = sorted(zip(specs, patterns), key=lambda pair: pair[0], reverse=True)
-    assert tuple(p.text for _, p in ranked) == realm.lookup_keys
+    assert tuple(p for _, p in ranked) == realm.lookup_keys
 
 
 SMALL_LABEL = st.sampled_from(["a", "b", "org"])
 SMALL_REALMS = st.lists(SMALL_LABEL, min_size=1, max_size=4).map(lambda ls: Realm(tuple(ls)))
 PATTERNS = st.one_of(
-    st.just(RealmPattern(PatternKind.DEFAULT)),
-    SMALL_REALMS.map(lambda r: RealmPattern(PatternKind.EXACT, r)),
-    SMALL_REALMS.map(lambda r: RealmPattern(PatternKind.WILDCARD, r)),
+    st.just("*"),
+    SMALL_REALMS.map(lambda r: r.text),
+    SMALL_REALMS.map(lambda r: "*." + r.text),
 )
 
 
 @given(PATTERNS, SMALL_REALMS)
 def test_a_pattern_matches_exactly_when_its_text_is_a_lookup_key(pattern, realm):
-    assert (match_realm(pattern, realm) is not None) == (pattern.text in realm.lookup_keys)
+    assert (match_realm(pattern, realm) is not None) == (pattern in realm.lookup_keys)
 
 
 @given(REALMS)
 def test_exact_beats_wildcard_and_default(realm):
-    exact = RealmPattern(PatternKind.EXACT, realm)
-    others = [RealmPattern(PatternKind.DEFAULT)]
+    exact = realm.text
+    others = ["*"]
     for cut in range(1, len(realm.labels)):
-        others.append(RealmPattern(PatternKind.WILDCARD, Realm(realm.labels[cut:])))
-    table = {p.text: RealmEntry(p, None, Action.LOCAL) for p in others}
-    table[exact.text] = RealmEntry(exact, None, Action.LOCAL)
+        others.append("*." + ".".join(realm.labels[cut:]))
+    table = {p: RealmEntry(p, None, Action.LOCAL) for p in others}
+    table[exact] = RealmEntry(exact, None, Action.LOCAL)
     chosen = select_route((table,), realm, now=0)
     assert chosen is not None and chosen.pattern == exact
 
@@ -198,11 +243,11 @@ def test_exact_beats_wildcard_and_default(realm):
 
 
 def _relay(pattern: str, peer: str, expiration=None) -> RealmEntry:
-    return RealmEntry(RealmPattern.parse(pattern), peer, Action.RELAY, (), expiration)
+    return RealmEntry(pattern, peer, Action.RELAY, (), expiration)
 
 
 def _table(*entries: RealmEntry) -> dict[str, RealmEntry]:
-    return {e.pattern.text: e for e in entries}
+    return {e.pattern: e for e in entries}
 
 
 def test_select_route_prefers_exact_over_default():
@@ -260,16 +305,16 @@ def _random_table(rng: random.Random, realm: Realm, tag: str) -> dict[str, Realm
     for i in range(rng.randint(0, 6)):
         kind = rng.choice(("exact", "wild", "default"))
         if kind == "exact":
-            pattern = RealmPattern(PatternKind.EXACT, realm)
+            pattern = realm.text
         elif kind == "wild" and len(realm.labels) > 1:
             cut = rng.randint(1, len(realm.labels) - 1)
-            pattern = RealmPattern(PatternKind.WILDCARD, Realm(realm.labels[cut:]))
+            pattern = "*." + ".".join(realm.labels[cut:])
         else:
-            pattern = RealmPattern(PatternKind.DEFAULT)
-        if pattern.text in table:
+            pattern = "*"
+        if pattern in table:
             continue
         expiration = rng.choice((None, rng.randint(1, 200)))
-        table[pattern.text] = _relay(pattern.text, f"{tag}{i}", expiration)
+        table[pattern] = _relay(pattern, f"{tag}{i}", expiration)
     # entries for other realms, which must never be chosen
     for i in range(rng.randint(0, 3)):
         other = f"x{i}.{realm.text}" if rng.random() < 0.5 else f"*.y{i}.{realm.text}"
@@ -301,9 +346,9 @@ def mid_path_agent_doc() -> ConfigDocument:
     )
     rules = (AttributeRule("r1", Direction.OUTGOING, RuleOp.ADD, "Operator-Name", "fed1"),)
     routing = (
-        RealmEntry(RealmPattern.parse("realm.org"), "up", Action.RELAY),
-        RealmEntry(RealmPattern.parse("*.org"), "up", Action.PROXY, ("r1",)),
-        RealmEntry(RealmPattern.parse("*"), "down", Action.RELAY),
+        RealmEntry("realm.org", "up", Action.RELAY),
+        RealmEntry("*.org", "up", Action.PROXY, ("r1",)),
+        RealmEntry("*", "down", Action.RELAY),
     )
     return ConfigDocument(peers, routing, (prof_up, prof_down), rules)
 
@@ -382,11 +427,11 @@ def test_validate_duplicate_peer_id():
             "MISSING_VALUE",
         ),
         (
-            ConfigDocument(routing=(RealmEntry(RealmPattern.parse("a.b"), "x", Action.LOCAL),)),
+            ConfigDocument(routing=(RealmEntry("a.b", "x", Action.LOCAL),)),
             "UNEXPECTED_NEXT_HOP",
         ),
         (
-            ConfigDocument(routing=(RealmEntry(RealmPattern.parse("a.b"), None, Action.RELAY),)),
+            ConfigDocument(routing=(RealmEntry("a.b", None, Action.RELAY),)),
             "MISSING_NEXT_HOP",
         ),
         (
@@ -394,7 +439,7 @@ def test_validate_duplicate_peer_id():
                 peers=(
                     PeerEntry("p", "p", "p.sim", 1812, Transport.RADIUS_UDP, SharedSecret(b"s" * 16)),
                 ),
-                routing=(RealmEntry(RealmPattern.parse("a.b"), "p", Action.RELAY, ("r9",)),),
+                routing=(RealmEntry("a.b", "p", Action.RELAY, ("r9",)),),
             ),
             "RULE_REFS_NOT_ALLOWED",
         ),
@@ -480,7 +525,7 @@ def _random_batch(rng: random.Random, doc: ConfigDocument) -> list[tuple]:
             poison = rng.randrange(3)
             if poison == 0:
                 entry = _relay(f"x{tag}.org", "ghost")
-                batch.append(("routing", entry.pattern.text, entry))
+                batch.append(("routing", entry.pattern, entry))
             else:
                 secret = rng.randbytes(32) if poison == 1 else b"short"
                 port = 0 if poison == 1 else 1812
@@ -719,7 +764,7 @@ def test_redact_keeps_other_fields_and_is_idempotent():
 
 
 def test_redact_without_credentials_is_identity():
-    doc = ConfigDocument(routing=(RealmEntry(RealmPattern.parse("*"), None, Action.LOCAL),))
+    doc = ConfigDocument(routing=(RealmEntry("*", None, Action.LOCAL),))
     assert model.redact(doc) == doc
 
 

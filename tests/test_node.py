@@ -18,7 +18,6 @@ from sdnaaa.model import (
     PeerEntry,
     Realm,
     RealmEntry,
-    RealmPattern,
     RuleOp,
     SharedSecret,
     TlsProfile,
@@ -78,7 +77,7 @@ def test_delete_referenced_peer_is_rejected_atomically():
     apply_ok(
         a,
         merge("peers", entry),
-        merge("routing", RealmEntry(RealmPattern.parse("realm.org"), "b", Action.RELAY)),
+        merge("routing", RealmEntry("realm.org", "b", Action.RELAY)),
     )
     before = model.encode_document(a.running)
     ok, err = a.apply_changes([ConfigChange(southbound.DELETE, "peers/b")])
@@ -89,8 +88,8 @@ def test_delete_referenced_peer_is_rejected_atomically():
 def test_a_frame_applies_its_changes_in_order_on_one_copy():
     _loop, _network, a = rig("a")
     entry, _ = psk_pair("a", "b", b"s" * 16)
-    relay = RealmEntry(RealmPattern.parse("realm.org"), "b", Action.RELAY)
-    apply_ok(a, merge("routing", RealmEntry(RealmPattern.parse("old.org"), None, Action.LOCAL)))
+    relay = RealmEntry("realm.org", "b", Action.RELAY)
+    apply_ok(a, merge("routing", RealmEntry("old.org", None, Action.LOCAL)))
     before = a.running
     apply_ok(
         a,
@@ -121,7 +120,7 @@ def test_a_bad_path_anywhere_in_a_frame_changes_nothing(bad, detail):
     apply_ok(a, merge("peers", entry))
     before = a.running
     ok, err = a.apply_changes([
-        merge("routing", RealmEntry(RealmPattern.parse("realm.org"), "b", Action.RELAY)),
+        merge("routing", RealmEntry("realm.org", "b", Action.RELAY)),
         ConfigChange(southbound.DELETE, "peers/b"),
         bad,
         merge("peers", entry),
@@ -139,7 +138,7 @@ def test_merge_route_with_ttl_arms_timer_for_exact_expiry():
     apply_ok(
         a,
         merge("peers", entry),
-        merge("routing", RealmEntry(RealmPattern.parse("realm.org"), "b", Action.RELAY, (), 600)),
+        merge("routing", RealmEntry("realm.org", "b", Action.RELAY, (), 600)),
     )
     realm = Realm.parse("realm.org")
     loop.run_until(599)
@@ -149,14 +148,14 @@ def test_merge_route_with_ttl_arms_timer_for_exact_expiry():
     loop.run_until(601)
     notes = [f.note for (_t, d, f) in frames if f.type == southbound.NOTIFICATION]
     expired = [n for n in notes if n.kind == Notification.ROUTE_EXPIRED]
-    assert len(expired) == 1 and expired[0].pattern.text == "realm.org"
+    assert len(expired) == 1 and expired[0].pattern == "realm.org"
 
 
 def test_tick_is_idempotent_across_repeated_calls():
     loop, _network, a = rig("a")
     entry, _ = psk_pair("a", "b", b"s" * 16)
     apply_ok(a, merge("peers", entry),
-             merge("routing", RealmEntry(RealmPattern.parse("realm.org"), "b", Action.RELAY, (), 600)))
+             merge("routing", RealmEntry("realm.org", "b", Action.RELAY, (), 600)))
     first = a.tick(600)
     second = a.tick(601)
     assert [n.kind for n in first] == [Notification.ROUTE_EXPIRED]
@@ -171,7 +170,7 @@ def test_expired_peer_cascades_dependent_routes():
     apply_ok(
         a,
         merge("peers", replace(entry, expiration=500)),
-        merge("routing", RealmEntry(RealmPattern.parse("realm.org"), "b", Action.RELAY)),
+        merge("routing", RealmEntry("realm.org", "b", Action.RELAY)),
     )
     notes = a.tick(500)
     kinds = sorted(n.kind for n in notes)
@@ -206,7 +205,7 @@ def test_edit_and_lookup_work_does_not_grow_with_table_size(monkeypatch):
     _loop, _network, a = rig("a")
     entry, _ = psk_pair("a", "b", b"s" * 16)
     routes = [
-        RealmEntry(RealmPattern.parse(f"r{i}.example.org"), "b", Action.RELAY)
+        RealmEntry(f"r{i}.example.org", "b", Action.RELAY)
         for i in range(1000)
     ]
     apply_ok(a, merge("peers", entry), *(merge("routing", r) for r in routes))
@@ -218,7 +217,7 @@ def test_edit_and_lookup_work_does_not_grow_with_table_size(monkeypatch):
             checked.append(_container)
             return _check(*args)
         monkeypatch.setitem(model.SCHEMAS, container, dataclasses.replace(schema, check=counted))
-    apply_ok(a, merge("routing", RealmEntry(RealmPattern.parse("new.org"), "b", Action.RELAY)))
+    apply_ok(a, merge("routing", RealmEntry("new.org", "b", Action.RELAY)))
     assert checked == ["routing"]
 
     # a lookup probes each table at most once per realm label plus once
@@ -350,7 +349,7 @@ def test_channel_verdict_is_symmetric(kwargs):
 def local_server_doc(peer_entry) -> ConfigDocument:
     return ConfigDocument(
         peers=(peer_entry,),
-        routing=(RealmEntry(RealmPattern.parse("realm.org"), None, Action.LOCAL),),
+        routing=(RealmEntry("realm.org", None, Action.LOCAL),),
     )
 
 
@@ -360,7 +359,7 @@ def relay_pair_scenario(extra_attrs=None, events=None):
     static = {
         "x": ConfigDocument(
             peers=(ex,),
-            routing=(RealmEntry(RealmPattern.parse("realm.org"), "y", Action.RELAY),),
+            routing=(RealmEntry("realm.org", "y", Action.RELAY),),
         ),
         "y": local_server_doc(ey),
     }
@@ -403,7 +402,7 @@ def test_wrong_password_is_rejected_end_to_end():
 def test_local_on_non_serving_node_is_realm_not_served():
     ex, ey = psk_pair("x", "y", b"s" * 16)
     static = {
-        "x": ConfigDocument(routing=(RealmEntry(RealmPattern.parse("realm.org"), None, Action.LOCAL),)),
+        "x": ConfigDocument(routing=(RealmEntry("realm.org", None, Action.LOCAL),)),
     }
     nodes = {"x": {"role": "AGENT"}, "y": {"role": "AGENT"}}
     scenario = make_scenario(
@@ -441,8 +440,8 @@ def test_route_loop_detected_on_revisit():
     secret = b"q" * 16
     ex, ey = psk_pair("x", "y", secret)
     static = {
-        "x": ConfigDocument(peers=(ex,), routing=(RealmEntry(RealmPattern.parse("realm.org"), "y", Action.RELAY),)),
-        "y": ConfigDocument(peers=(ey,), routing=(RealmEntry(RealmPattern.parse("realm.org"), "x", Action.RELAY),)),
+        "x": ConfigDocument(peers=(ex,), routing=(RealmEntry("realm.org", "y", Action.RELAY),)),
+        "y": ConfigDocument(peers=(ey,), routing=(RealmEntry("realm.org", "x", Action.RELAY),)),
     }
     nodes = {"x": {"role": "CLIENT"}, "y": {"role": "AGENT"}}
     scenario = make_scenario(
@@ -556,7 +555,7 @@ def proxy_scenario(rules, refs):
     static = {
         "x": ConfigDocument(
             peers=(ex,),
-            routing=(RealmEntry(RealmPattern.parse("realm.org"), "y", Action.PROXY, refs),),
+            routing=(RealmEntry("realm.org", "y", Action.PROXY, refs),),
             attributes=tuple(rules),
         ),
         "y": local_server_doc(ey),
@@ -642,16 +641,16 @@ def redirect_scenario(agent_has_route=True, inject_times=(20,)):
     if agent_has_route:
         ra_peer_ah = PeerEntry("ah", "ah", "ah.sim", 1812, Transport.RADIUS_UDP, SharedSecret(b"k3" * 8))
         ra_peers = (ra_peer_q, ra_peer_ah)
-        ra_routes = (RealmEntry(RealmPattern.parse("realm.org"), "ah", Action.RELAY),)
+        ra_routes = (RealmEntry("realm.org", "ah", Action.RELAY),)
     static = {
         "q": ConfigDocument(
             peers=(q_peer_ra, q_peer_ah),
-            routing=(RealmEntry(RealmPattern.parse("realm.org"), "ra", Action.REDIRECT),),
+            routing=(RealmEntry("realm.org", "ra", Action.REDIRECT),),
         ),
         "ra": ConfigDocument(peers=ra_peers, routing=ra_routes),
         "ah": ConfigDocument(
             peers=(ah_peer_q,),
-            routing=(RealmEntry(RealmPattern.parse("realm.org"), None, Action.LOCAL),),
+            routing=(RealmEntry("realm.org", None, Action.LOCAL),),
         ),
     }
     nodes = {
@@ -715,11 +714,11 @@ def test_a_redirect_agent_that_is_the_home_hints_itself():
     static = {
         "q": ConfigDocument(
             peers=(q_peer_ra,),
-            routing=(RealmEntry(RealmPattern.parse("realm.org"), "ra", Action.REDIRECT),),
+            routing=(RealmEntry("realm.org", "ra", Action.REDIRECT),),
         ),
         "ra": ConfigDocument(
             peers=(ra_peer_q,),
-            routing=(RealmEntry(RealmPattern.parse("realm.org"), None, Action.LOCAL),),
+            routing=(RealmEntry("realm.org", None, Action.LOCAL),),
         ),
     }
     nodes = {
@@ -747,9 +746,9 @@ def test_response_travels_reversed_request_path():
     e_xy, e_yx = psk_pair("x", "y", chain_secret)
     e_yz, e_zy = psk_pair("y", "z", b"d" * 16)
     static = {
-        "x": ConfigDocument(peers=(e_xy,), routing=(RealmEntry(RealmPattern.parse("realm.org"), "y", Action.RELAY),)),
-        "y": ConfigDocument(peers=(e_yx, e_yz), routing=(RealmEntry(RealmPattern.parse("realm.org"), "z", Action.RELAY),)),
-        "z": ConfigDocument(peers=(e_zy,), routing=(RealmEntry(RealmPattern.parse("realm.org"), None, Action.LOCAL),)),
+        "x": ConfigDocument(peers=(e_xy,), routing=(RealmEntry("realm.org", "y", Action.RELAY),)),
+        "y": ConfigDocument(peers=(e_yx, e_yz), routing=(RealmEntry("realm.org", "z", Action.RELAY),)),
+        "z": ConfigDocument(peers=(e_zy,), routing=(RealmEntry("realm.org", None, Action.LOCAL),)),
     }
     nodes = {
         "x": {"role": "CLIENT"},
@@ -779,10 +778,10 @@ def test_response_finds_a_channel_keyed_by_another_peer_id():
     e_xy, e_yx = psk_pair("x", "y", b"c" * 16)
     e_yz, e_zy = psk_pair("y", "z", b"d" * 16)
     static = {
-        "x": ConfigDocument(peers=(e_xy,), routing=(RealmEntry(RealmPattern.parse("realm.org"), "y", Action.RELAY),)),
+        "x": ConfigDocument(peers=(e_xy,), routing=(RealmEntry("realm.org", "y", Action.RELAY),)),
         "y": ConfigDocument(peers=(dataclasses.replace(e_yx, peer_id="x-gw"), e_yz),
-                            routing=(RealmEntry(RealmPattern.parse("realm.org"), "z", Action.RELAY),)),
-        "z": ConfigDocument(peers=(e_zy,), routing=(RealmEntry(RealmPattern.parse("realm.org"), None, Action.LOCAL),)),
+                            routing=(RealmEntry("realm.org", "z", Action.RELAY),)),
+        "z": ConfigDocument(peers=(e_zy,), routing=(RealmEntry("realm.org", None, Action.LOCAL),)),
     }
     nodes = {
         "x": {"role": "CLIENT"},
@@ -817,7 +816,7 @@ def one_way_pair(action=Action.RELAY):
     loop, network, a, b = rig("a", "b")
     ea, _eb = psk_pair("a", "b", b"s" * 16)
     apply_ok(a, merge("peers", ea),
-             merge("routing", RealmEntry(RealmPattern.parse("realm.org"), "b", action)))
+             merge("routing", RealmEntry("realm.org", "b", action)))
     notes = []
     open_session("controller", a, loop, on_notification=notes.append)
     return loop, network, a, b, notes
@@ -884,7 +883,7 @@ def test_unsent_redirect_query_reports_once_and_clears_in_flight_mark():
 
 def test_established_channel_sends_without_a_handshake(monkeypatch):
     loop, network, a, b = provisioned_pair()
-    apply_ok(a, merge("routing", RealmEntry(RealmPattern.parse("realm.org"), "b", Action.RELAY)))
+    apply_ok(a, merge("routing", RealmEntry("realm.org", "b", Action.RELAY)))
     assert verdict(loop, a, "b") == (True, None)
     calls = []
     for node in (a, b):

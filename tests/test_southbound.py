@@ -15,7 +15,6 @@ from sdnaaa.model import (
     PeerEntry,
     Realm,
     RealmEntry,
-    RealmPattern,
     RuleOp,
     SharedSecret,
     TlsProfile,
@@ -50,7 +49,7 @@ def merge_peer(entry: PeerEntry) -> ConfigChange:
 
 
 def merge_route(pattern: str, next_hop, action=Action.RELAY) -> ConfigChange:
-    entry = RealmEntry(RealmPattern.parse(pattern), next_hop, action)
+    entry = RealmEntry(pattern, next_hop, action)
     return ConfigChange(southbound.MERGE, f"routing/{pattern}", entry)
 
 
@@ -118,7 +117,7 @@ def test_invalid_change_applies_nothing(rig):
     loop, _network, node = rig
     session = open_session("controller", node, loop)
     # oracle: validating the hypothetical merged document must fail
-    ghost_doc = ConfigDocument(routing=(RealmEntry(RealmPattern.parse("realm.org"), "ghost", Action.RELAY),))
+    ghost_doc = ConfigDocument(routing=(RealmEntry("realm.org", "ghost", Action.RELAY),))
     assert any(v.code == "DANGLING_NEXT_HOP" for v in model.validate_document(ghost_doc))
     reply = session.edit_config([merge_route("realm.org", "ghost")])
     drain(loop)
@@ -260,7 +259,7 @@ def test_notification_uses_txn_zero_and_reaches_handler(rig):
 
 def test_notification_without_session_is_dropped_and_counted(rig):
     _loop, _network, node = rig
-    node.emit_notification(Notification.route_expired("ai", RealmPattern.parse("*.org")))
+    node.emit_notification(Notification.route_expired("ai", "*.org"))
     assert node.notification_drops == 1
 
 
@@ -355,7 +354,7 @@ def frame_samples():
     profile = TlsProfile("tls-ai", "ai", b"k" * 16, frozenset({"aj", "ak"}))
     rule = AttributeRule("r1", Direction.OUTGOING, RuleOp.ADD, "Class", "gold")
     tls_peer = PeerEntry("aj", "aj", "aj.sim", 2083, Transport.RADIUS_TLS, TlsRef("tls-ai"), 900)
-    proxy = RealmEntry(RealmPattern.parse("*.org"), "aj", Action.PROXY, ("r1",))
+    proxy = RealmEntry("*.org", "aj", Action.PROXY, ("r1",))
     every_container = (
         ConfigChange(southbound.MERGE, "tls/tls-ai", profile),
         ConfigChange(southbound.MERGE, "attributes/r1", rule),
