@@ -183,16 +183,6 @@ class _Paths(NamedTuple):
     unreachable: tuple[str, ...]
 
 
-class _Route(NamedTuple):
-    """A route collected for ``_flush``: its policy, its next hop (None for
-    the home's LOCAL route) and its report entry (filled when the frame is
-    answered). Its change is built when its frame is sent."""
-
-    policy: Policy
-    next_hop: Optional[str]
-    report: dict
-
-
 class Controller:
     def __init__(
         self,
@@ -217,7 +207,6 @@ class Controller:
         self.suspected = {n for n, info in topology.nodes.items() if info.state != "UP"}
         # shortest paths per home; dropped whenever ``suspected`` changes
         self._paths: dict[str, _Paths] = {}
-        self.reports: list[dict] = []
         self._jobs: deque = deque()
 
     # ------------------------------------------------------------------
@@ -261,7 +250,7 @@ class Controller:
         return self._submit(self._provision_job(policy))
 
     def provision_all(self) -> Reply:
-        """Provision every policy in one job; resolves with their reports."""
+        """Provision every policy in one job."""
         return self._submit(self._provision_all_job())
 
     def get_node_config(self, node_id: str) -> Reply:
@@ -467,11 +456,8 @@ class Controller:
 
     def _push_job(self, node_id, changes):
         session = self.sessions.get(node_id)
-        if session is None:
-            return {"op": "push", "node": node_id, "outcome": "FAILED", "error": "NO_SESSION"}
-        frame = yield session.edit_config(changes)
-        outcome = "OK" if frame.type == southbound.OK else "FAILED"
-        return {"op": "push", "node": node_id, "outcome": outcome}
+        if session is not None:
+            yield session.edit_config(changes)
 
     def _client_paths(self, home: str, next_hops: dict[str, str]):
         """Nodes on client->home shortest paths in first-visit order, and
@@ -504,11 +490,10 @@ class Controller:
         is established with n's route in n's frame and, when the next hop
         is the home, the home's LOCAL route in the mirror frame; with the
         adjacency in place a missing route is collected into ``routes``, per
-        node, for the caller's ``_flush``.
+        node, as a (policy, next hop) pair for the caller's ``_flush``.
 
-        Returns the adjacency's EstablishResult, the route's report entry
-        (filled once its frame is answered), or None when nothing was
-        missing."""
+        Returns the adjacency's EstablishResult, or None when no adjacency
+        was missing."""
         missing = self._missing_route(policy, n, next_hop)
         if next_hop is not None:
             record = self.adjacencies.get(frozenset((n, next_hop)))
@@ -516,40 +501,36 @@ class Controller:
                 # Mirror side first: if n holds parked traffic, its lazy
                 # handshake must find the counterpart entry already in place.
                 mirror = next_hop == policy.home_node and self._missing_route(policy, next_hop, None)
-                return (yield from self._adjacency_job(
+                result = yield from self._adjacency_job(
                     next_hop, n, policy.security, policy.default_entry_ttl, policy,
                     (None,) if mirror else (), (next_hop,) if missing else (),
-                ))
-        if not missing:
-            return None
-        if n not in self.sessions:
-            return {"op": "route", "node": n, "outcome": "FAILED", "error": "NO_SESSION"}
-        item = _Route(policy, next_hop, {"op": "route", "node": n})
-        routes.setdefault(n, []).append(item)
-        return item.report
+                )
+                if result.status != "ESTABLISHED":
+                    log.info("adjacency %s-%s failed at step %s (%s)",
+                             next_hop, n, result.failed_step, result.error)
+                return result
+        if missing and n in self.sessions:
+            routes.setdefault(n, []).append((policy, next_hop))
+        return None
 
-    def _flush(self, routes: dict[str, list[_Route]]):
+    def _flush(self, routes: dict[str, list[tuple[Policy, Optional[str]]]]):
         """Send each node its collected routes in one edit-config, every
         node's frame in flight at once, each route built now with its own
-        policy's ttl. The routes of an OK frame are ledgered and reported
-        OK; a merged frame that fails is resent one route per frame, so each
-        route gets the outcome it would get alone. The only code that sends
-        route-only frames."""
+        policy's ttl. The routes of an OK frame are ledgered; a merged frame
+        that fails is resent one route per frame, so each route gets the
+        outcome it would get alone. The only code that sends route-only
+        frames."""
         flights = []
         for n, items in routes.items():
-            changes = [self._route_change(item.policy, item.next_hop,
-                                          self._expiration(item.policy.default_entry_ttl))
-                       for item in items]
+            changes = [self._route_change(policy, hop, self._expiration(policy.default_entry_ttl))
+                       for policy, hop in items]
             flights.append((n, items, changes, self.sessions[n].edit_config(changes)))
         for n, items, changes, reply in flights:
             frame = yield reply
             if frame.type == southbound.OK:
-                for item, change in zip(items, changes):
-                    self._ledger_changes(n, (change,), item.policy.policy_id)
-                    item.report.update(pattern=item.policy.realm_pattern, outcome="OK")
-            elif len(items) == 1:
-                items[0].report.update(outcome="FAILED", error=frame.error["code"])
-            else:
+                for (policy, _hop), change in zip(items, changes):
+                    self._ledger_changes(n, (change,), policy.policy_id)
+            elif len(items) > 1:
                 for item in items:
                     yield from self._flush({n: [item]})
 
@@ -558,43 +539,32 @@ class Controller:
         home's LOCAL route, pairing each new adjacency with the new route in
         one edit-config frame. The routes that need no new adjacency are
         collected into ``routes`` for the caller to flush; without it, each
-        hop's route is flushed before the next hop."""
-        report: list[dict] = []
+        hop's route is flushed before the next hop. The hops behind a failed
+        adjacency are skipped."""
         home = policy.home_node
         next_hops, order, unreachable = self._paths_to(home)
         for client in unreachable:
-            report.append({"op": "path", "node": client, "outcome": "UNREACHABLE"})
+            log.info("policy %s: no path from %s", policy.policy_id, client)
         failed: set[str] = set()
         for n in (*order, home):
             next_hop = next_hops.get(n)  # None at the home
             if n in failed or next_hop in failed:
-                if n != home:
-                    report.append({"op": "route", "node": n, "outcome": "SKIPPED"})
                 continue
             hop_routes = {} if routes is None else routes
             result = yield from self._ensure_hop(policy, n, next_hop, hop_routes)
             if routes is None:
                 yield from self._flush(hop_routes)
-            if isinstance(result, EstablishResult):
-                report.append({"op": "adjacency", "node": n, "next_hop": next_hop,
-                               "outcome": result.status, "error": result.error})
-                if result.status != "ESTABLISHED":
-                    failed.add(next_hop if result.failed_step == 1 else n)
-            elif result is not None:
-                report.append(result)
-        self.reports.append({"event": "provision", "policy": policy.policy_id, "report": report})
-        return report
+            if result is not None and result.status != "ESTABLISHED":
+                failed.add(next_hop if result.failed_step == 1 else n)
 
     def _provision_all_job(self):
         """Every policy's walk in order, with its missing adjacencies
         established on the way; the routes that need no new adjacency go
         out in one flush after the last walk."""
-        routes: dict[str, list[_Route]] = {}
-        reports = []
+        routes: dict[str, list] = {}
         for policy in self.policies:
-            reports.append((yield from self._provision_job(policy, routes)))
+            yield from self._provision_job(policy, routes)
         yield from self._flush(routes)
-        return reports
 
     def _acquire_job(self, note: Notification):
         """Reactive path: give the notifying node its hop of the matched
@@ -604,21 +574,17 @@ class Controller:
         realm = note.realm
         policy = self._match_policy(realm)
         if policy is None:
-            self.reports.append({"event": "unroutable", "node": n, "realm": realm.text})
             log.info("acquire from %s for %s: no policy", n, realm.text)
-            return None
+            return
         next_hop = None
         if n != policy.home_node:
             next_hop = self._paths_to(policy.home_node).next_hops.get(n)
             if next_hop is None:
-                self.reports.append(
-                    {"event": "unroutable", "node": n, "realm": realm.text, "reason": "no path"}
-                )
-                return None
-        routes: dict[str, list[_Route]] = {}
-        result = yield from self._ensure_hop(policy, n, next_hop, routes)
+                log.info("acquire from %s for %s: no path", n, realm.text)
+                return
+        routes: dict[str, list] = {}
+        yield from self._ensure_hop(policy, n, next_hop, routes)
         yield from self._flush(routes)
-        return result
 
     def _expired_job(self, note: Notification):
         """Re-provision an expired entry when its policy is still active."""
@@ -631,7 +597,8 @@ class Controller:
         else:
             gone = node_entry.get("routes", {}).pop(note.pattern, None)
         policy = self._policy_for_id.get(gone["policy"]) if gone else None
-        return (yield from self._reprovision(policy, "expired", note, "REMOVAL_CONFIRMED"))
+        if policy is not None:
+            yield from self._provision_job(policy)
 
     def _forward_failure_job(self, note: Notification):
         """Suspect the failed peer's node, recompute next hops without it,
@@ -641,15 +608,8 @@ class Controller:
             self._paths.clear()
         log.info("forward failure at %s via %s; suspecting %s", note.node_id, note.peer_id, note.peer_id)
         policy = self._match_policy(note.realm)
-        return (yield from self._reprovision(policy, "forward-failure", note, "NO_POLICY"))
-
-    def _reprovision(self, policy: Optional[Policy], event: str, note: Notification, outcome: str):
-        """Re-provision the policy a notification concerns, or report that
-        there is none."""
-        if policy is None:
-            self.reports.append({"event": event, "node": note.node_id, "outcome": outcome})
-            return None
-        return (yield from self._provision_job(policy))
+        if policy is not None:
+            yield from self._provision_job(policy)
 
     # ------------------------------------------------------------------
     # snapshot

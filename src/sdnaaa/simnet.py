@@ -304,7 +304,7 @@ class Network:
         self.transcript = transcript
         self.nodes: dict[str, node_mod.Node] = {}
         self.by_address: dict[str, node_mod.Node] = {}
-        self.registry: dict[str, dict] = {}
+        self.ended: set[str] = set()  # msg ids that have their done record
 
     def register(self, node) -> None:
         self.nodes[node.node_id] = node
@@ -317,10 +317,9 @@ class Network:
         loop.call_at(loop.now + 1, partial(node_mod.Node.receive, dst, record))
 
     def finalize_message(self, node_id: str, msg: AaaMessage) -> None:
-        entry = self.registry.get(msg.msg_id)
-        if entry is not None and entry["status"] != "pending":
+        if msg.msg_id in self.ended:
             return
-        self.registry[msg.msg_id] = {"status": msg.status, "error": msg.error}
+        self.ended.add(msg.msg_id)
         self.transcript.add((self.loop.now, node_id, "done", msg))
         if msg.status == "accept":
             self.metrics.delivered += 1
@@ -607,7 +606,6 @@ class Simulation:
         msg = AaaMessage(f"m{self._msg_seq:06d}", MsgKind.REQUEST, ev.nai, ev.nai.realm,
                          {"password": ev.password})
         self.metrics.injected += 1
-        self.network.registry[msg.msg_id] = {"status": "pending", "error": None}
         self.transcript.add((self.loop.now, ev.node, "inject", msg))
         self.nodes[ev.node].receive(msg)
 
@@ -624,9 +622,8 @@ class Simulation:
             tuple(sorted((nid, other.node_id)))
             for nid, n in self.nodes.items() for other in n.channels.values()
         })
-        self.metrics.still_pending = sum(
-            1 for r in self.network.registry.values() if r["status"] == "pending"
-        )
+        m = self.metrics
+        m.still_pending = m.injected - m.delivered - m.rejected - m.errored
 
 
 def run(scenario: Scenario) -> tuple[Metrics, Transcript]:

@@ -198,6 +198,14 @@ def frames(transcript: simnet.Transcript, ftype: Optional[str] = None,
     return out
 
 
+def ended(transcript: simnet.Transcript) -> dict[str, tuple]:
+    """Each ended request's (status, error code), from its done record."""
+    return {
+        r["message"]["msg_id"]: (r["message"]["status"], r["message"].get("error"))
+        for r in transcript.records if r["direction"] == "done"
+    }
+
+
 # ---------------------------------------------------------------------------
 # random valid documents (round-trip, redaction and fuzz seeds)
 

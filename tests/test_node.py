@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import inject, make_scenario, psk_pair
+from conftest import ended, inject, make_scenario, psk_pair
 from sdnaaa import model, node as node_mod, simnet, southbound
 from sdnaaa.model import (
     AaaMessage,
@@ -456,8 +456,16 @@ def test_hop_limit_rejects_overlong_trace():
     _loop, network, a = rig("a")
     msg = request("m1", "bob@realm.org", trace=[f"h{i}" for i in range(16)])
     a.handle_message(msg, 0)
-    assert network.registry["m1"]["status"] == "error"
-    assert network.registry["m1"]["error"] == "HOP_LIMIT"
+    assert ended(network.transcript) == {"m1": ("error", "HOP_LIMIT")}
+
+
+def test_a_request_finalized_twice_ends_once():
+    _loop, network, _a = rig("a")
+    msg = request("m1", "bob@realm.org")
+    network.finalize_message("a", msg._replace(status="error", error="HOP_LIMIT"))
+    network.finalize_message("a", msg._replace(status="accept"))
+    assert ended(network.transcript) == {"m1": ("error", "HOP_LIMIT")}
+    assert (network.metrics.errored, network.metrics.delivered) == (1, 0)
 
 
 def test_fifteen_hop_trace_is_still_processed():
@@ -465,7 +473,7 @@ def test_fifteen_hop_trace_is_still_processed():
     msg = request("m1", "bob@realm.org", trace=[f"h{i}" for i in range(15)])
     a.handle_message(msg, 0)
     # appended and parked for the reactive path rather than erroring
-    assert "m1" not in network.registry or network.registry["m1"]["status"] == "pending"
+    assert ended(network.transcript) == {}
     assert len(a.pending["realm.org"].items) == 1
 
 
@@ -610,9 +618,7 @@ def test_queue_overflow_drops_with_queue_full():
         a.handle_message(request(f"m{i}", "bob@realm.org"), 0)
     assert len(a.pending["realm.org"].items) == 64
     assert a.queue_drops == 6
-    dropped = [r for r in network.registry.values() if r["status"] == "error"]
-    assert len(dropped) == 6
-    assert all(r["error"] == "QUEUE_FULL" for r in dropped)
+    assert ended(network.transcript) == {f"m{i}": ("error", "QUEUE_FULL") for i in range(64, 70)}
 
 
 def test_pending_messages_time_out_with_no_route():
@@ -620,10 +626,9 @@ def test_pending_messages_time_out_with_no_route():
     loop.run_until(10)
     a.handle_message(request("m1", "bob@realm.org"), 10)
     loop.run_until(5009)
-    assert "m1" not in network.registry or network.registry["m1"]["status"] == "pending"
+    assert ended(network.transcript) == {}
     loop.run_until(5011)
-    assert network.registry["m1"]["status"] == "error"
-    assert network.registry["m1"]["error"] == "NO_ROUTE_TIMEOUT"
+    assert ended(network.transcript) == {"m1": ("error", "NO_ROUTE_TIMEOUT")}
     assert a.pending == {}
 
 
@@ -858,7 +863,7 @@ def test_unsent_response_reports_forward_failure_then_fails_channel_failed():
     x.handle_message(resp, loop.now)
     loop.run_until(loop.now + 10)
     assert seen == [(Notification.FORWARD_FAILURE, "y"), ("done", "CHANNEL_FAILED")]
-    assert network.registry["r1"]["error"] == "CHANNEL_FAILED"
+    assert ended(network.transcript) == {"r1": ("error", "CHANNEL_FAILED")}
 
 
 def test_unsent_redirect_query_reports_once_and_clears_in_flight_mark():
