@@ -208,12 +208,16 @@ class Controller:
         # shortest paths per home; dropped whenever ``suspected`` changes
         self._paths: dict[str, _Paths] = {}
         self._jobs: deque = deque()
+        # pushed changes held for a node with no session, sent when it gets one
+        self._unsent: dict[str, list[ConfigChange]] = {}
 
     # ------------------------------------------------------------------
     # wiring
 
     def attach_session(self, node_id: str, session: southbound.Session) -> None:
         self.sessions[node_id] = session
+        if node_id in self._unsent:
+            self._submit(self._push_job(node_id, self._unsent.pop(node_id)))
 
     def node_registered(self, node_id: str) -> None:
         """Re-registration of a node clears any failure suspicion."""
@@ -258,7 +262,7 @@ class Controller:
 
     def push_document(self, node_id: str, doc: model.ConfigDocument) -> Reply:
         """Administrator-style seeding of a full document (scenario
-        static_config); applied through the ordinary session, not ledgered."""
+        static_config); applied through the node's session once it has one, not ledgered."""
         changes = []
         for container in model.REFERENTS_FIRST:
             entries = getattr(doc, container)
@@ -456,7 +460,9 @@ class Controller:
 
     def _push_job(self, node_id, changes):
         session = self.sessions.get(node_id)
-        if session is not None:
+        if session is None:
+            self._unsent.setdefault(node_id, []).extend(changes)
+        else:
             yield session.edit_config(changes)
 
     def _client_paths(self, home: str, next_hops: dict[str, str]):
@@ -552,7 +558,7 @@ class Controller:
                 continue
             hop_routes = {} if routes is None else routes
             result = yield from self._ensure_hop(policy, n, next_hop, hop_routes)
-            if routes is None:
+            if routes is None and hop_routes:
                 yield from self._flush(hop_routes)
             if result is not None and result.status != "ESTABLISHED":
                 failed.add(next_hop if result.failed_step == 1 else n)

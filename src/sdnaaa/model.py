@@ -243,8 +243,8 @@ class MsgKind(Enum):
 
 
 class AaaMessage(NamedTuple):
-    """Protocol-independent AAA message with its accumulated hop trace. A handler
-    changes a message by ``_replace``; assigning to a field raises ``AttributeError``.
+    """Protocol-independent AAA message with its accumulated hop trace, changed by
+    ``hop``, ``answer``, ``failed`` or ``_replace``; assigning to a field raises ``AttributeError``.
 
     ``attributes`` is treated as a value: handlers copy it before changing
     anything. ``error`` carries the code when status is "error".
@@ -265,6 +265,16 @@ class AaaMessage(NamedTuple):
         msg_id, kind, nai, dest_realm, attributes, hop_trace, status, error = self
         return tuple.__new__(AaaMessage, (msg_id, kind, nai, dest_realm, attributes,
                                           hop_trace + (node_id,), status, error))
+
+    def answer(self, accepted: bool) -> "AaaMessage":
+        """``_replace(kind=RESPONSE, attributes={}, status="accept"/"reject")``, built like ``hop``."""
+        msg_id, _kind, nai, dest_realm, _attributes, hop_trace, _status, error = self
+        return tuple.__new__(AaaMessage, (msg_id, MsgKind.RESPONSE, nai, dest_realm, {},
+                                          hop_trace, "accept" if accepted else "reject", error))
+
+    def failed(self, code: str) -> "AaaMessage":
+        """``_replace(status="error", error=code)``, built like ``hop``."""
+        return tuple.__new__(AaaMessage, (*self[:6], "error", code))
 
     def to_json(self) -> dict:
         """The transcript form. It shares ``attributes`` and ``hop_trace``
@@ -366,6 +376,12 @@ class ConfigDocument:
     def rule(self, rule_id: str) -> Optional[AttributeRule]:
         return self.attributes.get(rule_id)
 
+    @cached_property  # a document never changes, so this is computed once
+    def first_expiration(self) -> Optional[int]:
+        """The earliest expiration of any peer or route, or None."""
+        return min((e.expiration for entries in (self.peers, self.routing)
+                    for e in entries.values() if e.expiration is not None), default=None)
+
 
 def entry_key(container: str, entity) -> str:
     """The unique key an entity is stored under within its container."""
@@ -400,7 +416,7 @@ def with_entries(doc: ConfigDocument, edits) -> ConfigDocument:
             entries[key] = entity
         elif entries.pop(key, None) is None:
             raise CodedError("BAD_PATH", f"{container}/{key}: no such entry")
-    return replace(doc, **copies) if copies else doc
+    return ConfigDocument(**{c: copies.get(c, getattr(doc, c)) for c in CONTAINERS}) if copies else doc
 
 
 # ---------------------------------------------------------------------------

@@ -441,8 +441,7 @@ class Node:
         expected = self.users.get(msg.nai.user)
         accepted = expected is not None and expected == msg.attributes.get("password")
         self.network.metrics.hops[msg.msg_id] = len(msg.hop_trace)
-        self._route_response(msg._replace(kind=MsgKind.RESPONSE, attributes={},
-                                          status="accept" if accepted else "reject"))
+        self._route_response(msg.answer(accepted))
 
     def _route_response(self, resp: AaaMessage) -> None:
         idx = resp.hop_trace.index(self.node_id)
@@ -555,21 +554,23 @@ class Node:
     def tick(self, now: int) -> list[Notification]:
         """Remove entries whose expiration has passed, cascade routes whose
         next hop vanished, and time out stale pending messages. Emits one
-        notification per removed entry; idempotent across repeated calls."""
-        # notifications go out in key order, peers before routes
-        expired_peers = sorted(
-            (key, p) for key, p in self.running.peers.items()
-            if p.expiration is not None and p.expiration <= now
-        )
-        gone = {key for key, _p in expired_peers}
-        expired_routes = sorted(
-            (key, r) for key, r in self.running.routing.items()
-            if (r.expiration is not None and r.expiration <= now)
-            or (r.next_hop is not None and r.next_hop in gone)
-        )
-        notes = [Notification.peer_expired(self.node_id, key) for key, _p in expired_peers]
-        notes += [Notification.route_expired(self.node_id, r.pattern) for _key, r in expired_routes]
-        if notes:
+        notification per removed entry; idempotent across repeated calls.
+        A tick before ``running.first_expiration`` scans and builds nothing."""
+        notes: list[Notification] = []
+        if (first := self.running.first_expiration) is not None and first <= now:
+            # notifications go out in key order, peers before routes
+            expired_peers = sorted(
+                (key, p) for key, p in self.running.peers.items()
+                if p.expiration is not None and p.expiration <= now
+            )
+            gone = {key for key, _p in expired_peers}
+            expired_routes = sorted(
+                (key, r) for key, r in self.running.routing.items()
+                if (r.expiration is not None and r.expiration <= now)
+                or (r.next_hop is not None and r.next_hop in gone)
+            )
+            notes = [Notification.peer_expired(self.node_id, key) for key, _p in expired_peers]
+            notes += [Notification.route_expired(self.node_id, r.pattern) for _key, r in expired_routes]
             self.running = model.with_entries(self.running, [
                 *(("peers", key, None) for key, _p in expired_peers),
                 *(("routing", key, None) for key, _r in expired_routes)])
@@ -598,8 +599,7 @@ class Node:
         self.session.notify(note)
 
     def _fail(self, msg: AaaMessage, code: str) -> None:
-        failed = msg._replace(status="error", error=code)
-        self.network.finalize_message(self.node_id, failed)
+        self.network.finalize_message(self.node_id, msg.failed(code))
 
     def set_down(self) -> None:
         self.state = DOWN

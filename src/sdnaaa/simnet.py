@@ -592,10 +592,10 @@ class Simulation:
         elif ev.kind == "node-up":
             n = self.nodes[ev.node]
             n.set_up()
-            if n.session is None:
+            self.transcript.add((self.loop.now, ev.node, "node-up"))
+            if n.session is None:  # a node loaded DOWN: its held static_config goes out now
                 self._open_session(ev.node)
             self.controller.node_registered(ev.node)
-            self.transcript.add((self.loop.now, ev.node, "node-up"))
         else:  # snapshot
             snap = self.controller.snapshot_json()
             self.snapshots.append(snap)

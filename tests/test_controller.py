@@ -1033,6 +1033,23 @@ def test_a_node_loaded_down_is_used_once_it_registers(chain_text, mode):
     assert done[0]["message"]["trace"] == ["ac", "ai", "aj", "ah"]
 
 
+def test_a_node_loaded_down_gets_its_static_config_when_it_registers(loop_text):
+    # loop.json seeds x and y with relay routes to each other; with y loaded
+    # DOWN until t=5, y's document is held and goes out when its session opens
+    obj = json.loads(loop_text)
+    obj["topology"]["nodes"]["y"]["state"] = "DOWN"
+    obj["events"].insert(0, {"time": 5, "kind": "node-up", "node": "y"})
+    scenario = simnet.scenario_from_dict(obj)
+    sim = simnet.Simulation(scenario)
+    metrics, transcript = sim.run()
+    assert sim.nodes["y"].running == scenario.static_config["y"]
+    pushes = [(r["time"], r["actor"]) for r in frames(transcript, southbound.EDIT_CONFIG)]
+    assert pushes == [(0, "x"), (5, "y")] and metrics.controller_frames == 2
+    assert [r["direction"] for r in transcript.records if r["time"] == 5] == ["node-up", "c2n"]
+    assert list(ended(transcript).values()) == [("error", "ROUTE_LOOP")]
+    assert metrics.still_pending == 0
+
+
 def test_snapshot_json_round_trips():
     sim = chain_sim(policies=["route realm.org via ah security psk"])
     run_all(sim)

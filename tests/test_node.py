@@ -180,6 +180,61 @@ def test_expired_peer_cascades_dependent_routes():
     assert a.tick(501) == []
 
 
+_EXPIRATIONS = st.none() | st.integers(0, 20)
+
+
+@st.composite
+def expiring_documents(draw) -> ConfigDocument:
+    """Peers and routes with any expirations, None included; a RELAY route
+    names one of the peers, so a peer's expiry can take routes with it."""
+    base, _ = psk_pair("a", "b", b"s" * 16)
+    peer_ids = draw(st.lists(st.sampled_from(["b", "c", "d", "e"]), max_size=4, unique=True))
+    peers = [dataclasses.replace(base, peer_id=pid, identity=pid, host=f"{pid}.sim",
+                                 expiration=draw(_EXPIRATIONS)) for pid in peer_ids]
+    patterns = draw(st.lists(st.sampled_from(["realm.org", "x.org", "*.y.org", "*"]),
+                             max_size=4, unique=True))
+    routes = []
+    for pattern in patterns:
+        hop = draw(st.sampled_from([None, *peer_ids]))
+        action = Action.LOCAL if hop is None else Action.RELAY
+        routes.append(RealmEntry(pattern, hop, action, (), draw(_EXPIRATIONS)))
+    return ConfigDocument(peers=peers, routing=routes)
+
+
+def _full_scan(node_id: str, doc: ConfigDocument, now: int):
+    """Every entry scanned: the notifications and document a tick must give."""
+    expired_peers = sorted((k, p) for k, p in doc.peers.items()
+                           if p.expiration is not None and p.expiration <= now)
+    gone = {k for k, _p in expired_peers}
+    expired_routes = sorted((k, r) for k, r in doc.routing.items()
+                            if (r.expiration is not None and r.expiration <= now)
+                            or (r.next_hop is not None and r.next_hop in gone))
+    notes = [Notification.peer_expired(node_id, k) for k, _p in expired_peers]
+    notes += [Notification.route_expired(node_id, r.pattern) for _k, r in expired_routes]
+    running = ConfigDocument(
+        peers={k: p for k, p in doc.peers.items() if k not in gone},
+        routing={k: r for k, r in doc.routing.items() if k not in dict(expired_routes)},
+    )
+    return notes, running
+
+
+@given(expiring_documents(), st.integers(0, 25))
+def test_a_tick_before_the_first_expiration_scans_nothing_and_changes_nothing(doc, now):
+    _loop, _network, a = rig("a")
+    expirations = [e.expiration for e in (*doc.peers.values(), *doc.routing.values())
+                   if e.expiration is not None]
+    notes, running = _full_scan("a", doc, now)
+    a.running = doc = ConfigDocument(peers=_CountingTable(doc.peers),
+                                     routing=_CountingTable(doc.routing))
+    assert doc.first_expiration == min(expirations, default=None)
+    doc.peers.reads = doc.routing.reads = 0
+    assert a.tick(now) == notes
+    assert a.running == running
+    if doc.first_expiration is None or doc.first_expiration > now:
+        assert notes == [] and a.running is doc
+        assert doc.peers.reads == doc.routing.reads == 0
+
+
 class _CountingTable(dict):
     """A route table that counts its reads: one per get, and one per entry
     when a caller scans it."""
@@ -542,20 +597,36 @@ def _hash_or_error(msg: AaaMessage):
         return type(err)
 
 
-@given(st.builds(AaaMessage, **MESSAGE_FIELDS), st.text(max_size=3))
-def test_message_hop_matches_replace_and_stays_frozen(msg, node_id):
+def _assert_built_like_replace(built: AaaMessage, replaced: AaaMessage, fresh=()) -> None:
+    """``built`` equals ``replaced`` field by field as the same objects (the
+    ``fresh`` fields by value only) and stays frozen."""
+    assert type(built) is AaaMessage
+    for name in MESSAGE_FIELDS:
+        if name in fresh:
+            assert getattr(built, name) == getattr(replaced, name), name
+        else:
+            assert getattr(built, name) is getattr(replaced, name), name
+    assert built == replaced
+    assert _hash_or_error(built) == _hash_or_error(replaced)
+    for name in MESSAGE_FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(built, name, getattr(replaced, name))
+
+
+@given(st.builds(AaaMessage, **MESSAGE_FIELDS), st.text(max_size=3), st.booleans(),
+       st.text(max_size=3))
+def test_message_hop_matches_replace_and_stays_frozen(msg, node_id, accepted, code):
     assert tuple(MESSAGE_FIELDS) == AaaMessage._fields
     hopped = msg.hop(node_id)
     assert hopped.hop_trace == msg.hop_trace + (node_id,)
-    replaced = msg._replace(hop_trace=hopped.hop_trace)
-    assert type(hopped) is AaaMessage
-    for name in MESSAGE_FIELDS:
-        assert getattr(hopped, name) is getattr(replaced, name), name
-    assert hopped == replaced
-    assert _hash_or_error(hopped) == _hash_or_error(replaced)
-    for name in MESSAGE_FIELDS:
-        with pytest.raises(AttributeError):
-            setattr(hopped, name, getattr(msg, name))
+    _assert_built_like_replace(hopped, msg._replace(hop_trace=hopped.hop_trace))
+    # answer builds a new empty attribute map, as the _replace call does
+    answer = msg.answer(accepted)
+    _assert_built_like_replace(answer, msg._replace(
+        kind=MsgKind.RESPONSE, attributes={}, status="accept" if accepted else "reject"),
+        fresh=("attributes",))
+    assert answer.attributes == {} and answer.attributes is not msg.attributes
+    _assert_built_like_replace(msg.failed(code), msg._replace(status="error", error=code))
 
 
 def proxy_scenario(rules, refs):
