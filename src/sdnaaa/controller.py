@@ -11,7 +11,6 @@ southbound reply keeps the queue parked until it completes.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import random
 from collections import deque
@@ -24,7 +23,6 @@ from .model import (
     CodedError,
     Notification,
     PeerEntry,
-    Realm,
     RealmEntry,
     SharedSecret,
     TlsProfile,
@@ -47,7 +45,7 @@ TLS = "tls"
 class NodeInfo:
     address: str
     role: str
-    served_realms: tuple[Realm, ...] = ()
+    served_realms: tuple[str, ...] = ()  # as model.parse_realm gives them
     state: str = "UP"
 
 
@@ -381,9 +379,9 @@ class Controller:
             paths = self._paths[home] = _Paths(next_hops, *self._client_paths(home, next_hops))
         return paths
 
-    def _match_policy(self, realm: Realm) -> Optional[Policy]:
+    def _match_policy(self, realm: str) -> Optional[Policy]:
         """The policy of the most specific pattern that matches ``realm``."""
-        for key in realm.lookup_keys:
+        for key in model.lookup_keys(realm):
             policy = self._policy_for_pattern.get(key)
             if policy is not None:
                 return policy
@@ -570,7 +568,8 @@ class Controller:
         routes: dict[str, list] = {}
         for policy in self.policies:
             yield from self._provision_job(policy, routes)
-        yield from self._flush(routes)
+        if routes:
+            yield from self._flush(routes)
 
     def _acquire_job(self, note: Notification):
         """Reactive path: give the notifying node its hop of the matched
@@ -580,17 +579,18 @@ class Controller:
         realm = note.realm
         policy = self._match_policy(realm)
         if policy is None:
-            log.info("acquire from %s for %s: no policy", n, realm.text)
+            log.info("acquire from %s for %s: no policy", n, realm)
             return
         next_hop = None
         if n != policy.home_node:
             next_hop = self._paths_to(policy.home_node).next_hops.get(n)
             if next_hop is None:
-                log.info("acquire from %s for %s: no path", n, realm.text)
+                log.info("acquire from %s for %s: no path", n, realm)
                 return
         routes: dict[str, list] = {}
         yield from self._ensure_hop(policy, n, next_hop, routes)
-        yield from self._flush(routes)
+        if routes:
+            yield from self._flush(routes)
 
     def _expired_job(self, note: Notification):
         """Re-provision an expired entry when its policy is still active."""
@@ -620,10 +620,12 @@ class Controller:
     # ------------------------------------------------------------------
     # snapshot
 
-    def snapshot_json(self) -> str:
-        """Serialized desired state: policies, adjacencies, ledger. Contains
-        credential fingerprints, never raw material."""
-        state = {
+    def snapshot(self) -> dict:
+        """The desired state as JSON values: policies, adjacencies, ledger.
+        Built of fresh containers (the ledger's entries copied), so a later
+        change of the ledger leaves it as it was. Contains credential
+        fingerprints, never raw material."""
+        return {
             "policies": [
                 {
                     "policy_id": p.policy_id,
@@ -651,4 +653,3 @@ class Controller:
                 for node, entry in sorted(self.ledger.items())
             },
         }
-        return json.dumps(state, separators=(",", ":"))

@@ -47,36 +47,26 @@ class CodedError(Exception):
 # identities and routing patterns
 
 
-@dataclass(frozen=True)
-class Realm:
-    """An administrative domain name, kept as its lowercase label sequence."""
+def parse_realm(text: str) -> str:
+    """A realm's key text: ``text`` lower-cased, 1 to 32 labels joined by
+    '.', each 1 to 63 of ``[a-z0-9-]``. Errors: BAD_REALM."""
+    realm = text.lower()
+    labels = realm.split(".")
+    if not (1 <= len(labels) <= _MAX_REALM_LABELS) or not all(
+        _LABEL_RE.fullmatch(label) for label in labels
+    ):
+        raise CodedError("BAD_REALM", repr(text))
+    return realm
 
-    labels: tuple[str, ...]
 
-    @classmethod
-    def parse(cls, text: str) -> "Realm":
-        labels = tuple(text.lower().split("."))
-        if not (1 <= len(labels) <= _MAX_REALM_LABELS) or not all(
-            _LABEL_RE.fullmatch(label) for label in labels
-        ):
-            raise CodedError("BAD_REALM", repr(text))
-        return cls(labels)
-
-    @cached_property  # stored in the instance dict; eq and hash use the fields
-    def text(self) -> str:
-        return ".".join(self.labels)
-
-    @cached_property
-    def lookup_keys(self) -> tuple[str, ...]:
-        """The texts of the patterns that match this realm, most specific
-        first: the realm itself, then ``*.<suffix>`` for ever shorter
-        suffixes, then ``*``. This is the one longest-match order."""
-        labels = self.labels
-        wildcards = ("*." + ".".join(labels[i:]) for i in range(1, len(labels)))
-        return (self.text, *wildcards, "*")
-
-    def __str__(self) -> str:
-        return self.text
+@lru_cache(maxsize=1024)
+def lookup_keys(realm: str) -> tuple[str, ...]:
+    """The texts of the patterns that match ``realm``, most specific first:
+    the realm itself, then ``*.<suffix>`` for ever shorter suffixes, then
+    ``*``. This is the one longest-match order, built once per realm."""
+    labels = realm.split(".")
+    wildcards = ("*." + ".".join(labels[i:]) for i in range(1, len(labels)))
+    return (realm, *wildcards, "*")
 
 
 @dataclass(frozen=True)
@@ -84,11 +74,11 @@ class Nai:
     """Network access identifier: user plus the realm that routes it."""
 
     user: str
-    realm: Realm
+    realm: str  # as parse_realm gives it
 
     @cached_property
     def text(self) -> str:
-        return f"{self.user}@{self.realm.text}"
+        return f"{self.user}@{self.realm}"
 
     def __str__(self) -> str:
         return self.text
@@ -101,30 +91,30 @@ def split_nai(text: str) -> tuple[str, str]:
     """
     if "@" not in text:
         raise CodedError("NO_AT_SIGN", text)
-    user, _, realm_text = text.rpartition("@")
+    user, _, realm = text.rpartition("@")
     if not user:
         raise CodedError("EMPTY_USER", text)
     if "@" in user:
         raise CodedError("BAD_USER", text)
-    return user, realm_text
+    return user, realm
 
 
 def parse_nai(text: str) -> Nai:
     """split_nai, then parse the realm. Errors: those of split_nai, BAD_REALM."""
-    user, realm_text = split_nai(text)
-    return Nai(user, Realm.parse(realm_text))
+    user, realm = split_nai(text)
+    return Nai(user, parse_realm(realm))
 
 
 def parse_pattern(text: str) -> str:
     """A routing pattern's key text: ``*``, a ``*.<realm>`` wildcard (at
     least one extra label in front of the realm), or an exact ``<realm>``,
-    the realm lower-cased by ``Realm.parse``. The patterns that match a
-    realm are those in ``Realm.lookup_keys``. Errors: BAD_REALM."""
+    the realm lower-cased by ``parse_realm``. The patterns that match a
+    realm are those in ``lookup_keys``. Errors: BAD_REALM."""
     if text == "*":
         return text
     if text.startswith("*."):
-        return "*." + Realm.parse(text[2:]).text
-    return Realm.parse(text).text
+        return "*." + parse_realm(text[2:])
+    return parse_realm(text)
 
 
 @lru_cache(maxsize=1024)
@@ -253,7 +243,7 @@ class AaaMessage(NamedTuple):
     msg_id: str
     kind: MsgKind
     nai: Nai
-    dest_realm: Realm
+    dest_realm: str
     attributes: dict[str, str]
     hop_trace: tuple[str, ...] = ()
     status: str = "pending"  # pending | accept | reject | error
@@ -285,7 +275,7 @@ class AaaMessage(NamedTuple):
             "kind": self.kind.value,
             "msg_id": self.msg_id,
             "nai": self.nai.text,
-            "dest_realm": self.dest_realm.text,
+            "dest_realm": self.dest_realm,
             "attributes": self.attributes,
             "trace": self.hop_trace,
             "status": self.status,
@@ -301,7 +291,7 @@ class Notification:
 
     kind: str
     node_id: str
-    realm: Optional[Realm] = None
+    realm: Optional[str] = None
     peer_id: Optional[str] = None
     pattern: Optional[str] = None
 
@@ -313,7 +303,7 @@ class Notification:
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind, "node": self.node_id}
         if self.realm is not None:
-            out["realm"] = self.realm.text
+            out["realm"] = self.realm
         if self.peer_id is not None:
             out["peer"] = self.peer_id
         if self.pattern is not None:
@@ -321,7 +311,7 @@ class Notification:
         return out
 
     @classmethod
-    def acquire_route(cls, node_id: str, realm: Realm) -> "Notification":
+    def acquire_route(cls, node_id: str, realm: str) -> "Notification":
         return cls(cls.ACQUIRE_ROUTE, node_id, realm=realm)
 
     @classmethod
@@ -333,7 +323,7 @@ class Notification:
         return cls(cls.ROUTE_EXPIRED, node_id, pattern=pattern)
 
     @classmethod
-    def forward_failure(cls, node_id: str, peer_id: str, realm: Realm) -> "Notification":
+    def forward_failure(cls, node_id: str, peer_id: str, realm: str) -> "Notification":
         return cls(cls.FORWARD_FAILURE, node_id, realm=realm, peer_id=peer_id)
 
 
@@ -423,17 +413,17 @@ def with_entries(doc: ConfigDocument, edits) -> ConfigDocument:
 # route selection
 
 
-def select_route(tables, realm: Realm, now: int) -> Optional[RealmEntry]:
+def select_route(tables, realm: str, now: int) -> Optional[RealmEntry]:
     """Most-specific non-expired entry matching ``realm``, or None.
 
     ``tables`` is a sequence of maps from pattern text to entry; a key
     found in an earlier map shadows the same key in later ones. The keys
-    are probed in ``realm.lookup_keys`` order, so a lookup costs at most
-    ``len(realm.labels) + 1`` probes per table whatever the table size.
+    are probed in ``lookup_keys(realm)`` order, so a lookup costs at most
+    one probe per realm label plus one, per table, whatever the table size.
     The first entry found that has not expired wins; an entry is
     selectable strictly before its expiration time.
     """
-    for key in realm.lookup_keys:
+    for key in lookup_keys(realm):
         for table in tables:
             entry = table.get(key)
             if entry is not None:

@@ -23,7 +23,6 @@ from .model import (
     Direction,
     MsgKind,
     Notification,
-    Realm,
     RealmEntry,
     RuleOp,
     SharedSecret,
@@ -68,42 +67,42 @@ def apply_attribute_rules(msg: AaaMessage, rules, direction: Direction) -> AaaMe
 
 @dataclass(frozen=True)
 class RedirectQuery:
-    realm: Realm
+    realm: str
     requester: str
 
     def to_json(self) -> dict:
-        return {"kind": "redirect-query", "realm": self.realm.text, "from": self.requester}
+        return {"kind": "redirect-query", "realm": self.realm, "from": self.requester}
 
 
 @dataclass(frozen=True)
 class RedirectHint:
-    realm: Realm
+    realm: str
     next_host: str
     ttl: int
 
     def to_json(self) -> dict:
-        return {"kind": "redirect-hint", "realm": self.realm.text, "next": self.next_host, "ttl": self.ttl}
+        return {"kind": "redirect-hint", "realm": self.realm, "next": self.next_host, "ttl": self.ttl}
 
 
 @dataclass(frozen=True)
 class RedirectMiss:
-    realm: Realm
+    realm: str
 
     def to_json(self) -> dict:
-        return {"kind": "redirect-miss", "realm": self.realm.text}
+        return {"kind": "redirect-miss", "realm": self.realm}
 
 
 class _PendingQueue:
-    """FIFO of messages waiting for a usable route to one realm.
+    """FIFO of messages waiting for a usable route to one realm, kept in
+    ``Node.pending`` under that realm.
 
     The queue's lifetime is the deduplication window for both the
     acquire-route notification and forward-failure notifications.
     """
 
-    __slots__ = ("realm", "items", "acquire_sent", "failures_reported")
+    __slots__ = ("items", "acquire_sent", "failures_reported")
 
-    def __init__(self, realm: Realm):
-        self.realm = realm
+    def __init__(self):
         self.items: deque = deque()
         self.acquire_sent = False
         self.failures_reported: set[str] = set()
@@ -127,7 +126,7 @@ class Node:
         self.address = address
         self.loop = loop
         self.network = network
-        self.served_realms: frozenset[Realm] = frozenset(served_realms)  # hashed lookup per request
+        self.served_realms: frozenset[str] = frozenset(served_realms)  # hashed lookup per request
         self.users = dict(users or {})
         self.authorized_controller = authorized_controller
         self.state = state
@@ -135,7 +134,7 @@ class Node:
 
         self.running = model.ConfigDocument()
         self.channels: dict[str, Node] = {}  # peer id -> node at the end of an established channel
-        self.pending: dict[str, _PendingQueue] = {}
+        self.pending: dict[str, _PendingQueue] = {}  # by realm
         self.route_cache: dict[str, RealmEntry] = {}
 
         self.forwards = 0
@@ -317,16 +316,16 @@ class Node:
         else:
             self._dispatch(msg, entry, now)
 
-    def _select(self, realm: Realm, now: int) -> Optional[RealmEntry]:
+    def _select(self, realm: str, now: int) -> Optional[RealmEntry]:
         # live cache entries shadow running entries with the same pattern,
         # so a cached redirect hint overrides the REDIRECT entry it refined;
         # hints are keyed by exact realm text, so the realm's own hint is
         # the only one on the lookup walk, and it is dropped here once
         # expired, before it could shadow anything
         if self.route_cache:
-            cached = self.route_cache.get(realm.text)
+            cached = self.route_cache.get(realm)
             if cached is not None and now >= cached.expiration:
-                del self.route_cache[realm.text]
+                del self.route_cache[realm]
             return model.select_route((self.route_cache, self.running.routing), realm, now)
         return model.select_route((self.running.routing,), realm, now)
 
@@ -348,7 +347,7 @@ class Node:
 
     def _forward(self, msg: AaaMessage, peer_id: str) -> None:
         peer = self.channels.get(peer_id)
-        if msg.dest_realm.text in self.pending:
+        if msg.dest_realm in self.pending:
             # a backlog means the last dispatch round could not get through;
             # join it to keep per-realm FIFO, and keep probing the channel so
             # a recovery flushes the whole queue
@@ -385,8 +384,8 @@ class Node:
         new query. Parked traffic reports a peer once per pending queue."""
         if isinstance(record, RedirectQuery):
             realm = record.realm
-            self._redirect_inflight.discard(realm.text)
-            queue = self.pending.get(realm.text)
+            self._redirect_inflight.discard(realm)
+            queue = self.pending.get(realm)
             if queue is None:
                 return
         elif record.kind is MsgKind.RESPONSE:
@@ -405,11 +404,9 @@ class Node:
             self.emit_notification(Notification.forward_failure(self.node_id, peer_id, realm))
 
     def _park(self, msg: AaaMessage, now: int, acquire: bool) -> _PendingQueue:
-        realm_text = msg.dest_realm.text
-        queue = self.pending.get(realm_text)
+        queue = self.pending.get(msg.dest_realm)
         if queue is None:
-            queue = _PendingQueue(msg.dest_realm)
-            self.pending[realm_text] = queue
+            queue = self.pending[msg.dest_realm] = _PendingQueue()
         if len(queue.items) >= PENDING_LIMIT:
             self.queue_drops += 1
             self._fail(msg, "QUEUE_FULL")
@@ -423,12 +420,12 @@ class Node:
 
     def _flush_pending(self) -> None:
         now = self.loop.now
-        for realm_text, queue in list(self.pending.items()):
+        for realm, queue in list(self.pending.items()):
             # dispatching changes no route, so one lookup serves the queue
-            entry = self._select(queue.realm, now)
+            entry = self._select(realm, now)
             if entry is None:
                 continue
-            del self.pending[realm_text]
+            del self.pending[realm]
             for msg, _enqueued in queue.items:
                 self._dispatch(msg, entry, now)
 
@@ -474,12 +471,12 @@ class Node:
 
         Only one query per realm is in flight; later messages share it.
         """
-        realm_text = msg.dest_realm.text
+        realm = msg.dest_realm
         self._park(msg, now, acquire=False)
-        if realm_text in self._redirect_inflight:
+        if realm in self._redirect_inflight:
             return
-        self._redirect_inflight.add(realm_text)
-        self._send(agent_peer_id, RedirectQuery(msg.dest_realm, self.node_id))
+        self._redirect_inflight.add(realm)
+        self._send(agent_peer_id, RedirectQuery(realm, self.node_id))
 
     def _handle_redirect_query(self, query: RedirectQuery) -> None:
         now = self.loop.now
@@ -501,14 +498,14 @@ class Node:
 
     def _handle_redirect_hint(self, hint: RedirectHint) -> None:
         now = self.loop.now
-        realm_text = hint.realm.text
-        self._redirect_inflight.discard(realm_text)
+        realm = hint.realm
+        self._redirect_inflight.discard(realm)
         peer = self.peer_for_host(hint.next_host)
         if peer is None:
-            self._fail_queue(realm_text, "CHANNEL_FAILED")
+            self._fail_queue(realm, "CHANNEL_FAILED")
             return
-        self.route_cache[realm_text] = RealmEntry(
-            pattern=realm_text,
+        self.route_cache[realm] = RealmEntry(
+            pattern=realm,
             next_hop=peer.peer_id,
             action=Action.RELAY,
             expiration=now + hint.ttl,
@@ -516,11 +513,11 @@ class Node:
         self._flush_pending()
 
     def _handle_redirect_miss(self, miss: RedirectMiss) -> None:
-        self._redirect_inflight.discard(miss.realm.text)
-        self._fail_queue(miss.realm.text, "REDIRECT_NO_ROUTE")
+        self._redirect_inflight.discard(miss.realm)
+        self._fail_queue(miss.realm, "REDIRECT_NO_ROUTE")
 
-    def _fail_queue(self, realm_text: str, code: str) -> None:
-        queue = self.pending.pop(realm_text, None)
+    def _fail_queue(self, realm: str, code: str) -> None:
+        queue = self.pending.pop(realm, None)
         if queue is None:
             return
         for msg, _enqueued in queue.items:
@@ -577,13 +574,12 @@ class Node:
             for _key, p in expired_peers:
                 self._drop_channel_pair(p)
 
-        for realm_text in list(self.pending):
-            queue = self.pending[realm_text]
+        for realm, queue in list(self.pending.items()):
             while queue.items and now - queue.items[0][1] >= PENDING_TIMEOUT_MS:
                 msg, _enqueued = queue.items.popleft()
                 self._fail(msg, "NO_ROUTE_TIMEOUT")
             if not queue.items:
-                del self.pending[realm_text]
+                del self.pending[realm]
 
         for note in notes:
             self.emit_notification(note)
@@ -602,8 +598,13 @@ class Node:
         self.network.finalize_message(self.node_id, msg.failed(code))
 
     def set_down(self) -> None:
+        """Go DOWN, keeping no state to wait on: each parked request ends
+        NODE_DOWN, queue by queue, each front to back."""
         self.state = DOWN
         self.channels.clear()
+        for queue in self.pending.values():
+            for msg, _enqueued in queue.items:
+                self._fail(msg, "NODE_DOWN")
         self.pending.clear()
         self.route_cache.clear()
         self._redirect_inflight.clear()

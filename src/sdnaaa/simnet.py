@@ -27,7 +27,7 @@ from .controller import (
     Topology,
     load_policy,
 )
-from .model import AaaMessage, CodedError, MsgKind, Realm
+from .model import AaaMessage, CodedError, MsgKind
 
 PROACTIVE = "PROACTIVE"
 REACTIVE = "REACTIVE"
@@ -154,7 +154,7 @@ def _message_text(msg: AaaMessage, texts: _Texts, prefixes: dict) -> str:
         known = prefixes[id(attributes)] = (
             msg_id, kind, nai, dest_realm,
             f'{{"kind":{texts[kind._value_]},"msg_id":{texts[msg_id]},'
-            f'"nai":{texts[nai.text]},"dest_realm":{texts[dest_realm.text]},'
+            f'"nai":{texts[nai.text]},"dest_realm":{texts[dest_realm]},'
             f'"attributes":{_json_text(attributes, texts)},"trace":',
         )
     error = "" if error is None else f',"error":{texts[error]}'
@@ -399,7 +399,8 @@ def _event_fault(raw, last: int, infos: dict) -> NoReturn:
 
 def scenario_from_dict(obj: dict) -> Scenario:
     """The scenario ``obj`` declares. An inject event carries its ``Nai``, one per
-    distinct text; each realm is one ``Realm``, where a node serves it the served one."""
+    distinct text; each distinct realm text is parsed once, and each realm is
+    one ``str``, where a node serves it the served one."""
     _check_members(obj, "scenario")
     seed, stop_time, mode = obj["seed"], obj["stop_time"], obj["mode"]
     _require(type(seed) is int, "PARSE_ERROR", "seed")
@@ -410,11 +411,16 @@ def scenario_from_dict(obj: dict) -> Scenario:
     _check_members(topo_obj, "topology")
     specs = topo_obj["nodes"]
     _require(isinstance(specs, dict) and specs, "PARSE_ERROR", "topology.nodes")
-    # the first Realm parsed of each realm, keyed by its value: the lower-cased text
-    realms: dict[str, Realm] = {}
+    # each realm text as written -> its parsed text, one object per value (a
+    # parsed text maps to itself), so one realm written two ways is one str
+    realms: dict[str, str] = {}
 
-    def realm_of(text: str) -> Realm:
-        return realms.get(text.lower()) or realms.setdefault(text.lower(), Realm.parse(text))
+    def realm_of(text: str) -> str:
+        realm = realms.get(text)
+        if realm is None:
+            realm = model.parse_realm(text)
+            realm = realms[text] = realms.setdefault(realm, realm)
+        return realm
 
     users_of: dict[str, dict[str, str]] = {}
     infos: dict[str, NodeInfo] = {}
@@ -425,10 +431,10 @@ def scenario_from_dict(obj: dict) -> Scenario:
         role, state = raw.get("role", AGENT), raw.get("state", "UP")
         _require(role in ROLES, "PARSE_ERROR", f"node {nid} role {role!r}")
         _require(state in ("UP", "DOWN"), "PARSE_ERROR", f"node {nid} state")
-        realm_texts = raw.get("realms", [])
-        _require(isinstance(realm_texts, list) and all(isinstance(r, str) for r in realm_texts),
+        realms_obj = raw.get("realms", [])
+        _require(isinstance(realms_obj, list) and all(isinstance(r, str) for r in realms_obj),
                  "PARSE_ERROR", f"node {nid} realms")
-        served = tuple(realm_of(r) for r in realm_texts)
+        served = tuple(map(realm_of, realms_obj))
         users = raw.get("users", {})
         _require(_is_str_map(users), "PARSE_ERROR", f"node {nid} users")
         address = raw.get("address", f"{nid}.sim")
@@ -452,12 +458,12 @@ def scenario_from_dict(obj: dict) -> Scenario:
     homes = topo_obj.get("homes", {})
     _require(_is_str_map(homes), "PARSE_ERROR", "topology.homes")
     serving = {(nid, realm) for nid, info in infos.items() for realm in info.served_realms}
-    for realm_text, home in homes.items():
-        realm = realm_of(realm_text)
+    for text, home in homes.items():
+        realm = realm_of(text)
         _require(home in infos, "UNKNOWN_NODE", home)
         _require(infos[home].role == SERVER and (home, realm) in serving,
-                 "PARSE_ERROR", f"home {home} does not serve {realm_text}")
-        home_of[realm.text] = home
+                 "PARSE_ERROR", f"home {home} does not serve {text}")
+        home_of[realm] = home
     topology = Topology(infos, links, home_of)
 
     policies_obj = obj["policies"]
@@ -481,8 +487,8 @@ def scenario_from_dict(obj: dict) -> Scenario:
         last = time
         nai = nais.get(text)
         if nai is None and text is not None:
-            user, realm_text = model.split_nai(text)
-            nai = nais[text] = model.Nai(user, realm_of(realm_text))
+            user, realm = model.split_nai(text)
+            nai = nais[text] = model.Nai(user, realm_of(realm))
         events.append(Event(time, kind, node, nai, password))
 
     options = obj.get("options", {})
@@ -527,7 +533,6 @@ class Simulation:
         self.transcript = Transcript()
         self.network = Network(self.loop, self.metrics, self.transcript)
         self.nodes = self.network.nodes
-        self.snapshots: list[str] = []
         self._msg_seq = 0
 
         for nid, info in scenario.topology.nodes.items():
@@ -586,9 +591,9 @@ class Simulation:
             self._inject(ev)
         elif ev.kind == "node-down":
             n = self.nodes[ev.node]
+            self.transcript.add((self.loop.now, ev.node, "node-down"))
             n.set_down()
             self.network.invalidate_channels_to(n)
-            self.transcript.add((self.loop.now, ev.node, "node-down"))
         elif ev.kind == "node-up":
             n = self.nodes[ev.node]
             n.set_up()
@@ -597,9 +602,7 @@ class Simulation:
                 self._open_session(ev.node)
             self.controller.node_registered(ev.node)
         else:  # snapshot
-            snap = self.controller.snapshot_json()
-            self.snapshots.append(snap)
-            self.transcript.add((self.loop.now, "controller", "snapshot", json.loads(snap)))
+            self.transcript.add((self.loop.now, "controller", "snapshot", self.controller.snapshot()))
 
     def _inject(self, ev: Event) -> None:
         self._msg_seq += 1

@@ -22,7 +22,6 @@ from sdnaaa.model import (
     ConfigDocument,
     Direction,
     PeerEntry,
-    Realm,
     RealmEntry,
     RuleOp,
     SharedSecret,
@@ -126,19 +125,19 @@ def gen_random_topology(
         raise CodedError("BAD_ARGS", f"n_nodes {n_nodes}")
     if not (0 < edge_prob <= 1):
         raise CodedError("BAD_ARGS", f"edge_prob {edge_prob}")
-    realm_objs = [Realm.parse(r) for r in realms]
-    if n_nodes < len(realm_objs) + 1:
+    parsed = [model.parse_realm(r) for r in realms]
+    if n_nodes < len(parsed) + 1:
         raise CodedError("BAD_ARGS", "not enough nodes for realms plus a client")
     rng = random.Random(seed)
     names = [f"n{i:02d}" for i in range(n_nodes)]
     infos: dict[str, NodeInfo] = {}
     home_of: dict[str, str] = {}
     for idx, name in enumerate(names):
-        if idx < len(realm_objs):
-            realm = realm_objs[idx]
+        if idx < len(parsed):
+            realm = parsed[idx]
             infos[name] = NodeInfo(f"{name}.sim", SERVER, (realm,))
-            home_of[realm.text] = name
-        elif idx == len(realm_objs):
+            home_of[realm] = name
+        elif idx == len(parsed):
             infos[name] = NodeInfo(f"{name}.sim", CLIENT)
         else:
             infos[name] = NodeInfo(f"{name}.sim", AGENT)

@@ -28,7 +28,7 @@ from sdnaaa.controller import (
     load_policy,
 )
 from sdnaaa.model import (
-    Action, CodedError, ConfigDocument, Realm, RealmEntry,
+    Action, CodedError, ConfigDocument, RealmEntry,
 )
 from test_model import match_realm
 
@@ -247,7 +247,7 @@ class CountingLinks(set):
 def test_links_are_read_only_when_the_topology_is_built():
     nodes, links, homes = chain_nodes()
     infos = {
-        n: NodeInfo(spec["address"], spec["role"], tuple(map(Realm.parse, spec.get("realms", ()))))
+        n: NodeInfo(spec["address"], spec["role"], tuple(map(model.parse_realm, spec.get("realms", ()))))
         for n, spec in nodes.items()
     }
     allowed = CountingLinks(frozenset(pair) for pair in links)
@@ -334,9 +334,9 @@ def test_psk_secret_not_retained_after_establishment():
     result = wait(sim, sim.controller.establish_adjacency("ai", "aj", "psk"))
     assert result.status == "ESTABLISHED"
     secret = sim.nodes["ai"].running.peer("aj").credential.secret
-    snapshot = sim.controller.snapshot_json()
-    assert secret.hex() not in snapshot
-    record = json.loads(snapshot)["adjacencies"][0]
+    snapshot = sim.controller.snapshot()
+    assert secret.hex() not in json.dumps(snapshot)
+    record = snapshot["adjacencies"][0]
     assert record["fingerprint"]
     assert record["pair"] == ["ai", "aj"]
 
@@ -451,6 +451,21 @@ def test_an_idle_controller_ledgers_what_its_nodes_run(name, mode):
         }, nid
 
 
+@pytest.mark.parametrize("mode", [simnet.PROACTIVE, simnet.REACTIVE])
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")))
+def test_no_flush_starts_on_an_empty_route_map(name, mode, monkeypatch):
+    flush = controller_mod.Controller._flush
+    sizes = []
+
+    def counted(self, routes):
+        sizes.append(len(routes))
+        return flush(self, routes)
+
+    monkeypatch.setattr(controller_mod.Controller, "_flush", counted)
+    simnet.Simulation(build(name, mode)).run()
+    assert 0 not in sizes
+
+
 # ---------------------------------------------------------------------------
 # bulk provisioning: provision_all against the serial walk
 
@@ -473,7 +488,7 @@ def provisioned(scenario, monkeypatch, serial: bool):
     while not marker.done:
         sim.run_until(sim.loop.now + 1)
     docs = {nid: model.redact(n.running) for nid, n in sim.nodes.items()}
-    ledger = json.loads(sim.controller.snapshot_json())["ledger"]
+    ledger = sim.controller.snapshot()["ledger"]
     _metrics, transcript = sim.run()
     return docs, ledger, ended(transcript)
 
@@ -749,11 +764,11 @@ def test_match_policy_equals_a_linear_scan_over_distinct_patterns():
     rng = random.Random(20261019)
 
     def realm():
-        return Realm(tuple(rng.choice(("a", "b", "org")) for _ in range(rng.randint(1, 3))))
+        return ".".join(rng.choice(("a", "b", "org")) for _ in range(rng.randint(1, 3)))
 
     def pattern():
         prefix = rng.choice(("", "*.", "*"))  # exact, wildcard, default
-        return prefix if prefix == "*" else prefix + realm().text
+        return prefix if prefix == "*" else prefix + realm()
 
     matched = 0
     for _ in range(300):
@@ -1053,9 +1068,21 @@ def test_a_node_loaded_down_gets_its_static_config_when_it_registers(loop_text):
 def test_snapshot_json_round_trips():
     sim = chain_sim(policies=["route realm.org via ah security psk"])
     run_all(sim)
-    state = json.loads(sim.controller.snapshot_json())
+    state = json.loads(json.dumps(sim.controller.snapshot()))
     assert set(state) == {"policies", "adjacencies", "ledger"}
     assert state["policies"][0]["pattern"] == "realm.org"
     assert all(rec["status"] == "ESTABLISHED" for rec in state["adjacencies"])
     peers = [peer for entry in state["ledger"].values() for peer in entry["peers"].values()]
     assert peers and {peer["security"] for peer in peers} == {"psk"}
+
+
+def test_a_recorded_snapshot_keeps_its_values_when_the_ledger_changes():
+    sim = chain_sim(policies=["route realm.org via ah security psk"],
+                    events=[{"time": 100, "kind": "snapshot"}])
+    sim.run_until(100)
+    [record] = [r for r in sim.transcript.records if r["direction"] == "snapshot"]
+    assert record["snapshot"]["ledger"]["ah"]["routes"]["realm.org"]["action"] == "local"
+    for entry in sim.controller.ledger.values():
+        for kept in (*entry["peers"].values(), *entry["routes"].values()):
+            kept["policy"] = "changed"
+    assert [r for r in sim.transcript.records if r["direction"] == "snapshot"] == [record]

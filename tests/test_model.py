@@ -1,10 +1,11 @@
 import dataclasses
 import json
 import random
+import re
 import string
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_random_valid_doc, secret_hexes
@@ -17,19 +18,20 @@ from sdnaaa.model import (
     ConfigDocument,
     Direction,
     PeerEntry,
-    Realm,
     RealmEntry,
     RuleOp,
     SharedSecret,
     TlsProfile,
     TlsRef,
     Transport,
+    lookup_keys,
     parse_nai,
+    parse_realm,
     select_route,
 )
 
 LABEL = st.from_regex(r"[a-z0-9-]{1,8}", fullmatch=True)
-REALMS = st.lists(LABEL, min_size=1, max_size=6).map(lambda ls: Realm(tuple(ls)))
+REALMS = st.lists(LABEL, min_size=1, max_size=6).map(".".join)
 USERS = st.from_regex(r"[A-Za-z0-9._-]{1,12}", fullmatch=True)
 
 
@@ -40,13 +42,13 @@ USERS = st.from_regex(r"[A-Za-z0-9._-]{1,12}", fullmatch=True)
 def test_parse_nai_splits_user_and_realm():
     nai = parse_nai("alice@realm.org")
     assert nai.user == "alice"
-    assert nai.realm.labels == ("realm", "org")
+    assert nai.realm == "realm.org"
 
 
 def test_parse_nai_single_label_realm():
     nai = parse_nai("bob@x")
     assert nai.user == "bob"
-    assert nai.realm.labels == ("x",)
+    assert nai.realm == "x"
 
 
 @pytest.mark.parametrize(
@@ -85,21 +87,54 @@ def test_coded_error_message_is_one_line_and_detail_stays_raw(detail, message):
 
 
 def test_parse_nai_lowercases_realm():
-    assert parse_nai("alice@Realm.ORG").realm.text == "realm.org"
+    assert parse_nai("alice@Realm.ORG").realm == "realm.org"
 
 
 @given(USERS, REALMS)
 def test_parse_nai_inverts_for_valid_pairs(user, realm):
-    nai = parse_nai(f"{user}@{realm.text}")
+    nai = parse_nai(f"{user}@{realm}")
     assert nai.user == user
     assert nai.realm == realm
+
+
+# ---------------------------------------------------------------------------
+# realm parsing
+
+# an independent statement of a valid realm: 1 to 32 dot-separated labels of
+# 1 to 63 ASCII lower-case letters, digits or hyphens
+REALM_ORACLE = re.compile(r"[a-z0-9-]{1,63}(?:\.[a-z0-9-]{1,63}){0,31}")
+# ASCII realm characters plus non-ASCII letters: the Kelvin sign (U+212A)
+# lower-cases to "k", the dotted capital I (U+0130) to "i" and a combining
+# dot, and sharp s (U+00DF) stays as it is
+REALM_CHARS = (st.sampled_from(string.ascii_letters + string.digits + "-")
+               | st.sampled_from("\u212a\u0130\u00df"))
+REALM_TEXTS = (st.text(REALM_CHARS | st.just("."), max_size=16)
+               | st.lists(st.text(REALM_CHARS, max_size=66), min_size=1, max_size=34).map(".".join))
+
+
+@given(REALM_TEXTS)
+@example("Realm.ORG")
+@example("\u212a.org")
+@example("\u0130.org")
+@example(".".join(["a" * 63] * 32))
+@example(".".join(["a" * 63] * 33))
+@example("a" * 64)
+@example("realm.org\n")
+def test_parse_realm_is_the_lower_cased_text_exactly_when_that_is_a_realm(text):
+    lowered = text.lower()
+    if REALM_ORACLE.fullmatch(lowered):
+        assert parse_realm(text) == lowered
+    else:
+        with pytest.raises(CodedError) as err:
+            parse_realm(text)
+        assert err.value.code == "BAD_REALM" and err.value.detail == repr(text)
 
 
 # ---------------------------------------------------------------------------
 # realm pattern matching
 
 
-def match_realm(pattern: str, realm: Realm):
+def match_realm(pattern: str, realm: str):
     """Linear-scan oracle: the pattern's specificity if it matches
     ``realm``, else None. Specificity is 2n+1 for an exact pattern of n
     labels, 2n for a wildcard with an n-label suffix and 0 for the default;
@@ -108,35 +143,36 @@ def match_realm(pattern: str, realm: Realm):
         return 0
     wildcard = pattern.startswith("*.")
     suffix = tuple(pattern.removeprefix("*.").split("."))
+    labels = tuple(realm.split("."))
     if not wildcard:
-        return 2 * len(suffix) + 1 if realm.labels == suffix else None
-    if len(realm.labels) > len(suffix) and realm.labels[-len(suffix):] == suffix:
+        return 2 * len(suffix) + 1 if labels == suffix else None
+    if len(labels) > len(suffix) and labels[-len(suffix):] == suffix:
         return 2 * len(suffix)
     return None
 
 
 def test_wildcard_matches_longer_realm():
-    realm = Realm.parse("realm.org")
+    realm = parse_realm("realm.org")
     assert match_realm("*.org", realm) == 2
-    assert "*.org" in realm.lookup_keys
+    assert "*.org" in lookup_keys(realm)
 
 
 def test_exact_match_specificity():
-    realm = Realm.parse("realm.org")
+    realm = parse_realm("realm.org")
     assert match_realm("realm.org", realm) == 5
-    assert realm.lookup_keys[0] == "realm.org"
+    assert lookup_keys(realm)[0] == "realm.org"
 
 
 def test_wildcard_requires_extra_label():
-    realm = Realm.parse("org")
+    realm = parse_realm("org")
     assert match_realm("*.org", realm) is None
-    assert "*.org" not in realm.lookup_keys
+    assert "*.org" not in lookup_keys(realm)
 
 
 def test_default_matches_everything():
-    realm = Realm.parse("any.where.at.all")
+    realm = parse_realm("any.where.at.all")
     assert match_realm("*", realm) == 0
-    assert realm.lookup_keys[-1] == "*"
+    assert lookup_keys(realm)[-1] == "*"
 
 
 # text over [A-Za-z0-9.*-], empty included, half of its characters ".*-"
@@ -196,42 +232,44 @@ def test_a_pattern_that_is_not_a_string_is_a_bad_realm(value):
     ],
 )
 def test_lookup_keys_walk_from_the_realm_to_the_default(text, keys):
-    assert Realm.parse(text).lookup_keys == keys
+    assert lookup_keys(parse_realm(text)) == keys
 
 
 @given(REALMS)
 def test_lookup_keys_are_the_matching_patterns_most_specific_first(realm):
     # every pattern that can match this realm, constructed exhaustively
-    patterns = ["*", realm.text]
-    for cut in range(1, len(realm.labels)):
-        patterns.append("*." + ".".join(realm.labels[cut:]))
+    labels = realm.split(".")
+    patterns = ["*", realm]
+    for cut in range(1, len(labels)):
+        patterns.append("*." + ".".join(labels[cut:]))
     specs = [match_realm(p, realm) for p in patterns]
     assert all(s is not None for s in specs)
     assert len(set(specs)) == len(specs)
     ranked = sorted(zip(specs, patterns), key=lambda pair: pair[0], reverse=True)
-    assert tuple(p for _, p in ranked) == realm.lookup_keys
+    assert tuple(p for _, p in ranked) == lookup_keys(realm)
 
 
 SMALL_LABEL = st.sampled_from(["a", "b", "org"])
-SMALL_REALMS = st.lists(SMALL_LABEL, min_size=1, max_size=4).map(lambda ls: Realm(tuple(ls)))
+SMALL_REALMS = st.lists(SMALL_LABEL, min_size=1, max_size=4).map(".".join)
 PATTERNS = st.one_of(
     st.just("*"),
-    SMALL_REALMS.map(lambda r: r.text),
-    SMALL_REALMS.map(lambda r: "*." + r.text),
+    SMALL_REALMS,
+    SMALL_REALMS.map(lambda r: "*." + r),
 )
 
 
 @given(PATTERNS, SMALL_REALMS)
 def test_a_pattern_matches_exactly_when_its_text_is_a_lookup_key(pattern, realm):
-    assert (match_realm(pattern, realm) is not None) == (pattern in realm.lookup_keys)
+    assert (match_realm(pattern, realm) is not None) == (pattern in lookup_keys(realm))
 
 
 @given(REALMS)
 def test_exact_beats_wildcard_and_default(realm):
-    exact = realm.text
+    exact = realm
+    labels = realm.split(".")
     others = ["*"]
-    for cut in range(1, len(realm.labels)):
-        others.append("*." + ".".join(realm.labels[cut:]))
+    for cut in range(1, len(labels)):
+        others.append("*." + ".".join(labels[cut:]))
     table = {p: RealmEntry(p, None, Action.LOCAL) for p in others}
     table[exact] = RealmEntry(exact, None, Action.LOCAL)
     chosen = select_route((table,), realm, now=0)
@@ -252,13 +290,13 @@ def _table(*entries: RealmEntry) -> dict[str, RealmEntry]:
 
 def test_select_route_prefers_exact_over_default():
     table = _table(_relay("realm.org", "aj"), _relay("*", "up"))
-    chosen = select_route((table,), Realm.parse("realm.org"), now=0)
+    chosen = select_route((table,), "realm.org", now=0)
     assert chosen.next_hop == "aj"
 
 
 def test_select_route_falls_back_to_default():
     table = _table(_relay("*", "up"))
-    chosen = select_route((table,), Realm.parse("any.where"), now=0)
+    chosen = select_route((table,), "any.where", now=0)
     assert chosen.next_hop == "up"
 
 
@@ -272,14 +310,14 @@ def oracle_select(table, realm, now):
 
 def test_select_route_skips_expired_entries():
     table = _table(_relay("*.org", "aj", expiration=100))
-    realm = Realm.parse("realm.org")
+    realm = "realm.org"
     assert oracle_select(table.values(), realm, 150) is None
     assert select_route((table,), realm, 150) is None
 
 
 def test_select_route_expiry_boundary_is_exclusive():
     table = _table(_relay("*.org", "aj", expiration=100))
-    realm = Realm.parse("realm.org")
+    realm = "realm.org"
     for now in (0, 50, 99):
         assert select_route((table,), realm, now) is not None
     for now in (100, 101, 10_000):
@@ -292,7 +330,7 @@ def test_select_route_expired_entries_fall_back_to_less_specific():
         _relay("*.realm.org", "wild", expiration=200),
         _relay("*", "default"),
     )
-    realm = Realm.parse("a.realm.org")
+    realm = "a.realm.org"
     assert select_route((table,), realm, 99).next_hop == "exact"
     # the exact entry expired: the live wildcard answers
     assert select_route((table,), realm, 100).next_hop == "wild"
@@ -300,15 +338,16 @@ def test_select_route_expired_entries_fall_back_to_less_specific():
     assert select_route((table,), realm, 200).next_hop == "default"
 
 
-def _random_table(rng: random.Random, realm: Realm, tag: str) -> dict[str, RealmEntry]:
+def _random_table(rng: random.Random, realm: str, tag: str) -> dict[str, RealmEntry]:
+    labels = realm.split(".")
     table = {}
     for i in range(rng.randint(0, 6)):
         kind = rng.choice(("exact", "wild", "default"))
         if kind == "exact":
-            pattern = realm.text
-        elif kind == "wild" and len(realm.labels) > 1:
-            cut = rng.randint(1, len(realm.labels) - 1)
-            pattern = "*." + ".".join(realm.labels[cut:])
+            pattern = realm
+        elif kind == "wild" and len(labels) > 1:
+            cut = rng.randint(1, len(labels) - 1)
+            pattern = "*." + ".".join(labels[cut:])
         else:
             pattern = "*"
         if pattern in table:
@@ -317,14 +356,14 @@ def _random_table(rng: random.Random, realm: Realm, tag: str) -> dict[str, Realm
         table[pattern] = _relay(pattern, f"{tag}{i}", expiration)
     # entries for other realms, which must never be chosen
     for i in range(rng.randint(0, 3)):
-        other = f"x{i}.{realm.text}" if rng.random() < 0.5 else f"*.y{i}.{realm.text}"
+        other = f"x{i}.{realm}" if rng.random() < 0.5 else f"*.y{i}.{realm}"
         table[other] = _relay(other, f"{tag}-other{i}")
     return table
 
 
 @given(REALMS, st.integers(0, 200))
 def test_select_route_agrees_with_linear_scan_oracle(realm, now):
-    rng = random.Random(now * 7919 + len(realm.labels))
+    rng = random.Random(now * 7919 + realm.count(".") + 1)
     cache = _random_table(rng, realm, "c")
     running = _random_table(rng, realm, "r")
     expected = oracle_select({**running, **cache}.values(), realm, now)

@@ -410,8 +410,8 @@ PLAIN = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT | BIG_INTS, inner, max_size=3),
     max_leaves=8,
 )
-REALMS = st.lists(TEXT, min_size=1, max_size=3).map(lambda labels: model.Realm(tuple(labels)))
-PATTERNS = st.just("*") | TEXT  # a pattern is its key text, which the writer takes as any string
+# a pattern, like a realm, is its key text, which the writer takes as any string
+PATTERNS = st.just("*") | TEXT
 KEY_BYTES = st.binary(max_size=64) | st.just(model.REDACTED)
 EXPIRATIONS = st.none() | BIG_INTS
 ENTITIES = {
@@ -440,7 +440,7 @@ DOCUMENTS = st.builds(model.ConfigDocument, **{
             model.entry_key(container, e): e for e in entities})
     for container, entity in ENTITIES.items()
 })
-NOTES = st.builds(model.Notification, TEXT, TEXT, st.none() | REALMS, st.none() | TEXT,
+NOTES = st.builds(model.Notification, TEXT, TEXT, st.none() | TEXT, st.none() | TEXT,
                   st.none() | PATTERNS)
 FRAMES = st.one_of(
     st.builds(Frame, BIG_INTS, st.sampled_from([OK, GET_CONFIG]) | TEXT),
@@ -466,7 +466,7 @@ def messages(draw):
     values mostly strings, the others written by the encoder), a response
     built from the last copy, a request with an empty map, and messages that
     share the request's map but differ from it in id, kind, NAI or realm."""
-    nai = model.Nai(draw(TEXT), draw(REALMS))
+    nai = model.Nai(draw(TEXT), draw(TEXT))
     request = AaaMessage(draw(TEXT), model.MsgKind.REQUEST, nai, nai.realm,
                          draw(st.dictionaries(TEXT, TEXT | PLAIN, max_size=3)))
     family = [request]
@@ -478,7 +478,7 @@ def messages(draw):
         error=draw(st.none() | TEXT),
     ))
     family.append(AaaMessage(draw(TEXT), model.MsgKind.REQUEST, nai, nai.realm, {}))
-    other_nai = model.Nai(draw(TEXT), draw(REALMS))
+    other_nai = model.Nai(draw(TEXT), draw(TEXT))
     family += [
         request._replace(msg_id=draw(TEXT)),
         request._replace(kind=model.MsgKind.RESPONSE),
@@ -661,7 +661,7 @@ def test_snapshot_event_recorded_in_transcript(diamond_text):
     sim = Simulation(load_scenario(diamond_text))
     _metrics, transcript = sim.run()
     snaps = [r for r in transcript.records if r["direction"] == "snapshot"]
-    assert len(snaps) == 2 and len(sim.snapshots) == 2
+    assert len(snaps) == 2
     assert snaps[0]["actor"] == "controller"
     assert "adjacencies" in snaps[0]["snapshot"]
 
@@ -686,6 +686,28 @@ def test_node_down_loses_in_flight_messages():
     done = [r for r in transcript.records if r["direction"] == "done"]
     assert [(r["actor"], r["message"]["status"], r["message"]["error"]) for r in done] == [
         ("ai", "error", "LOST_IN_FLIGHT")]
+
+
+def test_requests_parked_at_a_node_that_goes_down_end_node_down():
+    nodes, links, homes = chain_nodes()
+    # reactive: each request parks at ac, waiting for its route, when ac goes down
+    events = [inject(50, "ac", nai, "alice-pw")
+              for nai in ("alice@realm.org", "alice@none.org", "bob@realm.org")]
+    events.append({"time": 51, "kind": "node-down", "node": "ac"})
+    scenario = make_scenario(
+        nodes, links, homes, policies=["route realm.org via ah security psk"],
+        mode=simnet.REACTIVE, events=events, stop_time=8000,
+    )
+    metrics, transcript = simnet.run(scenario)
+    assert (metrics.injected, metrics.errored, metrics.still_pending, metrics.lost_in_flight) == (3, 3, 0, 0)
+    assert metrics.error_codes == {"NODE_DOWN": 3}
+    # once each, after the node-down record, queue by queue, each front to back
+    records = [r for r in transcript.records if r["direction"] in ("node-down", "done")]
+    assert [(r["time"], r["actor"], r["direction"]) for r in records] == [
+        (51, "ac", "node-down")] + [(51, "ac", "done")] * 3
+    assert [(r["message"]["msg_id"], r["message"]["status"], r["message"]["error"])
+            for r in records[1:]] == [(msg_id, "error", "NODE_DOWN")
+                                      for msg_id in ("m000001", "m000003", "m000002")]
 
 
 @pytest.mark.parametrize("mode", [simnet.PROACTIVE, simnet.REACTIVE])

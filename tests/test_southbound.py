@@ -13,7 +13,6 @@ from sdnaaa.model import (
     Direction,
     Notification,
     PeerEntry,
-    Realm,
     RealmEntry,
     RuleOp,
     SharedSecret,
@@ -249,10 +248,10 @@ def test_notification_uses_txn_zero_and_reaches_handler(rig):
     frames = []
     open_session("controller", node, loop, on_notification=seen.append,
                  recorder=lambda t, _n, d, f: frames.append((t, d, f)))
-    node.emit_notification(Notification.acquire_route("ai", Realm.parse("realm.org")))
+    node.emit_notification(Notification.acquire_route("ai", "realm.org"))
     drain(loop)
     assert len(seen) == 1
-    assert seen[0].realm.text == "realm.org"
+    assert seen[0].realm == "realm.org"
     times = [f for (_t, d, f) in frames if f.type == southbound.NOTIFICATION]
     assert times and all(f.txn == 0 for f in times)
 
@@ -367,7 +366,7 @@ def frame_samples():
         Frame(2, southbound.CONFIG, doc=model.redact(doc)),
         Frame(1, southbound.OK),
         Frame(3, southbound.ERROR, error={"code": "VALIDATION_FAILED", "detail": [{"code": "BAD_PORT", "subject": "peers/x"}]}),
-        Frame(0, southbound.NOTIFICATION, note=Notification.forward_failure("ai", "aj", Realm.parse("realm.org"))),
+        Frame(0, southbound.NOTIFICATION, note=Notification.forward_failure("ai", "aj", "realm.org")),
         pytest.param(Frame(4, southbound.EDIT_CONFIG, changes=every_container), id="edit-config-every-container"),
     ]
 
@@ -414,6 +413,6 @@ def test_frame_wire_shape_matches_contract():
     assert obj["changes"][0]["op"] == "merge"
     assert obj["changes"][0]["path"] == "peers/aj"
     assert obj["changes"][0]["value"]["peer_id"] == "aj"
-    note = Frame(0, southbound.NOTIFICATION, note=Notification.acquire_route("ai", Realm.parse("realm.org")))
+    note = Frame(0, southbound.NOTIFICATION, note=Notification.acquire_route("ai", "realm.org"))
     obj = note.to_json()
     assert obj == {"txn": 0, "type": "notification", "note": {"kind": "acquire-route", "node": "ai", "realm": "realm.org"}}
