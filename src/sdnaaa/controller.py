@@ -156,14 +156,6 @@ def compute_next_hops(
     }
 
 
-@dataclass
-class AdjacencyRecord:
-    pair: frozenset
-    status: str  # NONE | HALF | ESTABLISHED
-    security: str
-    credential_fingerprint: Optional[str] = None
-
-
 @dataclass(frozen=True)
 class EstablishResult:
     status: str  # ESTABLISHED | FAILED
@@ -198,9 +190,11 @@ class Controller:
         self.policies: tuple[Policy, ...] = tuple(policies)
         self._policy_for_pattern = {p.realm_pattern: p for p in self.policies}
         self._policy_for_id = {p.policy_id: p for p in self.policies}
-        self.adjacencies: dict[frozenset, AdjacencyRecord] = {}
-        # desired state confirmed by OK replies; holds no credential bytes
+        # desired state confirmed by OK replies; holds no credential bytes.
+        # An adjacency is established when each side holds the other's peer.
         self.ledger: dict[str, dict] = {}
+        # each pair's credential fingerprint, from its last successful exchange
+        self._fingerprints: dict[frozenset, str] = {}
         # a node loaded DOWN is suspect until it registers
         self.suspected = {n for n, info in topology.nodes.items() if info.state != "UP"}
         # shortest paths per home; dropped whenever ``suspected`` changes
@@ -370,6 +364,11 @@ class Controller:
         entry = self.ledger.get(node_id)
         return None if entry is None else entry["routes"].get(pattern)
 
+    def _established(self, a: str, b: str) -> bool:
+        """Whether each of ``a`` and ``b`` holds the other's ledgered peer."""
+        ledger = self.ledger
+        return a in ledger and b in ledger and b in ledger[a]["peers"] and a in ledger[b]["peers"]
+
     def _paths_to(self, home: str) -> _Paths:
         """The shared, read-only shortest paths toward ``home`` for the
         current liveness view."""
@@ -403,7 +402,6 @@ class Controller:
             return EstablishResult("FAILED", 3, "NO_SESSION")
         side_a, side_b, fingerprint = self._adjacency_changes(a, b, security)
         changes_a = self._frame_changes(side_a, policy, hops_a, ttl)
-        pair = frozenset((a, b))
 
         if self.parallel_adjacency:
             changes_b = self._frame_changes(side_b, policy, hops_b, ttl)
@@ -415,7 +413,6 @@ class Controller:
             frame_a = yield session_a.edit_config(changes_a)
             frame_b = None
             if frame_a.type == southbound.OK:
-                self.adjacencies[pair] = AdjacencyRecord(pair, "HALF", security)
                 # built at its own send time so ttl counts from node-side creation
                 changes_b = self._frame_changes(side_b, policy, hops_b, ttl)
                 frame_b = yield session_b.edit_config(changes_b)
@@ -428,12 +425,11 @@ class Controller:
                 yield session_a.edit_config(self._rollback_changes(changes_a))
             elif ok_b:
                 yield session_b.edit_config(self._rollback_changes(changes_b))
-            self.adjacencies[pair] = AdjacencyRecord(pair, "NONE", security)
             if ok_a:
                 return EstablishResult("FAILED", 3, frame_b.error["code"])
             return EstablishResult("FAILED", 1, frame_a.error["code"])
 
-        self.adjacencies[pair] = AdjacencyRecord(pair, "ESTABLISHED", security, fingerprint)
+        self._fingerprints[frozenset((a, b))] = fingerprint
         policy_id = None if policy is None else policy.policy_id
         self._ledger_changes(a, changes_a, policy_id)
         self._ledger_changes(b, changes_b, policy_id)
@@ -499,20 +495,18 @@ class Controller:
         Returns the adjacency's EstablishResult, or None when no adjacency
         was missing."""
         missing = self._missing_route(policy, n, next_hop)
-        if next_hop is not None:
-            record = self.adjacencies.get(frozenset((n, next_hop)))
-            if record is None or record.status != "ESTABLISHED":
-                # Mirror side first: if n holds parked traffic, its lazy
-                # handshake must find the counterpart entry already in place.
-                mirror = next_hop == policy.home_node and self._missing_route(policy, next_hop, None)
-                result = yield from self._adjacency_job(
-                    next_hop, n, policy.security, policy.default_entry_ttl, policy,
-                    (None,) if mirror else (), (next_hop,) if missing else (),
-                )
-                if result.status != "ESTABLISHED":
-                    log.info("adjacency %s-%s failed at step %s (%s)",
-                             next_hop, n, result.failed_step, result.error)
-                return result
+        if next_hop is not None and not self._established(n, next_hop):
+            # Mirror side first: if n holds parked traffic, its lazy
+            # handshake must find the counterpart entry already in place.
+            mirror = next_hop == policy.home_node and self._missing_route(policy, next_hop, None)
+            result = yield from self._adjacency_job(
+                next_hop, n, policy.security, policy.default_entry_ttl, policy,
+                (None,) if mirror else (), (next_hop,) if missing else (),
+            )
+            if result.status != "ESTABLISHED":
+                log.info("adjacency %s-%s failed at step %s (%s)",
+                         next_hop, n, result.failed_step, result.error)
+            return result
         if missing and n in self.sessions:
             routes.setdefault(n, []).append((policy, next_hop))
         return None
@@ -597,9 +591,6 @@ class Controller:
         node_entry = self.ledger.get(note.node_id, {})
         if note.kind == Notification.PEER_EXPIRED:
             gone = node_entry.get("peers", {}).pop(note.peer_id, None)
-            record = self.adjacencies.get(frozenset((note.node_id, note.peer_id)))
-            if record is not None:
-                record.status = "NONE"
         else:
             gone = node_entry.get("routes", {}).pop(note.pattern, None)
         policy = self._policy_for_id.get(gone["policy"]) if gone else None
@@ -621,10 +612,11 @@ class Controller:
     # snapshot
 
     def snapshot(self) -> dict:
-        """The desired state as JSON values: policies, adjacencies, ledger.
-        Built of fresh containers (the ledger's entries copied), so a later
-        change of the ledger leaves it as it was. Contains credential
-        fingerprints, never raw material."""
+        """The desired state as JSON values: policies, adjacencies (the
+        pairs whose sides hold each other's ledgered peer), ledger. Built of
+        fresh containers (the ledger's entries copied), so a later change of
+        the ledger leaves it as it was. Contains credential fingerprints,
+        never raw material."""
         return {
             "policies": [
                 {
@@ -638,12 +630,14 @@ class Controller:
             ],
             "adjacencies": [
                 {
-                    "pair": sorted(record.pair),
-                    "status": record.status,
-                    "security": record.security,
-                    "fingerprint": record.credential_fingerprint,
+                    "pair": [a, b],
+                    "status": "ESTABLISHED",
+                    "security": peer["security"],
+                    "fingerprint": self._fingerprints.get(frozenset((a, b))),
                 }
-                for record in sorted(self.adjacencies.values(), key=lambda r: sorted(r.pair))
+                for a, entry in sorted(self.ledger.items())
+                for b, peer in sorted(entry["peers"].items())
+                if a < b and self._established(a, b)
             ],
             "ledger": {
                 node: {

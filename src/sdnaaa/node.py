@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from . import model, southbound
 from .model import (
@@ -142,7 +142,7 @@ class Node:
         self.notification_drops = 0
         self.redirect_queries_sent = 0
 
-        self._handshakes: dict[str, list[Callable]] = {}
+        self._handshakes: dict[str, list] = {}  # peer id -> records waiting for its handshake
         self._redirect_inflight: set[str] = set()
 
     def is_up(self) -> bool:
@@ -228,21 +228,18 @@ class Node:
     # ------------------------------------------------------------------
     # security channels
 
-    def establish_channel(self, peer_id: str, on_result: Callable) -> None:
-        """Simulated handshake with the peer behind ``peer_id``; the verdict
-        is delivered one time unit later via ``on_result(ok, reason)``.
-
-        Concurrent attempts to the same peer share one handshake.
-        """
-        waiters = self._handshakes.get(peer_id)
-        if waiters is not None:
-            waiters.append(on_result)
-            return
-        self._handshakes[peer_id] = [on_result]
-        self.loop.call_later(1, lambda: self._finish_handshake(peer_id))
+    def establish_channel(self, peer_id: str, *records) -> None:
+        """Simulated handshake with the peer behind ``peer_id``, settled one
+        time unit later, when each of ``records`` is sent over the channel or
+        passed to _unsent. Concurrent attempts share one handshake."""
+        waiting = self._handshakes.get(peer_id)
+        if waiting is None:
+            waiting = self._handshakes[peer_id] = []
+            self.loop.call_later(1, lambda: self._finish_handshake(peer_id))
+        waiting.extend(records)
 
     def _finish_handshake(self, peer_id: str) -> None:
-        waiters = self._handshakes.pop(peer_id, [])
+        waiting = self._handshakes.pop(peer_id, [])
         if not self.is_up():
             return
         reason, peer_node, mirror = self._handshake_verdict(peer_id)
@@ -253,8 +250,11 @@ class Node:
             self.network.transcript.add((self.loop.now, self.node_id, "channel-up", peer_node.node_id))
         else:
             self.channels.pop(peer_id, None)
-        for cb in waiters:
-            cb(ok, reason)
+        for record in waiting:
+            if ok:
+                self._send(peer_id, record)
+            else:
+                self._unsent(record, peer_id, reason)
         if ok:
             # fresh connectivity may unblock messages parked on a channel
             # failure; both endpoints retry their queues
@@ -353,7 +353,7 @@ class Node:
             # a recovery flushes the whole queue
             self._park(msg, self.loop.now, acquire=False)
             if peer is None:
-                self.establish_channel(peer_id, lambda ok, reason: None)
+                self.establish_channel(peer_id)
         elif peer is None:
             self._send(peer_id, msg)
         else:
@@ -365,12 +365,7 @@ class Node:
         else after a handshake; a record that cannot go out goes to _unsent."""
         peer = self.channels.get(peer_id)
         if peer is None:
-            def done(ok: bool, reason: Optional[str]) -> None:
-                if ok:
-                    self._send(peer_id, record)
-                else:
-                    self._unsent(record, peer_id, reason)
-            self.establish_channel(peer_id, done)
+            self.establish_channel(peer_id, record)
             return
         if type(record) is RedirectQuery:
             self.redirect_queries_sent += 1
@@ -599,12 +594,16 @@ class Node:
 
     def set_down(self) -> None:
         """Go DOWN, keeping no state to wait on: each parked request ends
-        NODE_DOWN, queue by queue, each front to back."""
+        NODE_DOWN, queue by queue, each front to back, then each request or
+        response waiting on a handshake; redirect queries free their realms."""
         self.state = DOWN
         self.channels.clear()
-        for queue in self.pending.values():
-            for msg, _enqueued in queue.items:
-                self._fail(msg, "NODE_DOWN")
+        waiting = [msg for queue in self.pending.values() for msg, _enqueued in queue.items]
+        for records in self._handshakes.values():
+            waiting += (r for r in records if type(r) is AaaMessage)
+            records.clear()  # the handshake still settles, with nothing to send
+        for msg in waiting:
+            self._fail(msg, "NODE_DOWN")
         self.pending.clear()
         self.route_cache.clear()
         self._redirect_inflight.clear()

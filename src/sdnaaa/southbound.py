@@ -58,13 +58,15 @@ def run_workflow(gen) -> Reply:
     """Drive a generator that yields Reply objects; its return value
     resolves the returned Reply. Already-resolved replies resume
     synchronously, so a workflow consumes no logical time beyond the frames
-    it awaits."""
+    it awaits. A finished workflow leaves no reference cycle behind."""
     done = Reply()
 
     def step(value):
+        nonlocal step
         try:
             pending = gen.send(value)
         except StopIteration as stop:
+            step = None  # step's cell held step itself
             done.resolve(stop.value)
             return
         pending.add_done_callback(step)

@@ -281,9 +281,9 @@ def test_establish_adjacency_populates_both_peer_tables():
     assert result.status == "ESTABLISHED"
     assert sim.nodes["ai"].running.peer("aj") is not None
     assert sim.nodes["aj"].running.peer("ai") is not None
-    record = sim.controller.adjacencies[frozenset(("ai", "aj"))]
-    assert record.status == "ESTABLISHED"
-    assert record.credential_fingerprint
+    [record] = sim.controller.snapshot()["adjacencies"]
+    assert (record["pair"], record["status"], record["security"]) == (["ai", "aj"], "ESTABLISHED", "tls")
+    assert record["fingerprint"]
 
 
 def test_sequential_adjacency_transcript_order():
@@ -348,11 +348,8 @@ def test_psk_secret_not_retained_after_establishment():
 def test_provision_installs_path_adjacencies_and_routes():
     sim = chain_sim(policies=["route realm.org via ah security tls"])
     run_all(sim)
-    established = [
-        tuple(sorted(r.pair)) for r in sim.controller.adjacencies.values()
-        if r.status == "ESTABLISHED"
-    ]
-    assert sorted(established) == [("ac", "ai"), ("ah", "aj"), ("ai", "aj")]
+    established = [r["pair"] for r in sim.controller.snapshot()["adjacencies"]]
+    assert established == [["ac", "ai"], ["ah", "aj"], ["ai", "aj"]]
     routes = {
         n: entry["routes"]["realm.org"]["action"]
         for n, entry in sim.controller.ledger.items()
@@ -424,13 +421,16 @@ BUSY_AT_STOP = {("ttl", "REACTIVE")}
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_an_idle_controller_ledgers_what_its_nodes_run(name, mode):
     """Once the controller is idle, each node's ledgered peers and routes
-    are its running ones, static_config entries aside."""
+    are its running ones, static_config entries aside, and the snapshot's
+    adjacencies are the pairs whose nodes run each other's controller-owned
+    peer."""
     scenario = build(name, mode)
     sim = simnet.Simulation(scenario)
     sim.run()
     assert bool(sim.controller._jobs) == ((name, mode) in BUSY_AT_STOP)
     if sim.controller._jobs:
         return
+    owned: dict[str, set] = {}
     for nid, n in sorted(sim.nodes.items()):
         static = scenario.static_config.get(nid, ConfigDocument())
         ledger = sim.controller.ledger.get(nid, {"peers": {}, "routes": {}})
@@ -449,6 +449,9 @@ def test_an_idle_controller_ledgers_what_its_nodes_run(name, mode):
             key: (r["next_hop"], r["action"], r["expiration"])
             for key, r in ledger["routes"].items()
         }, nid
+        owned[nid] = set(peers)
+    pairs = [[a, b] for a in sorted(owned) for b in sorted(owned[a]) if a < b and a in owned.get(b, ())]
+    assert [r["pair"] for r in sim.controller.snapshot()["adjacencies"]] == pairs
 
 
 @pytest.mark.parametrize("mode", [simnet.PROACTIVE, simnet.REACTIVE])
@@ -620,7 +623,7 @@ def test_provisioning_200_realms_sends_one_route_frame_per_node_and_converges_in
     ledger = sim.controller.ledger
     assert all(ledger[p.home_node]["routes"][p.realm_pattern]["action"] == "local"
                for p in sim.controller.policies)
-    established = sum(a.status == "ESTABLISHED" for a in sim.controller.adjacencies.values())
+    established = len(sim.controller.snapshot()["adjacencies"])
     routed = sum(1 for entry in ledger.values() if entry["routes"])
     sent = edit_frames(sim.transcript)
     assert len(sent) <= 2 * established + routed
@@ -838,6 +841,41 @@ def test_parallel_rollback_after_first_side_fails():
     for node, other in (("ai", "aj"), ("aj", "ai")):
         doc = wait(sim, sim.controller.get_node_config(node))
         assert doc.peer(other) is None
+
+
+@pytest.mark.parametrize("parallel,down,step,time", [(True, "ai", 1, 1), (False, "aj", 3, 3)])
+def test_a_failed_exchange_lists_no_pair_and_the_next_ensure_hop_establishes_it(
+        parallel, down, step, time):
+    sim = chain_sim(
+        mode="REACTIVE",
+        policies=["route realm.org via ah security tls"],
+        options={"parallel_adjacency": parallel},
+        events=[
+            {"time": time, "kind": "node-down", "node": down},
+            {"time": 50, "kind": "node-up", "node": down},
+        ],
+    )
+    controller = sim.controller
+    result = wait(sim, controller.establish_adjacency("ai", "aj", "tls"))
+    assert (result.status, result.failed_step, result.error) == ("FAILED", step, "NODE_DOWN")
+    assert controller.snapshot()["adjacencies"] == []
+
+    [policy] = controller.policies
+    result = wait(sim, controller._submit(controller._ensure_hop(policy, "ai", "aj", {})))
+    assert result.status == "ESTABLISHED"
+    [record] = controller.snapshot()["adjacencies"]
+    assert (record["pair"], record["status"], record["security"]) == (["ai", "aj"], "ESTABLISHED", "tls")
+    assert sim.nodes["ai"].running.peer("aj") and sim.nodes["aj"].running.peer("ai")
+
+
+def test_a_snapshot_mid_exchange_lists_no_pair():
+    sim = chain_sim()
+    reply = sim.controller.establish_adjacency("ai", "aj", "tls")
+    sim.run_until(3)  # ai's frame is confirmed, aj's is in flight
+    assert [r["actor"] for r in edit_frames(sim.transcript)] == ["ai", "aj"]
+    assert sim.controller.snapshot()["adjacencies"] == []
+    assert wait(sim, reply).status == "ESTABLISHED"
+    assert [r["pair"] for r in sim.controller.snapshot()["adjacencies"]] == [["ai", "aj"]]
 
 
 def test_acquire_at_the_home_installs_only_its_local_route():

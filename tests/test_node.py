@@ -304,9 +304,14 @@ def provisioned_pair(secret_a=b"s" * 16, secret_b=None, transport_b=None):
 
 
 def verdict(loop, node, peer_id):
+    """(ok, reason) of a handshake, as a record waiting on it sees it: sent,
+    or passed to _unsent with the reason."""
     out = []
-    node.establish_channel(peer_id, lambda ok, reason: out.append((ok, reason)))
+    node._send = lambda _peer_id, _record: out.append((True, None))
+    node._unsent = lambda _record, _peer_id, reason: out.append((False, reason))
+    node.establish_channel(peer_id, "probe")
     loop.run_until(loop.now + 5)
+    del node._send, node._unsent
     assert out, "handshake produced no verdict"
     return out[0]
 
@@ -974,6 +979,31 @@ def test_established_channel_sends_without_a_handshake(monkeypatch):
     sent = [(r["actor"], r["to"], r["message"]["msg_id"])
             for r in network.transcript.records if r["direction"] == "fwd"]
     assert sent == [("a", "b", "m1"), ("b", "a", "r1")]
+
+
+def test_records_waiting_on_a_handshake_end_node_down_and_free_the_redirect_realm():
+    loop, network, a, _b = provisioned_pair()
+    apply_ok(a, merge("routing", RealmEntry("realm.org", "b", Action.RELAY)),
+             merge("routing", RealmEntry("redirect.org", "b", Action.REDIRECT)))
+    nai = parse_nai("bob@realm.org")
+    a.handle_message(request("m1", "bob@realm.org"), loop.now)
+    a.handle_message(
+        AaaMessage("r1", MsgKind.RESPONSE, nai, nai.realm, {}, ("b", "a"), status="accept"),
+        loop.now,
+    )
+    a.handle_message(request("m2", "carol@redirect.org"), loop.now)  # parked behind its query
+    assert [type(r).__name__ for r in a._handshakes["b"]] == ["AaaMessage", "AaaMessage", "RedirectQuery"]
+    a.set_down()
+    loop.run_until(loop.now + 10)
+    done = [r["message"] for r in network.transcript.records if r["direction"] == "done"]
+    assert [(m["msg_id"], m["error"]) for m in done] == [
+        ("m2", "NODE_DOWN"), ("m1", "NODE_DOWN"), ("r1", "NODE_DOWN")]
+    assert {r["direction"] for r in network.transcript.records} == {"done"}  # nothing was sent
+    # back UP, the realm's next request sends a fresh query
+    a.set_up()
+    a.handle_message(request("m3", "carol@redirect.org"), loop.now)
+    loop.run_until(loop.now + 10)
+    assert a.redirect_queries_sent == 1
 
 
 def test_record_to_a_node_that_goes_down_in_flight_is_lost(monkeypatch):

@@ -1,3 +1,4 @@
+import gc
 import heapq
 import json
 import random
@@ -711,6 +712,26 @@ def test_requests_parked_at_a_node_that_goes_down_end_node_down():
 
 
 @pytest.mark.parametrize("mode", [simnet.PROACTIVE, simnet.REACTIVE])
+@pytest.mark.parametrize("node", ["ac", "ai", "aj"])
+def test_a_request_waiting_on_a_handshake_ends_once_when_its_node_goes_down(node, mode):
+    """The chain fixture's one request, with a node-down of a node on its
+    path at each tick of its journey: it ends exactly once, also when it
+    waits on that node's handshake (NODE_DOWN)."""
+    base = json.loads((FIXTURES / "chain.json").read_text())
+    codes = Counter()
+    for time in range(50, 80):
+        obj = {**base, "mode": mode, "stop_time": 8000,
+               "events": [*base["events"], {"time": time, "kind": "node-down", "node": node}]}
+        metrics, transcript = simnet.run(simnet.scenario_from_dict(obj))
+        [injected] = [r["message"]["msg_id"] for r in transcript.records if r["direction"] == "inject"]
+        done = [r["message"] for r in transcript.records if r["direction"] == "done"]
+        assert [m["msg_id"] for m in done] == [injected], time
+        assert metrics.still_pending == 0, time
+        codes[done[0].get("error")] += 1
+    assert codes["NODE_DOWN"] > 0
+
+
+@pytest.mark.parametrize("mode", [simnet.PROACTIVE, simnet.REACTIVE])
 def test_an_inject_at_a_down_client_is_lost_and_ends_errored(mode):
     nodes, links, homes = chain_nodes()
     nodes["ac"]["state"] = "DOWN"
@@ -778,6 +799,21 @@ def test_forward_counters_equal_the_fwd_records_they_count(name, mode):
     assert sum(n.forwards for n in nodes) == sent["message"] > 0
     assert sum(n.redirect_queries_sent for n in nodes) == sent["redirect-query"]
     assert sent["redirect-query"] > 0 or name != "redirect-fabric"
+
+
+@pytest.mark.parametrize("mode", [simnet.PROACTIVE, simnet.REACTIVE])
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_a_run_leaves_nothing_for_the_cyclic_collector(name, mode):
+    """Every object a run drops is freed by reference counting: with the
+    collector paused around run(), a collection afterwards finds nothing."""
+    sim = Simulation(build(name, mode))
+    gc.collect()
+    gc.disable()
+    try:
+        sim.run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
