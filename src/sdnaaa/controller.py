@@ -243,11 +243,11 @@ class Controller:
         return self._submit(self._adjacency_job(node_a, node_b, security, ttl))
 
     def provision_realm(self, policy: Policy) -> Reply:
-        return self._submit(self._provision_job(policy))
+        return self._submit(self._provision_job((policy,)))
 
     def provision_all(self) -> Reply:
         """Provision every policy in one job."""
-        return self._submit(self._provision_all_job())
+        return self._submit(self._provision_job(self.policies, bulk=True))
 
     def get_node_config(self, node_id: str) -> Reply:
         return self._submit(self._get_config_job(node_id))
@@ -339,12 +339,16 @@ class Controller:
         return entry
 
     def _ledger_changes(self, node_id: str, changes, policy_id) -> None:
-        """Record confirmed changes; the controller only ever ledgers merges."""
-        entry = self._node_ledger(node_id)
+        """Record confirmed changes: a MERGE ledgers its peer or route, and a
+        DELETE (a rollback's) drops it."""
         for ch in changes:
             container, key = ch.container_key()
-            if container == "peers":
-                entry["peers"][key] = {
+            if ch.op == southbound.DELETE:
+                table = self.ledger.get(node_id, {}).get("routes" if container == "routing" else container)
+                if table is not None:
+                    table.pop(key, None)
+            elif container == "peers":
+                self._node_ledger(node_id)["peers"][key] = {
                     "peer_id": key,
                     "transport": ch.value.transport.value,
                     "security": PSK if isinstance(ch.value.credential, SharedSecret) else TLS,
@@ -352,7 +356,7 @@ class Controller:
                     "policy": policy_id,
                 }
             elif container == "routing":
-                entry["routes"][key] = {
+                self._node_ledger(node_id)["routes"][key] = {
                     "pattern": key,
                     "next_hop": ch.value.next_hop,
                     "action": ch.value.action.value,
@@ -420,11 +424,14 @@ class Controller:
         ok_a = frame_a.type == southbound.OK
         ok_b = frame_b is not None and frame_b.type == southbound.OK
         if not (ok_a and ok_b):
-            # undo the side that applied; a failed frame changed nothing
-            if ok_a:
-                yield session_a.edit_config(self._rollback_changes(changes_a))
-            elif ok_b:
-                yield session_b.edit_config(self._rollback_changes(changes_b))
+            # undo the side that applied and unledger what the undo deletes;
+            # a failed frame changed nothing
+            if ok_a or ok_b:
+                node, session, changes = (a, session_a, changes_a) if ok_a else (b, session_b, changes_b)
+                # in reverse, so routes go before the peers they reference
+                rollback = [ConfigChange(southbound.DELETE, ch.path) for ch in reversed(changes)]
+                if (yield session.edit_config(rollback)).type == southbound.OK:
+                    self._ledger_changes(node, rollback, None)
             if ok_a:
                 return EstablishResult("FAILED", 3, frame_b.error["code"])
             return EstablishResult("FAILED", 1, frame_a.error["code"])
@@ -435,15 +442,6 @@ class Controller:
         self._ledger_changes(b, changes_b, policy_id)
         log.info("adjacency %s-%s established (%s)", a, b, security)
         return EstablishResult("ESTABLISHED")
-
-    @staticmethod
-    def _rollback_changes(changes):
-        # delete in reverse so routes go before the peers they reference
-        return [
-            ConfigChange(southbound.DELETE, ch.path)
-            for ch in reversed(changes)
-            if ch.op == southbound.MERGE
-        ]
 
     def _get_config_job(self, node_id):
         session = self.sessions.get(node_id)
@@ -532,59 +530,54 @@ class Controller:
                 for item in items:
                     yield from self._flush({n: [item]})
 
-    def _provision_job(self, policy: Policy, routes=None):
-        """Install peers and routes along every client->home path, then the
-        home's LOCAL route, pairing each new adjacency with the new route in
-        one edit-config frame. The routes that need no new adjacency are
-        collected into ``routes`` for the caller to flush; without it, each
-        hop's route is flushed before the next hop. The hops behind a failed
-        adjacency are skipped."""
-        home = policy.home_node
-        next_hops, order, unreachable = self._paths_to(home)
-        for client in unreachable:
-            log.info("policy %s: no path from %s", policy.policy_id, client)
-        failed: set[str] = set()
-        for n in (*order, home):
-            next_hop = next_hops.get(n)  # None at the home
-            if n in failed or next_hop in failed:
-                continue
-            hop_routes = {} if routes is None else routes
-            result = yield from self._ensure_hop(policy, n, next_hop, hop_routes)
-            if routes is None and hop_routes:
-                yield from self._flush(hop_routes)
-            if result is not None and result.status != "ESTABLISHED":
-                failed.add(next_hop if result.failed_step == 1 else n)
-
-    def _provision_all_job(self):
-        """Every policy's walk in order, with its missing adjacencies
-        established on the way; the routes that need no new adjacency go
-        out in one flush after the last walk."""
+    def _provision_job(self, policies, nodes=None, bulk=False, realm=None):
+        """The one provisioning walk. Each policy in turn gives each of
+        ``nodes`` its hop through ``_ensure_hop``: by default the clients
+        with no path, then the nodes on client->home paths in first-visit
+        order, then the home. A non-home node with no next hop is logged
+        (naming ``realm``, the one an acquire asked for, if given) and
+        skipped, as are the hops behind a failed adjacency. Route-only hops
+        are flushed hop by hop or, with ``bulk``, once after the last
+        policy."""
         routes: dict[str, list] = {}
-        for policy in self.policies:
-            yield from self._provision_job(policy, routes)
+        for policy in policies:
+            home = policy.home_node
+            next_hops, walk = None, nodes
+            if nodes is None:
+                next_hops, order, unreachable = self._paths_to(home)
+                walk = (*unreachable, *order, home)
+            failed: set[str] = set()
+            for n in walk:
+                next_hop = None
+                if n != home:
+                    if next_hops is None:  # only a walk that leaves the home needs paths
+                        next_hops = self._paths_to(home).next_hops
+                    next_hop = next_hops.get(n)
+                    if next_hop is None:
+                        if realm is None:
+                            log.info("policy %s: no path from %s", policy.policy_id, n)
+                        else:
+                            log.info("acquire from %s for %s: no path", n, realm)
+                        continue
+                if n in failed or next_hop in failed:
+                    continue
+                result = yield from self._ensure_hop(policy, n, next_hop, routes)
+                if routes and not bulk:
+                    yield from self._flush(routes)
+                    routes = {}
+                if result is not None and result.status != "ESTABLISHED":
+                    failed.add(next_hop if result.failed_step == 1 else n)
         if routes:
             yield from self._flush(routes)
 
     def _acquire_job(self, note: Notification):
-        """Reactive path: give the notifying node its hop of the matched
-        policy, with one combined peer+route frame (plus the mirror frame)
-        when the adjacency is missing."""
-        n = note.node_id
-        realm = note.realm
-        policy = self._match_policy(realm)
+        """Reactive path: walk the notifying node's hop of the matched
+        policy."""
+        policy = self._match_policy(note.realm)
         if policy is None:
-            log.info("acquire from %s for %s: no policy", n, realm)
+            log.info("acquire from %s for %s: no policy", note.node_id, note.realm)
             return
-        next_hop = None
-        if n != policy.home_node:
-            next_hop = self._paths_to(policy.home_node).next_hops.get(n)
-            if next_hop is None:
-                log.info("acquire from %s for %s: no path", n, realm)
-                return
-        routes: dict[str, list] = {}
-        yield from self._ensure_hop(policy, n, next_hop, routes)
-        if routes:
-            yield from self._flush(routes)
+        yield from self._provision_job((policy,), (note.node_id,), realm=note.realm)
 
     def _expired_job(self, note: Notification):
         """Re-provision an expired entry when its policy is still active."""
@@ -595,7 +588,7 @@ class Controller:
             gone = node_entry.get("routes", {}).pop(note.pattern, None)
         policy = self._policy_for_id.get(gone["policy"]) if gone else None
         if policy is not None:
-            yield from self._provision_job(policy)
+            yield from self._provision_job((policy,))
 
     def _forward_failure_job(self, note: Notification):
         """Suspect the failed peer's node, recompute next hops without it,
@@ -606,7 +599,7 @@ class Controller:
         log.info("forward failure at %s via %s; suspecting %s", note.node_id, note.peer_id, note.peer_id)
         policy = self._match_policy(note.realm)
         if policy is not None:
-            yield from self._provision_job(policy)
+            yield from self._provision_job((policy,))
 
     # ------------------------------------------------------------------
     # snapshot

@@ -329,6 +329,44 @@ def test_rollback_after_step_three_failure():
     assert doc.peer("aj") is None and doc.tls == {}
 
 
+def test_a_rollback_unledgers_what_it_deletes():
+    # a re-keying of an established pair fails at step 3: ai's rollback
+    # deletes its peer aj, so the ledger and the snapshot drop it too
+    sim = chain_sim(
+        mode="REACTIVE",
+        policies=["route realm.org via ah security tls"],
+        events=[{"time": 103, "kind": "node-down", "node": "aj"}],
+    )
+    assert wait(sim, sim.controller.establish_adjacency("ai", "aj", "tls"), horizon=10).status == "ESTABLISHED"
+    assert "aj" in sim.controller.ledger["ai"]["peers"]
+    sim.run_until(100)
+    result = wait(sim, sim.controller.establish_adjacency("ai", "aj", "tls"), horizon=20)
+    assert (result.status, result.failed_step, result.error) == ("FAILED", 3, "NODE_DOWN")
+    assert sim.nodes["ai"].running.peer("aj") is None
+    assert "aj" not in sim.controller.ledger["ai"]["peers"]
+    assert sim.controller.snapshot()["adjacencies"] == []
+
+
+def test_a_rollback_unledgers_the_route_it_deletes():
+    # in parallel mode ai applies its half (peer at, route via at) while at
+    # is DOWN; the rollback deletes ai's route, so its ledgered route via aj goes too
+    sim = chain_sim(
+        policies=["route realm.org via ah security tls"],
+        options={"parallel_adjacency": True},
+        events=[{"time": 100, "kind": "node-down", "node": "at"}],
+    )
+    sim.run_until(100)
+    controller = sim.controller
+    assert controller.ledger["ai"]["routes"]["realm.org"]["next_hop"] == "aj"
+    [policy] = controller.policies
+    job = controller._adjacency_job("at", "ai", "tls", None, policy, (), ("at",))
+    result = wait(sim, controller._submit(job), horizon=20)
+    assert (result.status, result.failed_step, result.error) == ("FAILED", 1, "NODE_DOWN")
+    assert sim.nodes["ai"].running.route("realm.org") is None
+    assert "realm.org" not in controller.ledger["ai"]["routes"]
+    assert "at" not in controller.ledger["ai"]["peers"]
+
+
 def test_psk_secret_not_retained_after_establishment():
     sim = chain_sim()
     result = wait(sim, sim.controller.establish_adjacency("ai", "aj", "psk"))
@@ -717,6 +755,34 @@ def test_acquire_without_policy_records_unroutable_and_sends_nothing(decisions):
     assert sim.metrics.controller_frames == 0
     assert sim.metrics.notifications == {"acquire-route": 1}
     assert decisions.messages == ["acquire from ac for unknown.xyz: no policy"]
+
+
+def test_acquire_at_the_home_installs_its_local_route_without_paths(monkeypatch):
+    calls = []
+    compute = controller_mod.compute_next_hops
+    monkeypatch.setattr(controller_mod, "compute_next_hops", lambda *a: calls.append(a) or compute(*a))
+    sim = chain_sim(mode="REACTIVE", policies=["route realm.org via ah security tls"])
+    sim.run_until(10)
+    note = model.Notification.acquire_route("ah", "realm.org")
+    assert wait(sim, sim.controller.on_notification(note), horizon=10) is None
+    assert edit_outcomes(sim.transcript) == [("ah", ["routing/realm.org"], "ok", None)]
+    assert sim.nodes["ah"].running.route("realm.org").action == Action.LOCAL
+    assert sim.controller.ledger["ah"]["routes"]["realm.org"]["action"] == "local"
+    assert calls == []
+
+
+def test_acquire_with_no_path_logs_it_and_sends_nothing(decisions):
+    nodes, links, homes = chain_nodes()
+    nodes["aj"] = dict(nodes["aj"], state="DOWN")
+    scenario = make_scenario(
+        nodes, links, homes, policies=["route realm.org via ah security tls"], mode="REACTIVE",
+        events=[inject(10, "ac", "alice@realm.org", "alice-pw")], stop_time=500,
+    )
+    sim = simnet.Simulation(scenario)
+    metrics, _transcript = sim.run()
+    assert metrics.controller_frames == 0
+    assert metrics.notifications == {"acquire-route": 1}
+    assert decisions.messages == ["acquire from ac for realm.org: no path"]
 
 
 def test_acquire_answered_with_combined_peer_and_route_frame():
