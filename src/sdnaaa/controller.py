@@ -200,16 +200,12 @@ class Controller:
         # shortest paths per home; dropped whenever ``suspected`` changes
         self._paths: dict[str, _Paths] = {}
         self._jobs: deque = deque()
-        # pushed changes held for a node with no session, sent when it gets one
-        self._unsent: dict[str, list[ConfigChange]] = {}
 
     # ------------------------------------------------------------------
     # wiring
 
     def attach_session(self, node_id: str, session: southbound.Session) -> None:
         self.sessions[node_id] = session
-        if node_id in self._unsent:
-            self._submit(self._push_job(node_id, self._unsent.pop(node_id)))
 
     def node_registered(self, node_id: str) -> None:
         """Re-registration of a node clears any failure suspicion."""
@@ -254,7 +250,7 @@ class Controller:
 
     def push_document(self, node_id: str, doc: model.ConfigDocument) -> Reply:
         """Administrator-style seeding of a full document (scenario
-        static_config); applied through the node's session once it has one, not ledgered."""
+        static_config) through the node's open session; not ledgered."""
         changes = []
         for container in model.REFERENTS_FIRST:
             entries = getattr(doc, container)
@@ -267,11 +263,7 @@ class Controller:
             return self._submit(self._acquire_job(note))
         if note.kind in (Notification.PEER_EXPIRED, Notification.ROUTE_EXPIRED):
             return self._submit(self._expired_job(note))
-        if note.kind == Notification.FORWARD_FAILURE:
-            return self._submit(self._forward_failure_job(note))
-        done = Reply()
-        done.resolve(None)
-        return done
+        return self._submit(self._forward_failure_job(note))
 
     # ------------------------------------------------------------------
     # credentials
@@ -451,11 +443,7 @@ class Controller:
         return frame.doc if frame.type == southbound.CONFIG else None
 
     def _push_job(self, node_id, changes):
-        session = self.sessions.get(node_id)
-        if session is None:
-            self._unsent.setdefault(node_id, []).extend(changes)
-        else:
-            yield session.edit_config(changes)
+        yield self.sessions[node_id].edit_config(changes)
 
     def _client_paths(self, home: str, next_hops: dict[str, str]):
         """Nodes on client->home shortest paths in first-visit order, and

@@ -413,23 +413,19 @@ def with_entries(doc: ConfigDocument, edits) -> ConfigDocument:
 # route selection
 
 
-def select_route(tables, realm: str, now: int) -> Optional[RealmEntry]:
-    """Most-specific non-expired entry matching ``realm``, or None.
+def select_route(table: dict[str, RealmEntry], realm: str, now: int) -> Optional[RealmEntry]:
+    """Most-specific non-expired entry of ``table`` (a map from pattern
+    text to entry) matching ``realm``, or None.
 
-    ``tables`` is a sequence of maps from pattern text to entry; a key
-    found in an earlier map shadows the same key in later ones. The keys
-    are probed in ``lookup_keys(realm)`` order, so a lookup costs at most
-    one probe per realm label plus one, per table, whatever the table size.
-    The first entry found that has not expired wins; an entry is
-    selectable strictly before its expiration time.
+    The keys are probed in ``lookup_keys(realm)`` order, so a lookup costs
+    at most one probe per realm label plus one, whatever the table size.
+    An entry is selectable strictly before its expiration time; an expired
+    one is passed over for the next less specific pattern.
     """
     for key in lookup_keys(realm):
-        for table in tables:
-            entry = table.get(key)
-            if entry is not None:
-                if entry.expiration is None or now < entry.expiration:
-                    return entry
-                break
+        entry = table.get(key)
+        if entry is not None and (entry.expiration is None or now < entry.expiration):
+            return entry
     return None
 
 

@@ -317,17 +317,15 @@ class Node:
             self._dispatch(msg, entry, now)
 
     def _select(self, realm: str, now: int) -> Optional[RealmEntry]:
-        # live cache entries shadow running entries with the same pattern,
-        # so a cached redirect hint overrides the REDIRECT entry it refined;
-        # hints are keyed by exact realm text, so the realm's own hint is
-        # the only one on the lookup walk, and it is dropped here once
-        # expired, before it could shadow anything
-        if self.route_cache:
-            cached = self.route_cache.get(realm)
-            if cached is not None and now >= cached.expiration:
-                del self.route_cache[realm]
-            return model.select_route((self.route_cache, self.running.routing), realm, now)
-        return model.select_route((self.running.routing,), realm, now)
+        # a live redirect hint overrides the running entry it refined; hints
+        # are keyed by the exact realm text, so one probe finds the realm's
+        # own, and an expired one is dropped here
+        hint = self.route_cache.get(realm)
+        if hint is not None:
+            if now < hint.expiration:
+                return hint
+            del self.route_cache[realm]
+        return model.select_route(self.running.routing, realm, now)
 
     def _dispatch(self, msg: AaaMessage, entry: RealmEntry, now: int) -> None:
         if entry.action is Action.RELAY:
@@ -475,7 +473,7 @@ class Node:
 
     def _handle_redirect_query(self, query: RedirectQuery) -> None:
         now = self.loop.now
-        entry = model.select_route((self.running.routing,), query.realm, now)
+        entry = model.select_route(self.running.routing, query.realm, now)
         requester = self.network.nodes[query.requester]
         if entry is None:
             reply: object = RedirectMiss(query.realm)

@@ -558,9 +558,6 @@ class Simulation:
             if self.nodes[nid].is_up():
                 self._open_session(nid)
 
-        for nid in sorted(scenario.static_config):
-            self.controller.push_document(nid, scenario.static_config[nid])
-
         if scenario.mode == PROACTIVE:
             self.controller.provision_all()
 
@@ -568,6 +565,7 @@ class Simulation:
             self.loop.call_at(ev.time, lambda ev=ev: self._fire(ev))
 
     def _open_session(self, nid: str) -> None:
+        """Open the node's management session and push its static_config."""
         session = southbound.open_session(
             "controller",
             self.nodes[nid],
@@ -576,6 +574,9 @@ class Simulation:
             on_notification=self._on_notification,
         )
         self.controller.attach_session(nid, session)
+        doc = self.scenario.static_config.get(nid)
+        if doc is not None:
+            self.controller.push_document(nid, doc)
 
     def _record_frame(self, time: int, node_id: str, direction: str, frame) -> None:
         self.transcript.add((time, node_id, direction, frame))
@@ -598,7 +599,7 @@ class Simulation:
             n = self.nodes[ev.node]
             n.set_up()
             self.transcript.add((self.loop.now, ev.node, "node-up"))
-            if n.session is None:  # a node loaded DOWN: its held static_config goes out now
+            if n.session is None:  # a node loaded DOWN: its static_config goes out now
                 self._open_session(ev.node)
             self.controller.node_registered(ev.node)
         else:  # snapshot

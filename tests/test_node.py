@@ -274,15 +274,12 @@ def test_edit_and_lookup_work_does_not_grow_with_table_size(monkeypatch):
     apply_ok(a, merge("routing", RealmEntry("new.org", "b", Action.RELAY)))
     assert checked == ["routing"]
 
-    # a lookup probes each table at most once per realm label plus once
-    cache = _CountingTable()
+    # a lookup probes the table at most once per realm label plus once
     running = _CountingTable(a.running.routing)
     for text in ("r7.example.org", "x.y.example.org"):
-        cache.reads = running.reads = 0
-        labels = text.count(".") + 1
-        assert model.select_route((cache, running), text, now=0) is a.running.route(text)
-        assert cache.reads <= labels + 1
-        assert running.reads <= labels + 1
+        running.reads = 0
+        assert model.select_route(running, text, now=0) is a.running.route(text)
+        assert running.reads <= text.count(".") + 2
 
 
 # ---------------------------------------------------------------------------
@@ -783,6 +780,45 @@ def test_expired_redirect_hint_is_dropped_and_the_running_route_is_selected():
     assert q._select(realm, hint.expiration - 1) is hint
     assert q._select(realm, hint.expiration).action is Action.REDIRECT
     assert "realm.org" not in q.route_cache
+
+
+def _longest_live_match(routing, realm: str, now: int):
+    """Linear-scan oracle: the live entry whose pattern matches ``realm``
+    most specifically (the realm itself, then the longest ``*.<suffix>``
+    with at least one label in front, then ``*``), or None."""
+    def specificity(pattern):
+        if pattern == realm:
+            return (2, 0)
+        if pattern.startswith("*.") and realm.endswith(pattern[1:]):
+            return (1, len(pattern))
+        return (0, 0) if pattern == "*" else None
+
+    live = [(specificity(e.pattern), e) for e in routing.values()
+            if e.expiration is None or now < e.expiration]
+    live = [(s, e) for s, e in live if s is not None]
+    return max(live, key=lambda pair: pair[0])[1] if live else None
+
+
+@given(st.lists(st.sampled_from(["a", "b", "org"]), min_size=1, max_size=4).map(".".join),
+       st.sampled_from(("live", "expired", "absent")), st.integers(0, 20), st.data())
+def test_select_returns_a_live_hint_else_the_running_longest_match(realm, hint_state, now, data):
+    labels = realm.split(".")
+    candidates = [realm, "*", f"x.{realm}", f"*.x.{realm}"]
+    candidates += ["*." + ".".join(labels[cut:]) for cut in range(1, len(labels))]
+    patterns = data.draw(st.lists(st.sampled_from(candidates), unique=True))
+    _loop, _network, a = rig("a")
+    peer, _ = psk_pair("a", "b", b"s" * 16)
+    apply_ok(a, merge("peers", peer), *(
+        merge("routing", RealmEntry(p, "b", Action.RELAY, (), data.draw(st.none() | st.integers(1, 20))))
+        for p in patterns))
+    hint = None
+    if hint_state != "absent":
+        offset = data.draw(st.integers(1, 5) if hint_state == "live" else st.integers(-5, 0))
+        hint = a.route_cache[realm] = RealmEntry(realm, "b", Action.RELAY, (), now + offset)
+    expected = hint if hint_state == "live" else _longest_live_match(a.running.routing, realm, now)
+    assert a._select(realm, now) is expected
+    # a live hint stays cached; an expired one has left the cache
+    assert a.route_cache.get(realm) is (hint if hint_state == "live" else None)
 
 
 def test_redirect_without_matching_entry_errors():
