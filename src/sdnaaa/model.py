@@ -840,16 +840,22 @@ def document_from_json(obj) -> ConfigDocument:
 # redaction
 
 
-def redact(doc: ConfigDocument) -> ConfigDocument:
-    """Replace all private credential material with the redaction token.
+def redact_entity(entity):
+    """The one key-material rule: a TLS profile's ``local_key`` and a
+    shared-secret peer's ``secret`` become the redaction token; any other
+    entity is returned as the same object. Idempotent; every other leaf is
+    kept, and ``entity`` itself is never changed."""
+    cls = type(entity)
+    if cls is TlsProfile:
+        return replace(entity, local_key=REDACTED)
+    if cls is PeerEntry and type(entity.credential) is SharedSecret:
+        return replace(entity, credential=SharedSecret(REDACTED))
+    return entity
 
-    Idempotent; every other field is preserved byte for byte.
-    """
-    peers = {
-        key: replace(p, credential=SharedSecret(REDACTED))
-        if isinstance(p.credential, SharedSecret)
-        else p
-        for key, p in doc.peers.items()
-    }
-    tls = {key: replace(t, local_key=REDACTED) for key, t in doc.tls.items()}
-    return replace(doc, peers=peers, tls=tls)
+
+def redact(doc: ConfigDocument) -> ConfigDocument:
+    """``doc`` with ``redact_entity`` applied to every entry."""
+    return ConfigDocument(**{
+        container: {key: redact_entity(e) for key, e in getattr(doc, container).items()}
+        for container in CONTAINERS
+    })

@@ -89,7 +89,6 @@ _ENCODER = json.JSONEncoder(
 )
 
 _BATCH = 2000  # records written per memo; the memo is dropped after each batch
-_PRIVATE = frozenset({"secret", "local_key"})  # the entity leaves of key material
 
 #: the payload keys of each transcript record by its direction: a record is
 #: the tuple ``(time, actor, direction, *payload)``, one value per key
@@ -119,25 +118,12 @@ class _Texts(dict):
         return text
 
 
-def _json_text(value, texts: _Texts, private=frozenset()) -> str:
-    """The JSON text of strings, ints, None, lists and string-keyed dicts from ``texts``,
-    a member named in ``private`` as REDACTED; any other value by the encoder."""
-    cls = type(value)
-    if cls is str:
-        return texts[value]
-    if cls is int:
-        return str(value)
-    if value is None:
-        return "null"
-    if cls is list:
-        return f"[{','.join([_json_text(v, texts, private) for v in value])}]"
-    if cls is dict:
-        if not private.isdisjoint(value):
-            value = {k: model.REDACTED if k in private else v for k, v in value.items()}
-        items = [f"{texts[k]}:{texts[v] if type(v) is str else _json_text(v, texts, private)}"
-                 for k, v in value.items() if type(k) is str]
-        if len(items) == len(value):
-            return f"{{{','.join(items)}}}"
+def _map_text(value: dict, texts: _Texts) -> str:
+    """The JSON text of a map: from ``texts`` when its keys and values are all
+    strings (attribute maps, notifications), else by the encoder."""
+    items = [f"{texts[k]}:{texts[v]}" for k, v in value.items() if type(k) is str and type(v) is str]
+    if len(items) == len(value):
+        return f"{{{','.join(items)}}}"
     return _ENCODER.encode(value)
 
 
@@ -155,7 +141,7 @@ def _message_text(msg: AaaMessage, texts: _Texts, prefixes: dict) -> str:
             msg_id, kind, nai, dest_realm,
             f'{{"kind":{texts[kind._value_]},"msg_id":{texts[msg_id]},'
             f'"nai":{texts[nai.text]},"dest_realm":{texts[dest_realm]},'
-            f'"attributes":{_json_text(attributes, texts)},"trace":',
+            f'"attributes":{_map_text(attributes, texts)},"trace":',
         )
     error = "" if error is None else f',"error":{texts[error]}'
     return f'{known[4]}{texts[hop_trace]},"status":{texts[status]}{error}}}'
@@ -163,32 +149,33 @@ def _message_text(msg: AaaMessage, texts: _Texts, prefixes: dict) -> str:
 
 def _frame_text(frame: southbound.Frame, texts: _Texts) -> str:
     """The JSON text of ``frame.to_json()`` (its specification), written from the
-    fields; an entity by its leaf encoders in ``model.SCHEMAS``, its key material
-    (``_PRIVATE``) as REDACTED, while the frame in memory keeps it."""
+    fields; an entity or a document as redacted by ``model``, while the frame in
+    memory keeps its key material."""
     kind = frame.type
     text = f'{{"txn":{frame.txn},"type":{texts[kind]}'
     if kind == southbound.EDIT_CONFIG:
         changes = [
             f'{{"op":{texts[c.op]},"path":{texts[c.path]}}}' if c.value is None else
             f'{{"op":{texts[c.op]},"path":{texts[c.path]},"value":'
-            f'{_json_text(model.entity_to_json(c.value), texts, _PRIVATE)}}}'
+            f'{_ENCODER.encode(model.entity_to_json(model.redact_entity(c.value)))}}}'
             for c in frame.changes
         ]
         return f'{text},"changes":[{",".join(changes)}]}}'
     if kind == southbound.CONFIG:
-        return f'{text},"doc":{_json_text(model.document_to_json(frame.doc), texts, _PRIVATE)}}}'
+        return f'{text},"doc":{_ENCODER.encode(model.document_to_json(model.redact(frame.doc)))}}}'
     if kind == southbound.ERROR:
-        detail = _json_text(frame.error.get("detail", []), texts)
-        return f'{text},"code":{_json_text(frame.error["code"], texts)},"detail":{detail}}}'
+        detail = _ENCODER.encode(frame.error.get("detail", []))
+        return f'{text},"code":{_ENCODER.encode(frame.error["code"])},"detail":{detail}}}'
     if kind == southbound.NOTIFICATION:
-        return f'{text},"note":{_json_text(frame.note.to_json(), texts)}}}'
+        return f'{text},"note":{_map_text(frame.note.to_json(), texts)}}}'
     return text + "}"
 
 
 def _write_batch(records: list[tuple]) -> str:
     """NDJSON lines of ``records``, as ``json.dumps`` writes each record's dict: the head,
     then the direction's line texts around the values' texts, one format for one or two.
-    A string value is found in ``texts``, a message already written in ``written``."""
+    An actor or a ``to`` string is found in ``texts`` and a message already written in
+    ``written``; a frame is written by ``_frame_text``, any other value by ``_ENCODER``."""
     texts = _Texts()
     written: dict[int, str] = {}  # id of a message -> its text
     prefixes: dict[int, tuple] = {}  # id of an attribute map -> its message prefix
@@ -198,7 +185,7 @@ def _write_batch(records: list[tuple]) -> str:
         if cls is AaaMessage:
             text = written[id(value)] = _message_text(value, texts, prefixes)
             return text
-        return (_frame_text if cls is southbound.Frame else _json_text)(value, texts)
+        return _frame_text(value, texts) if cls is southbound.Frame else _ENCODER.encode(value)
 
     lines: list[str] = []
     append = lines.append
@@ -234,9 +221,9 @@ class Transcript:
     map and reused only while the message's id, kind, NAI and realm are the
     objects it was built from, as in every hop's copy of a request. Both memos
     are sound only because a recorded value never changes and stays alive for
-    its batch, so a new payload type must be immutable too. The encoder behind
-    ``_json_text`` calls ``to_json`` and skips the circular-reference check: a
-    cycle raises ``RecursionError``. A message is a tuple, which ``json`` writes
+    its batch, so a new payload type must be immutable too. ``_ENCODER`` calls
+    ``to_json`` and skips the circular-reference check: a cycle raises
+    ``RecursionError``. A message is a tuple, which ``json`` writes
     as an array without calling ``to_json``, so it may only be a payload value
     itself, written by ``_message_text``, never nested inside one."""
 

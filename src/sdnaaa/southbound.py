@@ -3,7 +3,8 @@
 Transactional edit-config / get-config with per-frame atomicity on the node
 side, ok/error replies, and node-originated notifications. Frames travel
 over an in-memory ordered duplex channel with one logical time unit of
-latency per direction; ``Frame.to_json`` is their form in the transcript.
+latency per direction; ``Frame.to_json`` is their transcript form once
+``model`` has redacted its entities' key material (``model.redact_entity``).
 """
 
 from __future__ import annotations

@@ -789,14 +789,46 @@ def test_redact_replaces_psk_and_keys():
     assert model.validate_document(red) == []
 
 
+def _key_hex(entity) -> str | None:
+    if isinstance(entity, TlsProfile):
+        return entity.local_key.hex()
+    if isinstance(entity, PeerEntry) and isinstance(entity.credential, SharedSecret):
+        return entity.credential.secret.hex()
+    return None
+
+
 def test_redact_keeps_other_fields_and_is_idempotent():
     rng = random.Random(7)
-    doc = make_random_valid_doc(rng)
-    red = model.redact(doc)
-    assert red.routing == doc.routing
-    assert red.attributes == doc.attributes
-    assert [p.peer_id for p in red.peers.values()] == [p.peer_id for p in doc.peers.values()]
-    assert model.redact(red) == red
+    seen = set()
+    for _ in range(50):
+        doc = make_random_valid_doc(rng)
+        before = model.encode_document(doc)
+        for container in model.CONTAINERS:
+            for entity in getattr(doc, container).values():
+                red = model.redact_entity(entity)
+                key = _key_hex(entity)
+                seen.add((type(entity), key is None))
+                if key is None:  # a tls-ref peer, a route or a rule
+                    assert red is entity
+                    continue
+                red_json = model.entity_to_json(red)
+                assert key not in json.dumps(red_json)
+                if isinstance(entity, TlsProfile):
+                    assert red == dataclasses.replace(entity, local_key=model.REDACTED)
+                    assert red_json["local_key"] == model.REDACTED
+                else:
+                    assert red == dataclasses.replace(entity, credential=SharedSecret(model.REDACTED))
+                    assert red_json["credential"]["secret"] == model.REDACTED
+                assert model.redact_entity(red) == red
+        assert model.encode_document(doc) == before  # the input keeps its keys
+        red_doc = model.redact(doc)
+        assert red_doc == ConfigDocument(**{
+            c: {k: model.redact_entity(e) for k, e in getattr(doc, c).items()}
+            for c in model.CONTAINERS
+        })
+        assert model.redact(red_doc) == red_doc
+    assert seen == {(TlsProfile, False), (PeerEntry, False), (PeerEntry, True),
+                    (RealmEntry, True), (AttributeRule, True)}
 
 
 def test_redact_without_credentials_is_identity():
